@@ -16,7 +16,6 @@ from .errors import (
 )
 from .expr import (
     Expr,
-    antiderivative,
     as_expr,
     differentiate,
     evaluate,
@@ -84,7 +83,6 @@ __all__ = [
     "SetValue",
     "ToolkitError",
     "add",
-    "antiderivative",
     "as_expr",
     "biconjugate",
     "build_function",

@@ -11,7 +11,6 @@ closure derives a < a raises InconsistentEnv at construction.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -237,6 +236,14 @@ class AssumptionEnv:
         if order == Ordering.UNDECIDABLE:
             raise UndecidableComparison(_show(a), _show(b))
         return order
+
+    def admits(self, binding: dict[str, Fraction]) -> bool:
+        """Whether the facts hold for the bound parameters together with
+        some values of the unbound ones."""
+        constraints = list(self._constraints)
+        for p, val in binding.items():
+            constraints = [_substitute_param(c, p, val) for c in constraints]
+        return not _infeasible(constraints)
 
     # -- feasible points --------------------------------------------------
 

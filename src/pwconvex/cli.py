@@ -2,8 +2,9 @@
 
 Every subcommand reads function or operator DSL strings, runs one
 library pipeline, and prints either aligned text rows or JSON.  Exit
-codes: 0 on success, 2 for input problems, 3 when the library derives
-contradictory structure.
+codes: 0 on success, 2 for bad input, 3 for internal failures.  A
+failure prints one ``error[Kind]: message`` line to stderr, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from .assumptions import AssumptionEnv
 from .conv import biconjugate, conjugate
-from .errors import InputError, ToolkitError
-from .expr import Expr, contains_var, format_number, parse_expr, to_text
+from .errors import InconsistentEnv, InputError
+from .expr import Expr, contains_var, evaluate, format_number, parse_expr, to_text
 from .monop import (
     eval_op,
     invert,
@@ -53,10 +55,12 @@ def _env(args) -> AssumptionEnv:
     return AssumptionEnv.parse(args.assume)
 
 
-def _params(args) -> dict[str, Expr] | None:
+def _params(args, env: AssumptionEnv) -> dict[str, Expr] | None:
+    """The --param bindings, checked once against the assumptions."""
     if not args.param:
         return None
     out: dict[str, Expr] = {}
+    numbers: dict[str, Fraction] = {}
     for item in args.param:
         name, eq, value = item.partition("=")
         name = name.strip()
@@ -65,7 +69,13 @@ def _params(args) -> dict[str, Expr] | None:
         e = parse_expr(value)
         if contains_var(e):
             raise InputError(f"parameter {name} must not contain the variable")
-        out[name] = e
+        v = evaluate(e)
+        if not math.isfinite(v):
+            raise InputError(f"parameter {name} must be finite")
+        out[name], numbers[name] = e, Fraction(v)
+    if not env.admits(numbers):
+        shown = ", ".join(f"{k} = {to_text(e)}" for k, e in out.items())
+        raise InconsistentEnv(f"the binding {shown} violates the assumptions")
     return out
 
 
@@ -143,7 +153,7 @@ def _cmd_biconj(args):
 
 def _cmd_prox(args):
     env = _env(args)
-    params = _params(args)
+    params = _params(args, env)
     if _is_separable_text(args.input):
         f = parse_separable(args.input, env)
         xs = _vector(_need_at(args))
@@ -201,7 +211,7 @@ def _cmd_verify(args):
 
 def _cmd_eval(args):
     env = _env(args)
-    params = _params(args)
+    params = _params(args, env)
     at = _need_at(args)
     if _is_operator_text(args.input):
         T = parse_operator(args.input, env)
@@ -325,7 +335,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return BAD_INPUT
-    except ToolkitError as exc:
+    except Exception as exc:  # ToolkitError, or a fault the library did not classify
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return INCONSISTENT
     if text:

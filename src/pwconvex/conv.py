@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .assumptions import AssumptionEnv, Ordering
+from .assumptions import AssumptionEnv
 from .errors import (
     ConstantPinFailure,
     EmptyOperator,
@@ -48,7 +48,7 @@ from .expr import (
 from .inverse import _sign_on_interval, poly_coeffs
 from .limits import limit_at, one_sided_limit
 from .monop import MonotoneOperator, eval_op, invert, subdifferential
-from .pwf import PiecewiseFunction, _locate, build_function, domain
+from .pwf import PiecewiseFunction, build_function, domain
 from .simplify import simplify
 
 INF = math.inf
@@ -182,7 +182,9 @@ def _float_at(e, env: AssumptionEnv) -> float:
     return float(evaluate(as_expr(e), params=env.feasible_point()))
 
 
-def _numeric_base(lo, hi, env: AssumptionEnv) -> Expr:
+def _interior_point(lo, hi) -> Expr:
+    """A point inside the interval (lo, hi): its midpoint, or one unit
+    inside a finite end, or 0."""
     lo_inf = isinstance(lo, float) and math.isinf(lo)
     hi_inf = isinstance(hi, float) and math.isinf(hi)
     if lo_inf and hi_inf:
@@ -227,48 +229,27 @@ def _body_limit(body: Expr, b, side: str, env: AssumptionEnv):
         return as_expr(evaluate(body, x=_float_at(b, env), params=env.feasible_point()))
 
 
-def _gap_slope(T: MonotoneOperator, c: int) -> Expr:
+def _slice_edge(T: MonotoneOperator, s: int, side: str):
+    """Lower (side "right") or upper (side "left") end of the operator
+    values on slice s."""
+    env = T.env
+    if s % 2:
+        lo, hi = T.values[s // 2].bounds()
+        return hi if side == "left" else lo
+    clo, chi = T.interval(s // 2)
+    return _body_limit(T.pieces[s // 2].body, chi if side == "left" else clo, side, env)
+
+
+def _gap_slope(T: MonotoneOperator, c: int, live: list[int]) -> Expr:
     """Connector slope for the empty interior cell c: the midpoint of
     the nearest operator values on either side."""
-    env = T.env
-    n = len(T.breakpoints)
-
-    def bound(direction: int):
-        s = 2 * c + direction  # start at the flanking value slice
-        while 0 <= s <= 2 * n:
-            if s % 2 == 1:
-                v = T.values[(s - 1) // 2]
-                if v.tag != "empty":
-                    b = v.bounds()
-                    return b[1] if direction < 0 else b[0]
-            else:
-                k = s // 2
-                p = T.pieces[k]
-                if not p.empty:
-                    klo, khi = T.interval(k)
-                    at = khi if direction < 0 else klo
-                    return _body_limit(p.body, at, "left" if direction < 0 else "right", env)
-            s += direction
-        return None
-
-    L, R = bound(-1), bound(+1)
+    left = [s for s in live if s < 2 * c]
+    right = [s for s in live if s > 2 * c]
+    L = _slice_edge(T, left[-1], "left") if left else None
+    R = _slice_edge(T, right[0], "right") if right else None
     if L is None or R is None or isinstance(L, float) or isinstance(R, float):
         raise InternalInconsistency("cannot bound the slope across an interior gap")
     return simplify(Div(Add(L, R), as_expr(2)))
-
-
-def _nonempty_slices(T: MonotoneOperator) -> list[int]:
-    """Slice indices (even = cell, odd = breakpoint value) that carry
-    graph points, in left-to-right order."""
-    out = []
-    n = len(T.breakpoints)
-    for s in range(2 * n + 1):
-        if s % 2 == 0:
-            if not T.pieces[s // 2].empty:
-                out.append(s)
-        elif T.values[(s - 1) // 2].tag != "empty":
-            out.append(s)
-    return out
 
 
 def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction:
@@ -280,7 +261,7 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
     shifted so f(anchor) = anchor_value.
     """
     env = T.env
-    live = _nonempty_slices(T)
+    live = T.live_slices()
     if not live:
         raise EmptyOperator("cannot antidifferentiate an operator with empty graph")
     s0, s1 = live[0], live[-1]
@@ -319,11 +300,11 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
         clo, chi = T.interval(c)
         p = T.pieces[c]
         if p.empty:
-            raw.append(Mul(_gap_slope(T, c), X))
+            raw.append(Mul(_gap_slope(T, c, live), X))
             continue
         A = antiderivative(p.body, env, clo, chi)
         if A is None:
-            A = NumericIntegral(p.body, _numeric_base(clo, chi, env))
+            A = NumericIntegral(p.body, _interior_point(clo, chi))
         else:
             A = _fix_log_branch(simplify(A), env, clo, chi)
         raw.append(A)
@@ -385,18 +366,18 @@ def _shift_by(f: PiecewiseFunction, delta: Expr) -> PiecewiseFunction:
 
     if is_zero(delta):
         return f
-    pieces = [None if p.infinite else Add(p.body, delta) for p in f.pieces]
+    pieces = [None if p.empty else Add(p.body, delta) for p in f.pieces]
     values = [v if isinstance(v, float) else simplify(Add(v, delta)) for v in f.values]
     return build_function(f.varname, list(f.breakpoints), pieces, values, f.env, f.weakly_convex)
 
 
 def _value_expr_at(f: PiecewiseFunction, xe: Expr):
     """f(xe) as an expression (exact in parameters), or a float infinity."""
-    where, i = _locate(f, xe)
+    where, i = f.locate(xe)
     if where == "breakpoint":
         return f.values[i]
     p = f.pieces[i]
-    if p.infinite:
+    if p.empty:
         return INF
     if is_numeric_node(p.body):
         return as_expr(evaluate(p.body, x=_float_at(xe, f.env), params=f.env.feasible_point()))
@@ -406,19 +387,6 @@ def _value_expr_at(f: PiecewiseFunction, xe: Expr):
 # ---------------------------------------------------------------------------
 # Fenchel conjugation
 # ---------------------------------------------------------------------------
-
-
-def _interior_point(f: PiecewiseFunction) -> Expr:
-    d = domain(f)
-    lo_inf = isinstance(d.lo, float) and math.isinf(d.lo)
-    hi_inf = isinstance(d.hi, float) and math.isinf(d.hi)
-    if lo_inf and hi_inf:
-        return ZERO
-    if lo_inf:
-        return simplify(Sub(as_expr(d.hi), as_expr(1)))
-    if hi_inf:
-        return simplify(Add(as_expr(d.lo), as_expr(1)))
-    return simplify(Div(Add(as_expr(d.lo), as_expr(d.hi)), as_expr(2)))
 
 
 def _representative(v) -> Expr | None:
@@ -445,7 +413,8 @@ def _pin_candidates(Sinv: MonotoneOperator, g: PiecewiseFunction) -> list[Expr]:
     bps = list(Sinv.breakpoints)
     if bps:
         out.append(bps[len(bps) // 2])
-    out.append(_interior_point(g))
+    d = domain(g)
+    out.append(_interior_point(d.lo, d.hi))
     out.extend(b for b in bps if b not in out)
     for b in bps:
         out.append(simplify(Sub(b, as_expr(1))))
@@ -454,14 +423,13 @@ def _pin_candidates(Sinv: MonotoneOperator, g: PiecewiseFunction) -> list[Expr]:
 
 
 def _check_no_interior_gap(Sinv: MonotoneOperator) -> None:
-    live = _nonempty_slices(Sinv)
+    live = Sinv.live_slices()
     if not live:
         raise InternalInconsistency("the inverse subdifferential has empty graph")
-    for s in range(live[0], live[-1] + 1):
-        if s % 2 == 0 and Sinv.pieces[s // 2].empty:
-            raise InternalInconsistency(
-                "the conjugate domain has an interior hole; the input cannot be a valid convex function"
-            )
+    if any(s % 2 == 0 and s not in live for s in range(live[0], live[-1])):
+        raise InternalInconsistency(
+            "the conjugate domain has an interior hole; the input cannot be a valid convex function"
+        )
 
 
 def conjugate(f: PiecewiseFunction) -> PiecewiseFunction:

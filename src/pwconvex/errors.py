@@ -48,10 +48,6 @@ class UnboundParameter(InputError):
         super().__init__(f"parameter '{name}' is unbound")
 
 
-class NonElementary(ToolkitError):
-    """No closed-form antiderivative exists inside the expression family."""
-
-
 class UnsupportedOperation(InputError):
     """Structural operation not defined for this node (e.g. d/dx abs)."""
 

@@ -27,7 +27,6 @@ from typing import Iterator, Mapping, Union
 from .errors import (
     DomainError,
     MaxIterations,
-    NonElementary,
     ParseError,
     UnboundParameter,
     UnsupportedOperation,
@@ -333,6 +332,7 @@ class TokenStream:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.nesting = 0  # open factors: parentheses, calls, unary minus
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -372,6 +372,20 @@ class TokenStream:
 # A bare integer exponent may follow "^" directly; rational exponents
 # must be parenthesized, so "x^4/4" means (x^4)/4.
 # ---------------------------------------------------------------------------
+
+#: deepest input the parser accepts, counted both in nested factors and in
+#: levels of the parsed tree; the tree walkers recurse once per level
+MAX_PARSE_DEPTH = 100
+
+
+def tree_depth(e: Expr) -> int:
+    """Number of levels of the tree, by an iterative walk."""
+    depth, stack = 0, [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        stack.extend((c, d + 1) for c in children(node))
+    return depth
 
 
 def _parse_number(ts: TokenStream) -> Fraction:
@@ -467,10 +481,14 @@ def _parse_base(ts: TokenStream, allow_inf: bool) -> Expr:
 
 
 def _parse_factor(ts: TokenStream, allow_inf: bool) -> Expr:
+    ts.nesting += 1
+    if ts.nesting > MAX_PARSE_DEPTH:
+        raise ParseError(f"input nests deeper than {MAX_PARSE_DEPTH} levels", ts.peek().offset)
     base = _parse_base(ts, allow_inf)
     if ts.at_op("^"):
         ts.next()
-        return Pow(base, _parse_exponent(ts))
+        base = Pow(base, _parse_exponent(ts))
+    ts.nesting -= 1
     return base
 
 
@@ -489,6 +507,8 @@ def _parse_expr(ts: TokenStream, allow_inf: bool = False) -> Expr:
         op = ts.next().text
         rhs = _parse_term(ts, allow_inf)
         e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+    if ts.nesting == 0 and tree_depth(e) > MAX_PARSE_DEPTH:
+        raise ParseError(f"input nests deeper than {MAX_PARSE_DEPTH} levels", ts.peek().offset)
     return e
 
 
@@ -856,7 +876,9 @@ def eval_array(e: Expr, xs, params: Mapping[str, Number | int] | None = None):
             if np.any(base < 0):
                 if q.denominator % 2 == 0:
                     raise DomainError("negative base under even-root exponent")
-                return np.sign(base) ** (q.numerator % 2 or 1) * np.abs(base) ** float(q)
+                # real root: x^(p/q) = sign(x)^p * |x|^(p/q)
+                magnitude = np.abs(base) ** float(q)
+                return np.sign(base) * magnitude if q.numerator % 2 else magnitude
             return base ** float(q)
         if isinstance(node, Exp):
             with np.errstate(over="ignore"):
@@ -915,110 +937,3 @@ def differentiate(e: Expr) -> Expr:
     if isinstance(e, NumericIntegral):
         return e.integrand
     raise TypeError(type(e).__name__)
-
-
-# ---------------------------------------------------------------------------
-# Antiderivative
-# ---------------------------------------------------------------------------
-
-
-def _as_affine_in_var(e: Expr) -> tuple[Expr, Expr] | None:
-    """Decompose e as a*x + b with a, b variable-free; None otherwise.
-
-    Works on raw trees; callers pass simplified bodies so the common
-    shapes (x, c*x, x+c, c - x, ...) all land here.
-    """
-    if isinstance(e, Var):
-        return ONE, ZERO
-    if not contains_var(e):
-        return ZERO, e
-    if isinstance(e, Neg):
-        r = _as_affine_in_var(e.arg)
-        if r:
-            return Neg(r[0]), Neg(r[1])
-        return None
-    if isinstance(e, Add):
-        l, r = _as_affine_in_var(e.left), _as_affine_in_var(e.right)
-        if l and r:
-            return Add(l[0], r[0]), Add(l[1], r[1])
-        return None
-    if isinstance(e, Sub):
-        l, r = _as_affine_in_var(e.left), _as_affine_in_var(e.right)
-        if l and r:
-            return Sub(l[0], r[0]), Sub(l[1], r[1])
-        return None
-    if isinstance(e, Mul):
-        if not contains_var(e.left):
-            r = _as_affine_in_var(e.right)
-            if r:
-                return Mul(e.left, r[0]), Mul(e.left, r[1])
-        if not contains_var(e.right):
-            l = _as_affine_in_var(e.left)
-            if l:
-                return Mul(l[0], e.right), Mul(l[1], e.right)
-        return None
-    if isinstance(e, Div):
-        if not contains_var(e.right):
-            l = _as_affine_in_var(e.left)
-            if l:
-                return Div(l[0], e.right), Div(l[1], e.right)
-        return None
-    return None
-
-
-def antiderivative(e: Expr) -> Expr:
-    """A closed-form antiderivative with zero additive constant, or
-    NonElementary when the integrable sub-family does not contain ``e``.
-
-    The sub-family: polynomials, powers of affine terms (any rational
-    exponent), exp and ln of affine terms, and linear combinations.
-    """
-    if not contains_var(e):
-        return Mul(e, X)
-    if isinstance(e, Var):
-        return Div(Pow(X, Fraction(2)), Const(Fraction(2)))
-    if isinstance(e, Neg):
-        return Neg(antiderivative(e.arg))
-    if isinstance(e, Add):
-        return Add(antiderivative(e.left), antiderivative(e.right))
-    if isinstance(e, Sub):
-        return Sub(antiderivative(e.left), antiderivative(e.right))
-    if isinstance(e, Mul):
-        if not contains_var(e.left):
-            return Mul(e.left, antiderivative(e.right))
-        if not contains_var(e.right):
-            return Mul(antiderivative(e.left), e.right)
-        raise NonElementary(f"product of two variable terms: {to_text(e)}")
-    if isinstance(e, Div):
-        if not contains_var(e.right):
-            return Div(antiderivative(e.left), e.right)
-        aff = _as_affine_in_var(e.right)
-        if aff is not None and not contains_var(e.left):
-            a, _ = aff
-            # c/(a x + b) integrates to (c/a) ln(a x + b)
-            return Mul(Div(e.left, a), Ln(e.right))
-        raise NonElementary(f"non-affine divisor: {to_text(e)}")
-    if isinstance(e, Pow):
-        aff = _as_affine_in_var(e.base)
-        if aff is None:
-            raise NonElementary(f"power of non-affine base: {to_text(e)}")
-        a, _ = aff
-        if e.exponent == -1:
-            return Div(Ln(e.base), a)
-        q1 = e.exponent + 1
-        return Div(Pow(e.base, q1), Mul(a, Const(q1)))
-    if isinstance(e, Exp):
-        aff = _as_affine_in_var(e.arg)
-        if aff is None:
-            raise NonElementary(f"exp of non-affine argument: {to_text(e)}")
-        a, _ = aff
-        return Div(Exp(e.arg), a)
-    if isinstance(e, Ln):
-        aff = _as_affine_in_var(e.arg)
-        if aff is None:
-            raise NonElementary(f"ln of non-affine argument: {to_text(e)}")
-        a, _ = aff
-        return Div(Sub(Mul(e.arg, Ln(e.arg)), e.arg), a)
-    if isinstance(e, Abs):
-        raise NonElementary("abs should be eliminated before integration")
-    raise NonElementary(f"outside the integrable family: {type(e).__name__}")

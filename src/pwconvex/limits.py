@@ -422,10 +422,3 @@ def limit_at(e: Expr, point: Expr | float, side: Side, env: AssumptionEnv) -> Ex
     if math.isinf(point):
         return limit_at_infinity(e, 1 if point > 0 else -1, env)
     return one_sided_limit(e, Const(Fraction(point).limit_denominator(10**12)), side, env)
-
-
-def sign_near(e: Expr, x0: Expr, side: Side, env: AssumptionEnv) -> int | None:
-    """Sign of e immediately beside x0 on the given side."""
-    if is_zero(e):
-        return 0
-    return _side_sign(e, env, x0, side, None)

@@ -1,27 +1,25 @@
 """Set-valued monotone operators on the real line.
 
-An operator mirrors the piecewise-function layout: strictly increasing
-breakpoints, one piece per open interval (a single-valued body that is
-constant or strictly increasing, or the empty map), and a closed
-SetValue at every breakpoint.  Construction classifies the pieces,
-merges redundant breakpoints, and checks graph monotonicity by chaining
-slice bounds from left to right.
+An operator is a breakpoint grid (see grid.py) whose pieces are
+single-valued bodies, constant or strictly increasing, or the empty map,
+and whose breakpoint values are closed SetValues.  Construction
+classifies the pieces, merges redundant breakpoints, and checks graph
+monotonicity by chaining slice bounds from left to right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .assumptions import AssumptionEnv, EMPTY_ENV, Ordering
 from .errors import (
     EmptyOperator,
-    GapInGuards,
     InputError,
     InternalInconsistency,
     NegativeScalar,
     NotMonotone,
-    OverlappingGuards,
     ParseError,
     UndecidableComparison,
     UnsupportedOperation,
@@ -41,18 +39,21 @@ from .expr import (
     to_text,
     _parse_expr,
 )
+from .grid import (
+    Grid,
+    Piece,
+    cell,
+    checked_breakpoints,
+    cover,
+    merge_seamless,
+    parse_branches,
+    piece_body,
+    rebind_var,
+    sorted_unique,
+)
 from .inverse import check_strictly_monotone, invert_monotone
 from .limits import limit_at, one_sided_limit
-from .pwf import (
-    PiecewiseFunction,
-    _Region,
-    _parse_guard,
-    _rebind_var,
-    _sort_key_factory,
-    _value_equal,
-    _value_less,
-    detect_varname,
-)
+from .pwf import PiecewiseFunction, _value_equal, _value_less
 from .simplify import simplify, structurally_equal
 
 INF = math.inf
@@ -213,18 +214,6 @@ def sv_hull(values: list[SetValue], env: AssumptionEnv) -> SetValue:
     return interval(lo, hi, env)
 
 
-def sv_contains(v: SetValue, y, env: AssumptionEnv) -> bool:
-    if v.tag == "empty":
-        return False
-    if v.tag == "all":
-        return True
-    lo, hi = v.bounds()
-    ye = simplify(as_expr(y))
-    below = isinstance(lo, float) or env.require_comparable(lo, ye) in (Ordering.LESS, Ordering.EQUAL)
-    above = isinstance(hi, float) or env.require_comparable(ye, hi) in (Ordering.LESS, Ordering.EQUAL)
-    return below and above
-
-
 def sv_substitute(v: SetValue, params: dict | None) -> SetValue:
     if not params or v.tag in ("empty", "all"):
         return v
@@ -239,31 +228,13 @@ def sv_substitute(v: SetValue, params: dict | None) -> SetValue:
 
 
 @dataclass(frozen=True)
-class OpPiece:
-    """One open-interval piece: a single-valued body or the empty map."""
+class MonotoneOperator(Grid):
+    """A monotone operator: each piece is a constant or strictly
+    increasing body, or empty, and each breakpoint value is a SetValue."""
 
-    body: Expr | None
-    kind: str
-
-    @property
-    def empty(self) -> bool:
-        return self.body is None
-
-
-@dataclass(frozen=True)
-class MonotoneOperator:
-    varname: str
-    breakpoints: tuple[Expr, ...]
-    pieces: tuple[OpPiece, ...]  # len(breakpoints) + 1
-    values: tuple[SetValue, ...]  # one per breakpoint
-    env: AssumptionEnv
-    numeric: bool = False
-
-    def interval(self, i: int) -> tuple[Expr | float, Expr | float]:
-        """Open interval spanned by piece i."""
-        lo = self.breakpoints[i - 1] if i > 0 else -INF
-        hi = self.breakpoints[i] if i < len(self.breakpoints) else INF
-        return lo, hi
+    @staticmethod
+    def value_empty(v) -> bool:
+        return v.tag == "empty"
 
     def __str__(self) -> str:
         from .render import render_operator
@@ -288,56 +259,32 @@ def build_operator(
 ) -> MonotoneOperator:
     """Normalize, classify, and monotonicity-check; the only
     constructor used by parsing and by the operator calculus."""
-    bps = [simplify(b) for b in breakpoints]
-    for b in bps:
-        if contains_var(b):
-            raise InputError(f"breakpoint {to_text(b)} contains the variable")
-    for i in range(len(bps) - 1):
-        if env.require_comparable(bps[i], bps[i + 1]) != Ordering.LESS:
-            raise InputError(f"breakpoints out of order: {to_text(bps[i])} vs {to_text(bps[i + 1])}")
-    normd: list[OpPiece] = []
+    bps = checked_breakpoints(breakpoints, pieces, values, env)
+    normd: list[Piece] = []
     for i, p in enumerate(pieces):
-        body = p.body if isinstance(p, OpPiece) else p
+        body = piece_body(p)
         if body is None:
-            normd.append(OpPiece(None, KIND_EMPTY))
+            normd.append(Piece(None, KIND_EMPTY))
             continue
         body = simplify(as_expr(body))
-        lo = bps[i - 1] if i > 0 else -INF
-        hi = bps[i] if i < len(bps) else INF
-        normd.append(OpPiece(body, classify_op_piece(body, env, lo, hi)))
-    vals = list(values)
-    if len(normd) != len(bps) + 1 or len(vals) != len(bps):
-        raise InputError("piece/breakpoint/value counts are inconsistent")
-    bps, normd, vals = _normalize_op(bps, normd, vals, env)
-    numeric = any(not p.empty and is_numeric_node(p.body) for p in normd)
-    T = MonotoneOperator(varname, tuple(bps), tuple(normd), tuple(vals), env, numeric)
+        normd.append(Piece(body, classify_op_piece(body, env, *cell(bps, i))))
+    T = MonotoneOperator(varname, *merge_seamless(bps, normd, list(values), partial(_seamless, env)), env)
     validate_operator(T)
     return T
 
 
-def _normalize_op(bps, pieces, values, env):
-    """Drop breakpoints that separate identical pieces seamlessly."""
-    i = 0
-    while i < len(bps):
-        left, right = pieces[i], pieces[i + 1]
-        v = values[i]
-        removable = False
-        if left.empty and right.empty:
-            removable = v.tag == "empty"
-        elif not left.empty and not right.empty and structurally_equal(left.body, right.body):
-            if v.tag == "point":
-                at = simplify(substitute(left.body, var=bps[i]))
-                removable = _value_equal(env, v.lo, at)
-        if removable:
-            del bps[i]
-            del values[i]
-            pieces[i : i + 2] = [left if not left.empty else right]
-        else:
-            i += 1
-    return bps, pieces, values
+def _seamless(env: AssumptionEnv, left: Piece, right: Piece, v: SetValue, b: Expr) -> bool:
+    """Whether the breakpoint b with value v separates nothing: two empty
+    pieces around an empty value, or one body continued through its own
+    value."""
+    if left.empty and right.empty:
+        return v.tag == "empty"
+    if left.empty or right.empty or not structurally_equal(left.body, right.body) or v.tag != "point":
+        return False
+    return _value_equal(env, v.lo, simplify(substitute(left.body, var=b)))
 
 
-def _piece_bounds(p: OpPiece, lo, hi, env: AssumptionEnv):
+def _piece_bounds(p: Piece, lo, hi, env: AssumptionEnv):
     """(inf, sup) of the single-valued body over the open interval.
     None stands for a bound the limit machinery cannot produce (opaque
     numeric bodies); callers must treat it as unknown, not infinite."""
@@ -376,17 +323,14 @@ def validate_operator(T: MonotoneOperator) -> None:
             # still sound necessary condition for the later slices
             prev_sup, prev_where = hi_v, where
 
-    for i, p in enumerate(T.pieces):
-        if i > 0:
-            v = T.values[i - 1]
-            if v.tag != "empty":
-                vb = v.bounds()
-                step(vb[0], vb[1], f"the value at {to_text(T.breakpoints[i - 1])}")
-        if p.empty:
-            continue
-        lo, hi = T.interval(i)
-        a, b = _piece_bounds(p, lo, hi, env)
-        step(a, b, f"the piece on ({_fmt_end(lo)}, {_fmt_end(hi)})")
+    for s in T.live_slices():
+        if s % 2:
+            lo_v, hi_v = T.values[s // 2].bounds()
+            step(lo_v, hi_v, f"the value at {to_text(T.breakpoints[s // 2])}")
+        else:
+            lo, hi = T.interval(s // 2)
+            a, b = _piece_bounds(T.pieces[s // 2], lo, hi, env)
+            step(a, b, f"the piece on ({_fmt_end(lo)}, {_fmt_end(hi)})")
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +338,11 @@ def validate_operator(T: MonotoneOperator) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _locate_op(T: MonotoneOperator, x: Expr, params=None) -> tuple[str, int]:
-    env = T.env
-    for i, b in enumerate(T.breakpoints):
-        bb = simplify(substitute(b, params=params)) if params else b
-        order = env.compare(x, bb)
-        if order == Ordering.UNDECIDABLE:
-            raise UndecidableComparison(to_text(x), to_text(bb))
-        if order == Ordering.EQUAL:
-            return "breakpoint", i
-        if order == Ordering.LESS:
-            return "piece", i
-    return "piece", len(T.breakpoints)
-
-
 def eval_op(T: MonotoneOperator, x, params: dict | None = None) -> SetValue:
     """Value set at x."""
     params_e = {k: as_expr(v) for k, v in params.items()} if params else None
     xe = simplify(substitute(as_expr(x), params=params_e)) if params_e else simplify(as_expr(x))
-    where, i = _locate_op(T, xe, params_e)
+    where, i = T.locate(xe, params_e)
     if where == "breakpoint":
         return sv_substitute(T.values[i], params_e)
     p = T.pieces[i]
@@ -426,24 +356,6 @@ def eval_op(T: MonotoneOperator, x, params: dict | None = None) -> SetValue:
     return point(simplify(substitute(p.body, var=xe, params=params_e)))
 
 
-def op_domain_hull(T: MonotoneOperator) -> tuple[Expr | float, Expr | float]:
-    """Convex hull (lo, hi) of the set where T is nonempty."""
-    n = len(T.breakpoints)
-    nonempty_piece = [not p.empty for p in T.pieces]
-    nonempty_value = [v.tag != "empty" for v in T.values]
-    if not any(nonempty_piece) and not any(nonempty_value):
-        raise EmptyOperator("the operator has empty graph")
-    if nonempty_piece[0]:
-        lo: Expr | float = -INF
-    else:
-        lo = next(T.breakpoints[i] for i in range(n) if nonempty_value[i] or nonempty_piece[i + 1])
-    if nonempty_piece[-1]:
-        hi: Expr | float = INF
-    else:
-        hi = next(T.breakpoints[i] for i in range(n - 1, -1, -1) if nonempty_value[i] or nonempty_piece[i])
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # The operator calculus
 # ---------------------------------------------------------------------------
@@ -455,7 +367,7 @@ def subdifferential(f: PiecewiseFunction) -> MonotoneOperator:
     breakpoints, empty outside the domain, half-lines or the whole
     line at domain boundary points."""
     env = f.env
-    pieces = [None if p.infinite else simplify(differentiate(p.body)) for p in f.pieces]
+    pieces = [None if p.empty else simplify(differentiate(p.body)) for p in f.pieces]
     values: list[SetValue] = []
     for i, b in enumerate(f.breakpoints):
         v = f.values[i]
@@ -502,31 +414,20 @@ def scale(T: MonotoneOperator, lam) -> MonotoneOperator:
     return build_operator(T.varname, list(T.breakpoints), pieces, values, env)
 
 
-def _piece_index(T: MonotoneOperator, lo, env: AssumptionEnv) -> int:
-    """Index of the piece of T spanning the merged-grid cell whose
-    lower bound is lo (a breakpoint of the merged grid, or -inf)."""
+def _piece_from(T: MonotoneOperator, lo, env: AssumptionEnv) -> Piece:
+    """The piece of T on the merged-grid cell whose lower bound is lo
+    (a breakpoint of the merged grid, or -inf)."""
     if isinstance(lo, float):
-        return 0
-    n = 0
-    for b in T.breakpoints:
-        if env.require_comparable(b, lo) in (Ordering.LESS, Ordering.EQUAL):
-            n += 1
-        else:
-            break
-    return n
+        return T.pieces[0]
+    where, i = T.locate(lo, env=env)
+    return T.pieces[i + 1 if where == "breakpoint" else i]
 
 
 def value_at(T: MonotoneOperator, b: Expr, env: AssumptionEnv) -> SetValue:
     """Value of T at one point, under a possibly merged env."""
-    i = 0
-    for j, bb in enumerate(T.breakpoints):
-        order = env.require_comparable(bb, b)
-        if order == Ordering.EQUAL:
-            return T.values[j]
-        if order == Ordering.LESS:
-            i = j + 1
-        else:
-            break
+    where, i = T.locate(b, env=env)
+    if where == "breakpoint":
+        return T.values[i]
     p = T.pieces[i]
     if p.empty:
         return EMPTY_SET
@@ -538,16 +439,11 @@ def add(T1: MonotoneOperator, T2: MonotoneOperator) -> MonotoneOperator:
     if T1.varname != T2.varname:
         raise InputError(f"cannot add operators in {T1.varname} and {T2.varname}")
     env = T1.env.merge(T2.env)
-    bps: list[Expr] = []
-    for b in list(T1.breakpoints) + list(T2.breakpoints):
-        if not any(env.require_comparable(b, c) == Ordering.EQUAL for c in bps):
-            bps.append(b)
-    bps.sort(key=_sort_key_factory(env))
+    bps = sorted_unique(T1.breakpoints + T2.breakpoints, env)
     pieces: list[Expr | None] = []
     for k in range(len(bps) + 1):
-        lo = bps[k - 1] if k > 0 else -INF
-        p1 = T1.pieces[_piece_index(T1, lo, env)]
-        p2 = T2.pieces[_piece_index(T2, lo, env)]
+        lo, _ = cell(bps, k)
+        p1, p2 = _piece_from(T1, lo, env), _piece_from(T2, lo, env)
         pieces.append(None if p1.empty or p2.empty else Add(p1.body, p2.body))
     values = [sv_add(value_at(T1, b, env), value_at(T2, b, env), env) for b in bps]
     return build_operator(T1.varname, bps, pieces, values, env)
@@ -570,14 +466,7 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
     constant pieces, and strictly monotone bodies are inverted on their
     image interval; colliding breakpoints merge by hull."""
     env = T.env
-    candidates: list[Expr] = []
-
-    def add_candidate(e: Expr) -> None:
-        for c in candidates:
-            if env.require_comparable(e, c) == Ordering.EQUAL:
-                return
-        candidates.append(e)
-
+    images: list[Expr] = []  # image points that become breakpoints
     fragments: list[tuple] = []  # (image lo, image hi, inverse body)
     point_contribs: list[tuple[Expr, Expr]] = []  # (image point, x point)
     hull_contribs: list[tuple[Expr, object, object]] = []  # (image point, x lo, x hi)
@@ -587,7 +476,7 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
             continue
         lo, hi = T.interval(i)
         if p.kind == KIND_CONSTANT:
-            add_candidate(p.body)
+            images.append(p.body)
             hull_contribs.append((p.body, lo, hi))
             continue
         a = _as_endpoint(limit_at(p.body, lo, "right", env))
@@ -595,9 +484,9 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
         if _ext_cmp(env, a, b) != Ordering.LESS:
             raise InternalInconsistency(f"piece {to_text(p.body)} has a degenerate image")
         if isinstance(a, Expr):
-            add_candidate(a)
+            images.append(a)
         if isinstance(b, Expr):
-            add_candidate(b)
+            images.append(b)
         fragments.append((a, b, invert_monotone(p.body, env, lo, hi, increasing=True)))
     for j, v in enumerate(T.values):
         b = T.breakpoints[j]
@@ -607,31 +496,30 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
             fragments.append((-INF, INF, b))
             continue
         if v.tag == "point":
-            add_candidate(v.lo)
+            images.append(v.lo)
             point_contribs.append((v.lo, b))
             continue
         if isinstance(v.lo, Expr):
-            add_candidate(v.lo)
+            images.append(v.lo)
             point_contribs.append((v.lo, b))
         if isinstance(v.hi, Expr):
-            add_candidate(v.hi)
+            images.append(v.hi)
             point_contribs.append((v.hi, b))
         fragments.append((v.lo, v.hi, b))
 
-    candidates.sort(key=_sort_key_factory(env))
+    candidates = sorted_unique(images, env)
     pieces: list[Expr | None] = []
     for k in range(len(candidates) + 1):
-        c_lo = candidates[k - 1] if k > 0 else -INF
-        c_hi = candidates[k] if k < len(candidates) else INF
-        cover = [
+        c_lo, c_hi = cell(candidates, k)
+        covering = [
             body
             for a, b2, body in fragments
             if _ext_cmp(env, a, c_lo) in (Ordering.LESS, Ordering.EQUAL)
             and _ext_cmp(env, c_hi, b2) in (Ordering.LESS, Ordering.EQUAL)
         ]
-        if len(cover) > 1:
+        if len(covering) > 1:
             raise InternalInconsistency("inverse pieces overlap; the input graph was not monotone")
-        pieces.append(cover[0] if cover else None)
+        pieces.append(covering[0] if covering else None)
     values = []
     for c in candidates:
         parts = [point(xp) for y, xp in point_contribs if env.require_comparable(y, c) == Ordering.EQUAL]
@@ -694,20 +582,23 @@ def _parse_endpoint(ts: TokenStream, side: str, varname: str):
         ts.next()
         ts.next()
         return -INF
-    return _rebind_var(_parse_expr(ts), varname)
+    return rebind_var(_parse_expr(ts), varname)
 
 
-def _parse_setval(ts: TokenStream, varname: str) -> tuple:
+def _parse_setval(ts: TokenStream, varname: str, bare: bool) -> tuple:
+    """A branch value; a bare input is a single {body} or an expression."""
+    if bare and not ts.at_op("{"):
+        return ("body", rebind_var(_parse_expr(ts), varname))
     t = ts.peek()
     if t.kind == "IDENT" and t.text in ("all", "empty"):
         ts.next()
         return (t.text,)
     if ts.at_op("{"):
         ts.next()
-        items = [_rebind_var(_parse_expr(ts), varname)]
+        items = [rebind_var(_parse_expr(ts), varname)]
         while ts.at_op(","):
             ts.next()
-            items.append(_rebind_var(_parse_expr(ts), varname))
+            items.append(rebind_var(_parse_expr(ts), varname))
         ts.expect_op("}")
         return ("body", items[0]) if len(items) == 1 else ("set", items)
     if ts.at_op("["):
@@ -724,98 +615,17 @@ def parse_operator(text: str, env: AssumptionEnv = EMPTY_ENV) -> MonotoneOperato
     """Parse the operator DSL sd{ guard -> value ; ... }.  A bare
     expression, or a single {body}, means one piece covering the whole
     line."""
-    varname = detect_varname(text)
-    ts = TokenStream(text)
-    t = ts.peek()
-    branches: list[tuple[_Region, tuple]] = []
-    if t.kind == "IDENT" and t.text == "sd":
-        ts.next()
-        ts.expect_op("{")
-        while True:
-            region = _parse_guard(ts, env, varname)
-            ts.expect_op("->")
-            branches.append((region, _parse_setval(ts, varname)))
-            if ts.at_op(";"):
-                ts.next()
-                if ts.at_op("}"):
-                    break
-                continue
-            break
-        ts.expect_op("}")
-    elif ts.at_op("{"):
-        branches.append((_Region(-INF, INF, False, False), _parse_setval(ts, varname)))
-    else:
-        body = _rebind_var(_parse_expr(ts), varname)
-        branches.append((_Region(-INF, INF, False, False), ("body", body)))
-    if ts.peek().kind != "END":
-        raise ParseError(f"trailing input {ts.peek().text!r}", ts.peek().offset)
-    return _assemble_op(branches, env, varname)
-
-
-def _assemble_op(branches, env: AssumptionEnv, varname: str) -> MonotoneOperator:
-    candidates: list[Expr] = []
-
-    def add_candidate(e: Expr) -> None:
-        for c in candidates:
-            if env.require_comparable(e, c) == Ordering.EQUAL:
-                return
-        candidates.append(e)
-
-    for region, _ in branches:
-        if not isinstance(region.lo, float):
-            add_candidate(region.lo)
-        if not isinstance(region.hi, float):
-            add_candidate(region.hi)
-    candidates.sort(key=_sort_key_factory(env))
-    bps = candidates
-
-    def index_of(e: Expr) -> int:
-        for i, c in enumerate(bps):
-            if env.require_comparable(e, c) == Ordering.EQUAL:
-                return i
-        raise InputError("internal: bound not among breakpoints")
-
-    n_cells = len(bps) + 1
-    cell_cover: list[list[tuple]] = [[] for _ in range(n_cells)]
-    bp_cover: list[list[tuple]] = [[] for _ in bps]
-    for region, sv in branches:
-        if region.is_point:
-            bp_cover[index_of(region.lo)].append(sv)
-            continue
-        lo_pos = -1 if isinstance(region.lo, float) else index_of(region.lo)
-        hi_pos = len(bps) if isinstance(region.hi, float) else index_of(region.hi)
-        for cell in range(lo_pos + 1, hi_pos + 1):
-            cell_cover[cell].append(sv)
-        for j in range(len(bps)):
-            if lo_pos < j < hi_pos or (j == lo_pos and region.lo_closed) or (j == hi_pos and region.hi_closed):
-                bp_cover[j].append(sv)
-
+    branches, varname = parse_branches(text, env, "sd", _parse_setval)
+    bps, cells, at = cover(branches, env)
     pieces: list[Expr | None] = []
-    for cell in range(n_cells):
-        cov = cell_cover[cell]
-        if len(cov) > 1:
-            raise OverlappingGuards(f"interval piece {cell} is covered by {len(cov)} guards")
-        if not cov:
-            lo_s = "-inf" if cell == 0 else to_text(bps[cell - 1])
-            hi_s = "inf" if cell == n_cells - 1 else to_text(bps[cell])
-            raise GapInGuards(f"no guard covers ({lo_s}, {hi_s})")
-        sv = cov[0]
-        if sv[0] == "empty":
-            pieces.append(None)
-        elif sv[0] == "body":
-            pieces.append(sv[1])
-        else:
+    for sv in cells:
+        if sv[0] not in ("empty", "body"):
             raise InputError("interval, set, and 'all' values may only appear at single points")
-
-    values: list[SetValue] = []
-    for j, b in enumerate(bps):
-        cov = bp_cover[j]
-        if len(cov) > 1:
-            raise OverlappingGuards(f"breakpoint {to_text(b)} is covered by {len(cov)} guards")
-        if cov:
-            values.append(_setval_at(cov[0], b, env))
-        else:
-            values.append(_default_op_value(pieces, bps, j, env))
+        pieces.append(sv[1] if sv[0] == "body" else None)
+    values = [
+        _default_op_value(pieces, bps, j, env) if sv is None else _setval_at(sv, b, env)
+        for j, (b, sv) in enumerate(zip(bps, at))
+    ]
     return build_operator(varname, bps, pieces, values, env)
 
 

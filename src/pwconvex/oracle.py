@@ -27,10 +27,6 @@ DEFAULT_SEED = 0xC0FFEE
 SAMPLE_WINDOW = 30.0
 
 
-def _binding(env) -> dict:
-    return env.feasible_point()
-
-
 def _as_float(v, binding) -> float:
     if isinstance(v, Expr):
         return float(evaluate(v, params=binding))
@@ -39,7 +35,7 @@ def _as_float(v, binding) -> float:
 
 def _domain_floats(f: PiecewiseFunction) -> tuple[float, float]:
     d = domain(f)
-    binding = _binding(f.env)
+    binding = f.env.feasible_point()
     lo = -INF if isinstance(d.lo, float) and math.isinf(d.lo) else _as_float(d.lo, binding)
     hi = INF if isinstance(d.hi, float) and math.isinf(d.hi) else _as_float(d.hi, binding)
     return lo, hi
@@ -47,7 +43,7 @@ def _domain_floats(f: PiecewiseFunction) -> tuple[float, float]:
 
 def grid_values(f: PiecewiseFunction, xs: np.ndarray, params: dict | None = None) -> np.ndarray:
     """Vectorized f(xs): +inf outside the domain, exact piece bodies inside."""
-    binding = dict(_binding(f.env))
+    binding = dict(f.env.feasible_point())
     if params:
         binding.update(params)
     out = np.full(xs.shape, INF)
@@ -55,7 +51,7 @@ def grid_values(f: PiecewiseFunction, xs: np.ndarray, params: dict | None = None
     edges = [-INF] + bps + [INF]
     for i, p in enumerate(f.pieces):
         mask = (xs > edges[i]) & (xs < edges[i + 1])
-        if p.infinite or not mask.any():
+        if p.empty or not mask.any():
             continue
         out[mask] = eval_array(p.body, xs[mask], params=binding)
     for b, v in zip(bps, f.values):
@@ -85,7 +81,7 @@ def grid_conjugate(
     if hi <= dlo or lo >= dhi:
         raise WindowOutsideDomain(f"window [{lo}, {hi}] misses the domain [{dlo}, {dhi}]")
     xs = np.linspace(lo, hi, int(n))
-    binding = _binding(f.env)
+    binding = f.env.feasible_point()
     bps = np.array([_as_float(b, binding) for b in f.breakpoints])
     if bps.size:
         inside = bps[(bps >= lo) & (bps <= hi)]
@@ -109,7 +105,7 @@ def numeric_prox(f: PiecewiseFunction, x, lam=1, tol: float = 1e-9, max_iter: in
     """
     xf = float(x)
     lamf = float(lam)
-    binding = _binding(f.env)
+    binding = f.env.feasible_point()
 
     def phi(u: float) -> float:
         v = eval_pwf(f, u, params=binding)
@@ -193,7 +189,7 @@ def sample_graph(
     """
     rng = rng or random.Random(DEFAULT_SEED)
     env = T.env
-    binding = _binding(env)
+    binding = env.feasible_point()
     pts: list[tuple[float, float]] = []
     for b, v in zip(T.breakpoints, T.values):
         if v.tag == "empty":

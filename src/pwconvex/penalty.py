@@ -48,7 +48,7 @@ def _shift_quadratic(f: PiecewiseFunction, sign: int, weakly_convex: bool) -> Pi
     """f(x) + sign * x^2/2, pointwise."""
     q = _half_square(X)
     node = Add if sign > 0 else Sub
-    pieces = [None if p.infinite else simplify(node(p.body, q)) for p in f.pieces]
+    pieces = [None if p.empty else simplify(node(p.body, q)) for p in f.pieces]
     values = [
         v if isinstance(v, float) else simplify(node(v, _half_square(b)))
         for b, v in zip(f.breakpoints, f.values)

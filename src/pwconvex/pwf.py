@@ -1,13 +1,12 @@
 """Piecewise convex functions on the real line.
 
-A function is stored as strictly increasing breakpoints, one piece per
-open interval between them (affine, strictly convex differentiable, or
-identically +inf), and an explicit extended-real value at every
-breakpoint.  Construction always runs normalization (redundant
-breakpoints are merged), classification, and validation: lower
-semicontinuity, continuity relative to the domain, and convexity, the
-latter by exact derivative comparisons where possible and Chebyshev
-sampling otherwise.
+A function is a breakpoint grid (see grid.py) whose pieces are affine,
+strictly convex and differentiable, or identically +inf, and whose
+breakpoint values are extended reals.  Construction always runs
+normalization (redundant breakpoints are merged), classification, and
+validation: lower semicontinuity, continuity relative to the domain, and
+convexity, the latter by exact derivative comparisons where possible and
+Chebyshev sampling otherwise.
 """
 
 from __future__ import annotations
@@ -15,17 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .assumptions import AssumptionEnv, EMPTY_ENV, Ordering
 from .errors import (
     DiscontinuousOnDomain,
     DomainError,
-    GapInGuards,
     InputError,
     NonConvex,
     NotLsc,
-    OverlappingGuards,
-    ParseError,
     UndecidableComparison,
 )
 from .expr import (
@@ -34,27 +31,35 @@ from .expr import (
     Const,
     Expr,
     Neg,
-    Number,
     Sub,
     TokenStream,
-    Var,
-    X,
     ZERO,
     as_expr,
     contains_var,
     differentiate,
     evaluate,
-    is_numeric_node,
-    param_names,
-    parse_expr,
     substitute,
     to_text,
     walk,
     _parse_expr,
 )
+from .grid import (
+    Grid,
+    Piece,
+    Region,
+    cell,
+    checked_breakpoints,
+    cover,
+    index_of,
+    merge_seamless,
+    parse_branches,
+    piece_body,
+    rebind_var,
+    sort_key_factory,
+)
 from .inverse import poly_coeffs
 from .limits import one_sided_limit
-from .simplify import is_zero, simplify, structurally_equal
+from .simplify import simplify, structurally_equal
 
 INF = math.inf
 
@@ -65,19 +70,6 @@ KIND_SMOOTH = "smooth"  # relaxed containers only (penalty recovery)
 
 CLASSIFY_WINDOW = 30.0
 CLASSIFY_NODES = 33
-RESERVED_VARS = ("x", "y", "p")
-
-
-@dataclass(frozen=True)
-class Piece:
-    """One open-interval piece: a finite body or identically +inf."""
-
-    body: Expr | None
-    kind: str
-
-    @property
-    def infinite(self) -> bool:
-        return self.body is None
 
 
 @dataclass(frozen=True)
@@ -99,33 +91,15 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
-    kinds: tuple[str, ...]
-    checks: tuple[tuple[str, str], ...]  # (check name, detail)
-    convex: bool
-    empty_domain: bool
+class PiecewiseFunction(Grid):
+    """A closed convex function: each piece is affine, strictly convex,
+    or +inf (empty), and each breakpoint value is a finite Expr or +inf."""
 
-    def __str__(self) -> str:
-        rows = [f"kinds: {', '.join(self.kinds) if self.kinds else '(none)'}"]
-        rows += [f"{name}: {detail}" for name, detail in self.checks]
-        return "\n".join(rows)
-
-
-@dataclass(frozen=True)
-class PiecewiseFunction:
-    varname: str
-    breakpoints: tuple[Expr, ...]
-    pieces: tuple[Piece, ...]  # len(breakpoints) + 1
-    values: tuple[Expr | float, ...]  # value at each breakpoint; +inf allowed
-    env: AssumptionEnv
     weakly_convex: bool = False
-    numeric: bool = False
 
-    def interval(self, i: int) -> tuple[Expr | float, Expr | float]:
-        """Open interval spanned by piece i."""
-        lo = self.breakpoints[i - 1] if i > 0 else -INF
-        hi = self.breakpoints[i] if i < len(self.breakpoints) else INF
-        return lo, hi
+    @staticmethod
+    def value_empty(v) -> bool:
+        return _is_inf(v)
 
     def __str__(self) -> str:
         from .render import render_function
@@ -136,6 +110,10 @@ class PiecewiseFunction:
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
+
+
+def _is_inf(v) -> bool:
+    return isinstance(v, float) and math.isinf(v)
 
 
 def _value_equal(env: AssumptionEnv, a, b, tol: float = 1e-9) -> bool:
@@ -244,32 +222,15 @@ def _derivative_limit(piece: Piece, b: Expr, side: str, env: AssumptionEnv):
     return one_sided_limit(d, b, side, env)
 
 
-def _normalize(
-    breakpoints: list[Expr],
-    pieces: list[Piece],
-    values: list,
-    env: AssumptionEnv,
-) -> tuple[list[Expr], list[Piece], list]:
-    """Drop breakpoints that separate identical pieces seamlessly."""
-    i = 0
-    while i < len(breakpoints):
-        left, right = pieces[i], pieces[i + 1]
-        v = values[i]
-        removable = False
-        if left.infinite and right.infinite:
-            removable = isinstance(v, float) and math.isinf(v)
-        elif not left.infinite and not right.infinite:
-            if structurally_equal(left.body, right.body):
-                if not (isinstance(v, float) and math.isinf(v)):
-                    at = simplify(substitute(left.body, var=breakpoints[i]))
-                    removable = _value_equal(env, v, at)
-        if removable:
-            del breakpoints[i]
-            del values[i]
-            pieces[i : i + 2] = [left if not left.infinite else right]
-        else:
-            i += 1
-    return breakpoints, pieces, values
+def _seamless(env: AssumptionEnv, left: Piece, right: Piece, v, b: Expr) -> bool:
+    """Whether the breakpoint b with value v separates nothing: two
+    infinite pieces around +inf, or one body continued through its own
+    value."""
+    if left.empty and right.empty:
+        return _is_inf(v)
+    if left.empty or right.empty or not structurally_equal(left.body, right.body) or _is_inf(v):
+        return False
+    return _value_equal(env, v, simplify(substitute(left.body, var=b)))
 
 
 def build_function(
@@ -282,36 +243,17 @@ def build_function(
 ) -> PiecewiseFunction:
     """Normalize, classify, and validate; the only constructor used by
     parsing and by every operation."""
-    bps = [simplify(b) for b in breakpoints]
-    for b in bps:
-        if contains_var(b):
-            raise InputError(f"breakpoint {to_text(b)} contains the variable")
-    for i in range(len(bps) - 1):
-        if env.require_comparable(bps[i], bps[i + 1]) != Ordering.LESS:
-            raise InputError(f"breakpoints out of order: {to_text(bps[i])} vs {to_text(bps[i + 1])}")
+    bps = checked_breakpoints(breakpoints, pieces, values, env)
     normd: list[Piece] = []
     for i, p in enumerate(pieces):
-        if isinstance(p, Piece):
-            if p.infinite:
-                normd.append(Piece(None, KIND_INFINITE))
-            else:
-                body = simplify(p.body)
-                lo = bps[i - 1] if i > 0 else -INF
-                hi = bps[i] if i < len(bps) else INF
-                normd.append(Piece(body, classify_piece(body, env, lo, hi, relaxed=weakly_convex)))
-        elif p is None or (isinstance(p, float) and math.isinf(p)):
+        body = piece_body(p)
+        if body is None:
             normd.append(Piece(None, KIND_INFINITE))
         else:
-            body = simplify(as_expr(p))
-            lo = bps[i - 1] if i > 0 else -INF
-            hi = bps[i] if i < len(bps) else INF
-            normd.append(Piece(body, classify_piece(body, env, lo, hi, relaxed=weakly_convex)))
-    vals = [v if isinstance(v, float) and math.isinf(v) else simplify(as_expr(v)) for v in values]
-    if len(normd) != len(bps) + 1 or len(vals) != len(bps):
-        raise InputError("piece/breakpoint/value counts are inconsistent")
-    bps, normd, vals = _normalize(bps, normd, vals, env)
-    numeric = any(not p.infinite and is_numeric_node(p.body) for p in normd)
-    f = PiecewiseFunction(varname, tuple(bps), tuple(normd), tuple(vals), env, weakly_convex, numeric)
+            body = simplify(as_expr(body))
+            normd.append(Piece(body, classify_piece(body, env, *cell(bps, i), relaxed=weakly_convex)))
+    vals = [v if _is_inf(v) else simplify(as_expr(v)) for v in values]
+    f = PiecewiseFunction(varname, *merge_seamless(bps, normd, vals, partial(_seamless, env)), env, weakly_convex)
     validate(f)
     return f
 
@@ -324,33 +266,22 @@ def build_function(
 def _limit_into(f: PiecewiseFunction, i: int, b: Expr, side: str):
     """Limit of f at breakpoint b approaching through piece i."""
     piece = f.pieces[i]
-    if piece.infinite:
+    if piece.empty:
         return INF
-    return one_sided_limit(piece.body, b, "left" if side == "left" else "right", f.env)
+    return one_sided_limit(piece.body, b, side, f.env)
 
 
-def validate(f: PiecewiseFunction) -> ClassificationReport:
-    """Check lsc, continuity on the domain, and convexity; classify."""
+def validate(f: PiecewiseFunction) -> None:
+    """Check lsc, continuity on the domain, and convexity."""
     env = f.env
-    checks: list[tuple[str, str]] = []
-    kinds = tuple(p.kind for p in f.pieces)
-    checks.append(("piece-kinds", ", ".join(kinds)))
-
-    finite_exists = any(not p.infinite for p in f.pieces) or any(
-        not (isinstance(v, float) and math.isinf(v)) for v in f.values
-    )
-    empty_domain = not finite_exists
-    if empty_domain:
-        checks.append(("domain", "empty (everywhere +inf)"))
-
     # continuity / lsc at every breakpoint
     for i, b in enumerate(f.breakpoints):
         v = f.values[i]
         L = _limit_into(f, i, b, "left")
         R = _limit_into(f, i + 1, b, "right")
-        L_inf = isinstance(L, float) and math.isinf(L)
-        R_inf = isinstance(R, float) and math.isinf(R)
-        v_inf = isinstance(v, float) and math.isinf(v)
+        L_inf = _is_inf(L)
+        R_inf = _is_inf(R)
+        v_inf = _is_inf(v)
         where = to_text(b)
         if not L_inf and not R_inf:
             if not _value_equal(env, L, R):
@@ -368,22 +299,20 @@ def validate(f: PiecewiseFunction) -> ClassificationReport:
         else:
             if not v_inf:
                 left_piece, right_piece = f.pieces[i], f.pieces[i + 1]
-                if not (left_piece.infinite and right_piece.infinite):
+                if not (left_piece.empty and right_piece.empty):
                     raise DiscontinuousOnDomain(
                         f"finite value at {where} but the function blows up beside it"
                     )
-    checks.append(("lsc-and-continuity", "pass"))
 
     # convexity across breakpoints: left slope limit <= right slope limit
-    convex = True
     for i, b in enumerate(f.breakpoints):
         left_piece, right_piece = f.pieces[i], f.pieces[i + 1]
-        if left_piece.infinite or right_piece.infinite:
+        if left_piece.empty or right_piece.empty:
             continue
         dl = _derivative_limit(left_piece, b, "left", env)
         dr = _derivative_limit(right_piece, b, "right", env)
-        dl_inf = isinstance(dl, float) and math.isinf(dl)
-        dr_inf = isinstance(dr, float) and math.isinf(dr)
+        dl_inf = _is_inf(dl)
+        dr_inf = _is_inf(dr)
         ok: bool
         if dl_inf or dr_inf:
             ok = (dl_inf and dl < 0) or (dr_inf and dr > 0)
@@ -395,19 +324,15 @@ def validate(f: PiecewiseFunction) -> ClassificationReport:
                 ok = order in (Ordering.LESS, Ordering.EQUAL)
         else:
             ok = not _value_less(env, dr, dl, tol=1e-9)
-        if not ok:
-            convex = False
-            if not f.weakly_convex:
-                raise NonConvex(
-                    f"slope decreases across breakpoint {to_text(b)}",
-                    witness=(
-                        to_text(simplify(Sub(b, as_expr(1)))),
-                        to_text(b),
-                        to_text(simplify(Add(b, as_expr(1)))),
-                    ),
-                )
-    checks.append(("convexity", "pass" if convex else "relaxed (weakly convex container)"))
-    return ClassificationReport(kinds, tuple(checks), convex, empty_domain)
+        if not ok and not f.weakly_convex:
+            raise NonConvex(
+                f"slope decreases across breakpoint {to_text(b)}",
+                witness=(
+                    to_text(simplify(Sub(b, as_expr(1)))),
+                    to_text(b),
+                    to_text(simplify(Add(b, as_expr(1)))),
+                ),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -415,25 +340,11 @@ def validate(f: PiecewiseFunction) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _locate(f: PiecewiseFunction, x: Expr, params=None) -> tuple[str, int]:
-    env = f.env
-    for i, b in enumerate(f.breakpoints):
-        bb = simplify(substitute(b, params=params)) if params else b
-        order = env.compare(x, bb)
-        if order == Ordering.UNDECIDABLE:
-            raise UndecidableComparison(to_text(x), to_text(bb))
-        if order == Ordering.EQUAL:
-            return "breakpoint", i
-        if order == Ordering.LESS:
-            return "piece", i
-    return "piece", len(f.breakpoints)
-
-
 def eval_pwf(f: PiecewiseFunction, x, params: dict | None = None):
     """Extended-real value at x; exact rationals preserved when possible."""
     params_e = {k: as_expr(v) for k, v in params.items()} if params else None
     xe = simplify(substitute(as_expr(x), params=params_e)) if params_e else simplify(as_expr(x))
-    where, i = _locate(f, xe, params_e)
+    where, i = f.locate(xe, params_e)
     if where == "breakpoint":
         v = f.values[i]
         if isinstance(v, float):
@@ -441,7 +352,7 @@ def eval_pwf(f: PiecewiseFunction, x, params: dict | None = None):
         v = substitute(v, params=params_e) if params_e else v
         return evaluate(v)
     piece = f.pieces[i]
-    if piece.infinite:
+    if piece.empty:
         return INF
     body = substitute(piece.body, params=params_e) if params_e else piece.body
     return evaluate(body, x=evaluate(xe))
@@ -449,153 +360,18 @@ def eval_pwf(f: PiecewiseFunction, x, params: dict | None = None):
 
 def domain(f: PiecewiseFunction) -> Interval:
     """The interval on which f is finite (with an empty flag)."""
-    n = len(f.breakpoints)
-    finite_piece = [not p.infinite for p in f.pieces]
-    finite_value = [not (isinstance(v, float) and math.isinf(v)) for v in f.values]
-    if not any(finite_piece) and not any(finite_value):
+    live = f.live_slices()
+    if not live:
         return Interval(-INF, INF, False, False, empty=True)
-    # leftmost finite element
-    lo: Expr | float
-    lo_closed: bool
-    if finite_piece[0]:
-        lo, lo_closed = -INF, False
-    else:
-        for i in range(n):
-            if finite_value[i]:
-                lo, lo_closed = f.breakpoints[i], True
-                break
-            if finite_piece[i + 1]:
-                lo, lo_closed = f.breakpoints[i], False
-                break
-    if finite_piece[-1]:
-        hi, hi_closed = INF, False
-    else:
-        for i in range(n - 1, -1, -1):
-            if finite_value[i]:
-                hi, hi_closed = f.breakpoints[i], True
-                break
-            if finite_piece[i]:
-                hi, hi_closed = f.breakpoints[i], False
-                break
-    return Interval(lo, hi, lo_closed, hi_closed)
+    s0, s1 = live[0], live[-1]
+    lo = f.breakpoints[(s0 - 1) // 2] if s0 > 0 else -INF
+    hi = f.breakpoints[s1 // 2] if s1 < 2 * len(f.breakpoints) else INF
+    return Interval(lo, hi, s0 % 2 == 1, s1 % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-
-def detect_varname(text: str) -> str:
-    """Which reserved variable letter the text uses; 'x' by default."""
-    from .expr import tokenize
-
-    found = {t.text for t in tokenize(text) if t.kind == "IDENT"} & set(RESERVED_VARS)
-    if len(found) > 1:
-        raise ParseError(f"an expression may use only one variable, found {sorted(found)}", 0)
-    return found.pop() if found else "x"
-
-
-def _rebind_var(e: Expr, varname: str) -> Expr:
-    """Map the chosen reserved identifier to the variable slot."""
-    if varname == "x":
-        return e
-    return substitute(e, params={varname: X})
-
-
-@dataclass
-class _Region:
-    lo: Expr | float
-    hi: Expr | float
-    lo_closed: bool
-    hi_closed: bool
-
-    @property
-    def is_point(self) -> bool:
-        return (
-            not isinstance(self.lo, float)
-            and not isinstance(self.hi, float)
-            and self.lo is self.hi
-            and self.lo_closed
-            and self.hi_closed
-        )
-
-
-def _solve_rel(lhs: Expr, op: str, rhs: Expr, env: AssumptionEnv) -> tuple[str, Expr, bool]:
-    """Normalize one relation to a bound on the variable.
-
-    Returns (side, bound, strict) with side in {lo, hi, pt}: lo means
-    x > / >= bound, hi means x < / <= bound.
-    """
-    diff = simplify(lhs - rhs)
-    coeffs = poly_coeffs(diff)
-    if coeffs is None or max(coeffs, default=0) != 1:
-        raise InputError("guard must be affine in the variable with one occurrence of it")
-    a = coeffs[1]
-    b = coeffs.get(0, ZERO)
-    sign = env.sign_of(a)
-    if sign is None or sign == 0:
-        raise UndecidableComparison(to_text(a), "0")
-    bound = simplify((Neg(b)) / a)
-    if op == "=":
-        return "pt", bound, False
-    # lhs - rhs OP 0  <=>  a*(x - bound) OP 0
-    less = op in ("<", "<=")
-    strict = op in ("<", ">")
-    if sign < 0:
-        less = not less
-    return ("hi", bound, strict) if less else ("lo", bound, strict)
-
-
-def _parse_guard(ts: TokenStream, env: AssumptionEnv, varname: str) -> _Region:
-    rels = []
-    while True:
-        lhs = _rebind_var(_parse_expr(ts), varname)
-        t = ts.peek()
-        if not (t.kind == "OP" and t.text in ("<", "<=", "=", ">=", ">")):
-            raise ts.error(("'<'", "'<='", "'='", "'>='", "'>'"))
-        op = ts.next().text
-        rhs = _rebind_var(_parse_expr(ts), varname)
-        lhs_has, rhs_has = contains_var(lhs), contains_var(rhs)
-        if lhs_has == rhs_has:
-            raise InputError("each guard relation must mention the variable on exactly one side")
-        rels.append(_solve_rel(lhs, op, rhs, env))
-        if ts.at_op("&"):
-            ts.next()
-            continue
-        break
-    if len(rels) > 2:
-        raise InputError("a guard joins at most two relations")
-    if any(side == "pt" for side, _, _ in rels):
-        if len(rels) != 1:
-            raise InputError("a point guard cannot be combined with '&'")
-        _, bound, _ = rels[0]
-        return _Region(bound, bound, True, True)
-    lo: Expr | float = -INF
-    hi: Expr | float = INF
-    lo_closed = hi_closed = False
-    for side, bound, strict in rels:
-        if side == "lo":
-            if not isinstance(lo, float) :
-                # two lower bounds: keep the larger
-                if env.require_comparable(lo, bound) == Ordering.LESS:
-                    lo, lo_closed = bound, not strict
-            else:
-                lo, lo_closed = bound, not strict
-        else:
-            if not isinstance(hi, float):
-                if env.require_comparable(bound, hi) == Ordering.LESS:
-                    hi, hi_closed = bound, not strict
-            else:
-                hi, hi_closed = bound, not strict
-    if not isinstance(lo, float) and not isinstance(hi, float):
-        order = env.require_comparable(lo, hi)
-        if order == Ordering.GREATER:
-            raise InputError("guard region is empty")
-        if order == Ordering.EQUAL:
-            if lo_closed and hi_closed:
-                return _Region(lo, lo, True, True)
-            raise InputError("guard region is empty")
-    return _Region(lo, hi, lo_closed, hi_closed)
 
 
 def _abs_nodes(body: Expr) -> list[Expr]:
@@ -656,8 +432,8 @@ _INF_BODY = object()
 def parse_pwf(text: str, env: AssumptionEnv = EMPTY_ENV) -> PiecewiseFunction:
     """Parse the piecewise DSL (or a bare expression meaning one piece
     covering the whole line) and build the validated function."""
-    branches, varname = _parse_branches(text, env)
-    return _assemble(branches, env, varname)
+    varname, bps, pieces, values = parse_piecewise_map(text, env)
+    return build_function(varname, bps, pieces, values, env)
 
 
 def parse_piecewise_map(
@@ -669,53 +445,22 @@ def parse_piecewise_map(
     body of None means the guard said inf.  Used for inputs that are
     monotone maps rather than convex functions.
     """
-    branches, varname = _parse_branches(text, env)
-    return (varname, *_assemble_parts(branches, env, varname))
+    branches, varname = parse_branches(text, env, "pw", _parse_body)
+    return (varname, *_assemble_parts(branches, env))
 
 
-def _parse_branches(text: str, env: AssumptionEnv) -> tuple[list, str]:
-    varname = detect_varname(text)
-    ts = TokenStream(text)
-    branches: list[tuple[_Region, object]] = []
+def _parse_body(ts: TokenStream, varname: str, bare: bool):
+    """A branch body: an expression, or inf inside pw{...}."""
     t = ts.peek()
-    if t.kind == "IDENT" and t.text == "pw":
+    if not bare and t.kind == "IDENT" and t.text == "inf":
         ts.next()
-        ts.expect_op("{")
-        while True:
-            region = _parse_guard(ts, env, varname)
-            ts.expect_op("->")
-            if ts.peek().kind == "IDENT" and ts.peek().text == "inf":
-                ts.next()
-                body: object = _INF_BODY
-            else:
-                body = _rebind_var(_parse_expr(ts), varname)
-            branches.append((region, body))
-            if ts.at_op(";"):
-                ts.next()
-                if ts.at_op("}"):
-                    break
-                continue
-            break
-        ts.expect_op("}")
-        if ts.peek().kind != "END":
-            raise ParseError(f"trailing input {ts.peek().text!r}", ts.peek().offset)
-    else:
-        body = _rebind_var(_parse_expr(ts), varname)
-        if ts.peek().kind != "END":
-            raise ParseError(f"trailing input {ts.peek().text!r}", ts.peek().offset)
-        branches.append((_Region(-INF, INF, False, False), body))
-    return branches, varname
+        return _INF_BODY
+    return rebind_var(_parse_expr(ts), varname)
 
 
-def _assemble(branches, env: AssumptionEnv, varname: str) -> PiecewiseFunction:
-    bps, pieces, values = _assemble_parts(branches, env, varname)
-    piece_objs = [Piece(None, KIND_INFINITE) if p is None else Piece(p, "") for p in pieces]
-    return build_function(varname, bps, piece_objs, values, env)
-
-
-def _assemble_parts(branches, env: AssumptionEnv, varname: str):
+def _assemble_parts(branches, env: AssumptionEnv):
     # split branch intervals at the roots of absolute values
-    expanded: list[tuple[_Region, object]] = []
+    expanded: list[tuple[Region, object]] = []
     point_cover: list[tuple[Expr, object]] = []
     for region, body in branches:
         if body is _INF_BODY or region.is_point or not isinstance(body, Expr):
@@ -737,13 +482,13 @@ def _assemble_parts(branches, env: AssumptionEnv, varname: str):
                     strictly_inside = False
             if strictly_inside and not any(structurally_equal(r, c) for c in cuts):
                 cuts.append(r)
-        cuts.sort(key=_sort_key_factory(env))
-        segments: list[_Region] = []
+        cuts.sort(key=sort_key_factory(env))
+        segments: list[Region] = []
         prev_lo, prev_closed = region.lo, region.lo_closed
         for c in cuts:
-            segments.append(_Region(prev_lo, c, prev_closed, False))
+            segments.append(Region(prev_lo, c, prev_closed, False))
             prev_lo, prev_closed = c, False
-        segments.append(_Region(prev_lo, region.hi, prev_closed, region.hi_closed))
+        segments.append(Region(prev_lo, region.hi, prev_closed, region.hi_closed))
         for seg in segments:
             signs: dict[Abs, int] = {}
             for node, r, a in info:
@@ -775,79 +520,18 @@ def _assemble_parts(branches, env: AssumptionEnv, varname: str):
             stripped = _strip_abs(body, node_signs)
             point_cover.append((c, simplify(substitute(stripped, var=c))))
 
-    # collect breakpoints
-    candidates: list[Expr] = []
-
-    def add_candidate(e: Expr):
-        for c in candidates:
-            if env.require_comparable(e, c) == Ordering.EQUAL:
-                return
-        candidates.append(e)
-
-    for region, _ in expanded:
-        if not isinstance(region.lo, float):
-            add_candidate(region.lo)
-        if not isinstance(region.hi, float):
-            add_candidate(region.hi)
-    for c, _ in point_cover:
-        add_candidate(c)
-    candidates.sort(key=_sort_key_factory(env))
-    bps = candidates
-
-    def index_of(e: Expr) -> int:
-        for i, c in enumerate(bps):
-            if env.require_comparable(e, c) == Ordering.EQUAL:
-                return i
-        raise InputError("internal: bound not among breakpoints")
-
-    n_cells = len(bps) + 1
-    cell_cover: list[list[object]] = [[] for _ in range(n_cells)]
-    bp_cover: list[list[object]] = [[] for _ in bps]
-    for region, body in expanded:
-        if region.is_point:
-            bp_cover[index_of(region.lo)].append(body)
-            continue
-        lo_pos = -1 if isinstance(region.lo, float) else index_of(region.lo)
-        hi_pos = len(bps) if isinstance(region.hi, float) else index_of(region.hi)
-        for cell in range(lo_pos + 1, hi_pos + 1):
-            cell_cover[cell].append(body)
-        for j in range(len(bps)):
-            inside = lo_pos < j < hi_pos
-            at_lo = j == lo_pos and region.lo_closed
-            at_hi = j == hi_pos and region.hi_closed
-            if inside or at_lo or at_hi:
-                bp_cover[j].append(("region", body))
-    for c, v in point_cover:
-        bp_cover[index_of(c)].append(("abs-root", v))
-
-    pieces: list[object] = []
-    for cell in range(n_cells):
-        cov = cell_cover[cell]
-        if len(cov) > 1:
-            raise OverlappingGuards(f"interval piece {cell} is covered by {len(cov)} guards")
-        if not cov:
-            lo_s = "-inf" if cell == 0 else to_text(bps[cell - 1])
-            hi_s = "inf" if cell == n_cells - 1 else to_text(bps[cell])
-            raise GapInGuards(f"no guard covers ({lo_s}, {hi_s})")
-        pieces.append(None if cov[0] is _INF_BODY else cov[0])
-
+    bps, cells, at = cover(expanded, env, [c for c, _ in point_cover])
+    root_values = {index_of(bps, c, env): v for c, v in point_cover}
+    pieces = [None if body is _INF_BODY else body for body in cells]
     values: list = []
     for j, b in enumerate(bps):
-        cov = bp_cover[j]
-        explicit = [c for c in cov if not (isinstance(c, tuple) and c[0] == "abs-root")]
-        if len(explicit) > 1:
-            raise OverlappingGuards(f"breakpoint {to_text(b)} is covered by {len(explicit)} guards")
-        if explicit:
-            body = explicit[0][1] if isinstance(explicit[0], tuple) else explicit[0]
-            if body is _INF_BODY:
-                values.append(INF)
-            else:
-                values.append(simplify(substitute(body, var=b)))
-            continue
-        if cov:  # abs-root synthesized value
-            values.append(cov[0][1])
-            continue
-        values.append(_default_value(pieces, bps, j, env))
+        body = at[j]
+        if body is not None:
+            values.append(INF if body is _INF_BODY else simplify(substitute(body, var=b)))
+        elif j in root_values:  # abs-root synthesized value
+            values.append(root_values[j])
+        else:
+            values.append(_default_value(pieces, bps, j, env))
     return bps, pieces, values
 
 
@@ -868,17 +552,3 @@ def _default_value(pieces, bps, j, env: AssumptionEnv):
     if not _value_equal(env, L, R):
         raise DiscontinuousOnDomain(f"one-sided limits differ at omitted breakpoint {to_text(b)}")
     return L
-
-
-def _sort_key_factory(env: AssumptionEnv):
-    """Sort expressions by value under the feasible binding; ties are
-    fine because duplicates were removed by exact comparison."""
-    binding = env.feasible_point()
-
-    def key(e: Expr) -> float:
-        try:
-            return float(evaluate(e, params=binding))
-        except Exception:
-            raise UndecidableComparison(to_text(e), "other breakpoints") from None
-
-    return key

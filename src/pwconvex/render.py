@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .expr import Const, Expr, format_number, to_text
+from .expr import Const, format_number, to_text
+from .grid import Grid
 from .monop import MonotoneOperator, SetValue
 from .pwf import PiecewiseFunction
 
@@ -19,6 +20,7 @@ INF = math.inf
 
 
 def _endpoint_text(v, var: str) -> str:
+    """Schema number: rational, decimal, signed infinity, or expression text."""
     if isinstance(v, float):
         return format_number(v)
     if isinstance(v, Const):
@@ -38,7 +40,8 @@ def _guard_text(var: str, lo, hi) -> str:
     return f"{_endpoint_text(lo, var)} < {var} < {_endpoint_text(hi, var)}"
 
 
-def _setvalue_text(v: SetValue, var: str) -> str:
+def render_set(v: SetValue, var: str = "x") -> str:
+    """One set value as text, e.g. ``{0}`` or ``[-1, 1]``."""
     if v.tag == "empty":
         return "empty"
     if v.tag == "all":
@@ -48,108 +51,71 @@ def _setvalue_text(v: SetValue, var: str) -> str:
     return f"[{_endpoint_text(v.lo, var)}, {_endpoint_text(v.hi, var)}]"
 
 
-def render_set(v: SetValue, var: str = "x") -> str:
-    """One set value as text, e.g. ``{0}`` or ``[-1, 1]``."""
-    return _setvalue_text(v, var)
+def _render_rows(g: Grid, piece_text, value_text) -> str:
+    var = g.varname
+    rows = []
+    for s, item in enumerate(g.slices()):
+        if s % 2:
+            rows.append((f"{var} = {_endpoint_text(g.breakpoints[s // 2], var)}", value_text(item)))
+        else:
+            rows.append((_guard_text(var, *g.interval(s // 2)), piece_text(item)))
+    width = max(len(guard) for guard, _ in rows)
+    return "\n".join(f"{guard.ljust(width)}  ->  {text}" for guard, text in rows)
 
 
 def render_function(f: PiecewiseFunction) -> str:
     var = f.varname
-    rows = []
-    for i, p in enumerate(f.pieces):
-        lo, hi = f.interval(i)
-        body = "inf" if p.infinite else to_text(p.body, var)
-        rows.append((_guard_text(var, lo, hi), body))
-        if i < len(f.breakpoints):
-            b = f.breakpoints[i]
-            v = f.values[i]
-            vtext = format_number(v) if isinstance(v, float) else to_text(v, var)
-            rows.append((f"{var} = {_endpoint_text(b, var)}", vtext))
-    width = max(len(g) for g, _ in rows)
-    return "\n".join(f"{g.ljust(width)}  ->  {b}" for g, b in rows)
+    return _render_rows(
+        f,
+        lambda p: "inf" if p.empty else to_text(p.body, var),
+        lambda v: format_number(v) if isinstance(v, float) else to_text(v, var),
+    )
 
 
 def render_operator(T: MonotoneOperator) -> str:
     var = T.varname
-    rows = []
-    for i, p in enumerate(T.pieces):
-        lo, hi = T.interval(i)
-        body = "empty" if p.empty else "{" + to_text(p.body, var) + "}"
-        rows.append((_guard_text(var, lo, hi), body))
-        if i < len(T.breakpoints):
-            b = T.breakpoints[i]
-            rows.append((f"{var} = {_endpoint_text(b, var)}", _setvalue_text(T.values[i], var)))
-    width = max(len(g) for g, _ in rows)
-    return "\n".join(f"{g.ljust(width)}  ->  {b}" for g, b in rows)
-
-
-def _numstr(v, var: str) -> str:
-    """Schema number: rational, decimal, signed infinity, or expression text."""
-    if isinstance(v, float):
-        return format_number(v)
-    if isinstance(v, Const):
-        return format_number(v.value)
-    return to_text(v, var)
+    return _render_rows(
+        T,
+        lambda p: "empty" if p.empty else "{" + to_text(p.body, var) + "}",
+        lambda v: render_set(v, var),
+    )
 
 
 def _interval_json(lo, hi, var: str) -> dict:
-    return {"lo": _numstr(lo, var), "hi": _numstr(hi, var)}
-
-
-def _setvalue_json(v: SetValue, var: str) -> dict:
-    if v.tag in ("empty", "all"):
-        return {"type": v.tag}
-    if v.tag == "point":
-        return {"type": "point", "lo": _numstr(v.lo, var)}
-    return {"type": "interval", "lo": _numstr(v.lo, var), "hi": _numstr(v.hi, var)}
+    return {"lo": _endpoint_text(lo, var), "hi": _endpoint_text(hi, var)}
 
 
 def setvalue_to_json(v: SetValue, var: str = "x") -> dict:
-    return _setvalue_json(v, var)
+    if v.tag in ("empty", "all"):
+        return {"type": v.tag}
+    if v.tag == "point":
+        return {"type": "point", "lo": _endpoint_text(v.lo, var)}
+    return {"type": "interval", "lo": _endpoint_text(v.lo, var), "hi": _endpoint_text(v.hi, var)}
+
+
+def _grid_json(g: Grid, kind: str, empty_text: str, value_json) -> dict:
+    var = g.varname
+    return {
+        "kind": kind,
+        "var": var,
+        "breakpoints": [_endpoint_text(b, var) for b in g.breakpoints],
+        "pieces": [
+            {
+                "interval": _interval_json(*g.interval(i), var),
+                "kind": p.kind,
+                "expr": empty_text if p.empty else to_text(p.body, var),
+            }
+            for i, p in enumerate(g.pieces)
+        ],
+        "at_breakpoints": [
+            {"x": _endpoint_text(b, var), "value": value_json(v)} for b, v in zip(g.breakpoints, g.values)
+        ],
+    }
 
 
 def function_to_json(f: PiecewiseFunction) -> dict:
-    var = f.varname
-    pieces = []
-    for i, p in enumerate(f.pieces):
-        lo, hi = f.interval(i)
-        pieces.append({
-            "interval": _interval_json(lo, hi, var),
-            "kind": p.kind,
-            "expr": "inf" if p.infinite else to_text(p.body, var),
-        })
-    at_bps = []
-    for b, v in zip(f.breakpoints, f.values):
-        at_bps.append({
-            "x": _numstr(b, var),
-            "value": {"type": "point", "lo": _numstr(v, var)},
-        })
-    return {
-        "kind": "pwf",
-        "var": var,
-        "breakpoints": [_numstr(b, var) for b in f.breakpoints],
-        "pieces": pieces,
-        "at_breakpoints": at_bps,
-    }
+    return _grid_json(f, "pwf", "inf", lambda v: {"type": "point", "lo": _endpoint_text(v, f.varname)})
 
 
 def operator_to_json(T: MonotoneOperator) -> dict:
-    var = T.varname
-    pieces = []
-    for i, p in enumerate(T.pieces):
-        lo, hi = T.interval(i)
-        pieces.append({
-            "interval": _interval_json(lo, hi, var),
-            "kind": p.kind,
-            "expr": "empty" if p.empty else to_text(p.body, var),
-        })
-    at_bps = []
-    for b, v in zip(T.breakpoints, T.values):
-        at_bps.append({"x": _numstr(b, var), "value": _setvalue_json(v, var)})
-    return {
-        "kind": "op",
-        "var": var,
-        "breakpoints": [_numstr(b, var) for b in T.breakpoints],
-        "pieces": pieces,
-        "at_breakpoints": at_bps,
-    }
+    return _grid_json(T, "op", "empty", lambda v: setvalue_to_json(v, T.varname))

@@ -41,6 +41,7 @@ from .expr import (
     substitute,
     to_text,
 )
+from .grid import detect_varname, rebind_var
 from .inverse import check_strictly_monotone, solve_monotone
 from .limits import limit_at, limit_at_infinity, one_sided_limit
 from .monop import (
@@ -51,14 +52,7 @@ from .monop import (
     maximal_extension,
     subdifferential,
 )
-from .pwf import (
-    PiecewiseFunction,
-    _rebind_var,
-    _value_equal,
-    _value_less,
-    detect_varname,
-    parse_piecewise_map,
-)
+from .pwf import PiecewiseFunction, _value_equal, _value_less, parse_piecewise_map
 from .simplify import simplify
 
 INF = math.inf
@@ -90,7 +84,7 @@ class DistributionSpec:
     def from_quantile(source: str, env: AssumptionEnv = EMPTY_ENV) -> "DistributionSpec":
         from .expr import parse_expr
 
-        q = _rebind_var(parse_expr(source), detect_varname(source))
+        q = rebind_var(parse_expr(source), detect_varname(source))
         # nondecreasing on (0,1); constants are fine, decreases are not
         if contains_var(q):
             check_strictly_monotone(q, env, ZERO, ONE)

@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from pwconvex.errors import DomainError, NonElementary, ParseError, UnboundParameter
+from pwconvex.assumptions import AssumptionEnv
+from pwconvex.conv import antiderivative
+from pwconvex.errors import DomainError, ParseError, UnboundParameter
+from pwconvex import grid_conjugate, parse_pwf
 from pwconvex.expr import (
+    MAX_PARSE_DEPTH,
     Const,
     X,
-    antiderivative,
     as_expr,
     differentiate,
+    eval_array,
     evaluate,
     format_number,
     parse_expr,
@@ -90,6 +94,40 @@ class TestEvaluate:
         assert evaluate(out, x=Fraction(2)) == 10
 
 
+class TestEvalArray:
+    def test_even_numerator_root_of_negative(self):
+        # x^(p/q) = sign(x)^p * |x|^(p/q): even p gives a positive value
+        assert eval_array(parse_expr("x^(2/3)"), [-8.0, 8.0]).tolist() == pytest.approx([4.0, 4.0])
+        assert eval_array(parse_expr("x^(1/3)"), [-8.0]).tolist() == pytest.approx([-2.0])
+        assert eval_array(parse_expr("x^(-2/3)"), [-8.0]).tolist() == pytest.approx([0.25])
+
+    def test_grid_conjugate_of_even_root_power(self):
+        # (|x|^(4/3))*(y) = max over x of y x - |x|^(4/3) = 27/256 at y = +-1
+        f = parse_pwf("abs(x)^(4/3)")
+        for y in (-1, 1):
+            assert grid_conjugate(f, y) == pytest.approx(27 / 256, abs=1e-6)
+
+
+class TestParseDepth:
+    def test_depth_limit_is_inclusive(self):
+        assert parse_expr(" + ".join(["x"] * MAX_PARSE_DEPTH)) is not None
+        with pytest.raises(ParseError):
+            parse_expr(" + ".join(["x"] * (MAX_PARSE_DEPTH + 1)))
+
+    def test_nested_factors_are_bounded(self):
+        assert parse_expr("(" * (MAX_PARSE_DEPTH - 1) + "x" + ")" * (MAX_PARSE_DEPTH - 1)) is not None
+        with pytest.raises(ParseError):
+            parse_expr("(" * MAX_PARSE_DEPTH + "x" + ")" * MAX_PARSE_DEPTH)
+        with pytest.raises(ParseError):
+            parse_expr("-" * MAX_PARSE_DEPTH + "x")
+
+    def test_guards_and_bodies_are_checked(self):
+        deep = "+".join(["x"] * (MAX_PARSE_DEPTH + 1))
+        for text in (deep, f"pw{{ x < 0 -> {deep} ; x >= 0 -> x }}", f"pw{{ {deep} < 0 -> x ; x >= 0 -> x }}"):
+            with pytest.raises(ParseError):
+                parse_pwf(text)
+
+
 class TestConstIdentity:
     """A float constant and an equal Fraction are distinct nodes.
 
@@ -123,14 +161,14 @@ class TestCalculus:
             assert is_zero(simplify(d - parse_expr(want))), (src, to_text(d))
 
     def test_antiderivative_inverts_derivative(self):
+        env = AssumptionEnv.empty()
         for text in ("x^2", "exp(3*x)", "1/x", "2*x + 5"):
             e = parse_expr(text)
-            back = simplify(differentiate(antiderivative(e)))
+            back = simplify(differentiate(antiderivative(e, env, 1, 2)))
             assert is_zero(simplify(back - simplify(e))), text
 
     def test_antiderivative_rejects_hard_cases(self):
-        with pytest.raises(NonElementary):
-            antiderivative(parse_expr("exp(x^2)"))
+        assert antiderivative(parse_expr("exp(x^2)"), AssumptionEnv.empty(), 0, 1) is None
 
 
 class TestFormatNumber:
