@@ -11,6 +11,7 @@ closure derives a < a raises InconsistentEnv at construction.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,6 +97,8 @@ class AssumptionEnv:
 
     facts: tuple[tuple[str, str, str], ...] = ()  # printable (lhs, rel, rhs)
     _constraints: tuple[_Constraint, ...] = field(default=(), repr=False)
+    # the feasible point, cached by numeric.binding
+    _binding: Mapping[str, Fraction] | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def empty() -> "AssumptionEnv":
@@ -143,7 +146,10 @@ class AssumptionEnv:
     # -- comparisons ------------------------------------------------------
 
     def compare(self, a: "Expr | Number | int", b: "Expr | Number | int") -> Ordering:
-        """Sound three-way comparison of variable-free expressions."""
+        """Three-way comparison of variable-free expressions, sound except
+        for a parameter-free irrational difference, which is decided in
+        floats and is UNDECIDABLE when it lies within the float tolerance
+        of 0 (``numeric.difference_order``)."""
         from .expr import as_expr
 
         ea, eb = as_expr(a), as_expr(b)
@@ -173,17 +179,10 @@ class AssumptionEnv:
                 return Ordering.EQUAL
             return Ordering.UNDECIDABLE
         if not diff_has_params(diff):
-            # parameter-free but irrational (exp(1) and friends): decide in floats
-            from .expr import evaluate
+            # parameter-free but irrational (exp(1) and friends): decided in floats
+            from .numeric import difference_order
 
-            try:
-                v = float(evaluate(diff))
-            except Exception:
-                return Ordering.UNDECIDABLE
-            scale = 1.0 + abs(v)
-            if abs(v) <= 1e-12 * scale:
-                return Ordering.EQUAL
-            return Ordering.LESS if v > 0 else Ordering.GREATER
+            return difference_order(diff)
         sign = self.sign_of(diff)
         if sign is not None:
             if sign == 0:
@@ -250,8 +249,9 @@ class AssumptionEnv:
     def feasible_point(self) -> dict[str, Fraction]:
         """A rational parameter assignment satisfying every fact.
 
-        Used to drive numeric guardrails (sampling, witnesses) for
-        symbolic objects.  Exists because the environment is consistent.
+        Exists because the environment is consistent.  Read it through
+        ``numeric.binding``, which computes it once per environment and
+        takes every float decision at it.
         """
         remaining = list(self._constraints)
         params = sorted({p for c in remaining for p, _ in c.coeffs})

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import numeric
 from .assumptions import AssumptionEnv
 from .errors import (
     ConstantPinFailure,
@@ -39,14 +40,13 @@ from .expr import (
     ZERO,
     as_expr,
     contains_var,
-    evaluate,
     is_numeric_node,
     parse_expr,
     substitute,
     to_text,
 )
 from .inverse import _sign_on_interval, poly_coeffs
-from .limits import limit_at, one_sided_limit
+from .limits import limit_at
 from .monop import MonotoneOperator, eval_op, invert, subdifferential
 from .pwf import PiecewiseFunction, build_function, domain
 from .simplify import simplify
@@ -178,8 +178,9 @@ def _fix_log_branch(e: Expr, env: AssumptionEnv, lo, hi) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _float_at(e, env: AssumptionEnv) -> float:
-    return float(evaluate(as_expr(e), params=env.feasible_point()))
+def _probed(e: Expr, x, env: AssumptionEnv) -> Expr:
+    """e at the point x as a float constant, at the feasible binding."""
+    return as_expr(numeric.value(e, numeric.binding(env), x))
 
 
 def _interior_point(lo, hi) -> Expr:
@@ -200,11 +201,8 @@ def _end_value(A: Expr, b: Expr, side: str, env: AssumptionEnv):
     """Value of the antiderivative A at the finite cell endpoint b,
     approached from inside the cell; Expr, or a float infinity."""
     if is_numeric_node(A):
-        return as_expr(evaluate(A, x=_float_at(b, env), params=env.feasible_point()))
-    try:
-        return one_sided_limit(A, as_expr(b), side, env)
-    except UnsupportedOperation:
-        return as_expr(evaluate(A, x=_float_at(b, env), params=env.feasible_point()))
+        return _probed(A, b, env)
+    return _body_limit(A, b, side, env)
 
 
 def _edge_value(v):
@@ -224,9 +222,9 @@ def _edge_value(v):
 
 def _body_limit(body: Expr, b, side: str, env: AssumptionEnv):
     try:
-        return limit_at(body, as_expr(b) if not isinstance(b, float) else b, side, env)
+        return limit_at(body, b, side, env)
     except UnsupportedOperation:
-        return as_expr(evaluate(body, x=_float_at(b, env), params=env.feasible_point()))
+        return _probed(body, b, env)
 
 
 def _slice_edge(T: MonotoneOperator, s: int, side: str):
@@ -380,7 +378,7 @@ def _value_expr_at(f: PiecewiseFunction, xe: Expr):
     if p.empty:
         return INF
     if is_numeric_node(p.body):
-        return as_expr(evaluate(p.body, x=_float_at(xe, f.env), params=f.env.feasible_point()))
+        return _probed(p.body, xe, f.env)
     return simplify(substitute(p.body, var=xe))
 
 

@@ -184,13 +184,14 @@ class Ln(Expr):
 @dataclass(frozen=True, repr=False)
 class ImplicitInverse(Expr):
     """Inverse of ``forward`` (strictly monotone on (lo, hi)) at the
-    variable.  ``lo``/``hi`` bound the *forward* argument; either may be
-    +-inf.  Evaluates by bisection to relative tolerance BISECT_REL_TOL.
+    variable.  ``lo``/``hi`` bound the *forward* argument: variable-free
+    expressions, exact in the parameters, or +-inf.  Evaluates by
+    bisection to relative tolerance BISECT_REL_TOL.
     """
 
     forward: Expr
-    lo: Number
-    hi: Number
+    lo: Expr | float
+    hi: Expr | float
     increasing: bool = True
 
 
@@ -637,8 +638,8 @@ def substitute(
             return Pow(go(node.base), node.exponent)
         if isinstance(node, ImplicitInverse):
             # the forward map lives in its own bound variable; only params substitute
-            fwd = substitute(node.forward, None, params)
-            return ImplicitInverse(fwd, node.lo, node.hi, node.increasing)
+            lo, hi = (b if isinstance(b, float) else substitute(b, None, params) for b in (node.lo, node.hi))
+            return ImplicitInverse(substitute(node.forward, None, params), lo, hi, node.increasing)
         if isinstance(node, NumericIntegral):
             return NumericIntegral(go(node.integrand), go(node.base))
         raise TypeError(type(node).__name__)
@@ -755,8 +756,9 @@ def _eval_implicit(node: ImplicitInverse, target: float, params) -> float:
         except DomainError:
             return math.nan
 
-    lo = float(node.lo) if not isinstance(node.lo, float) else node.lo
-    hi = float(node.hi) if not isinstance(node.hi, float) else node.hi
+    # the bounds are exact in the parameters: evaluate them with the rest
+    lo, hi = (b if isinstance(b, float) else float(evaluate(as_expr(b), None, params))
+              for b in (node.lo, node.hi))
     sign = 1.0 if node.increasing else -1.0
 
     # Establish a finite starting bracket inside the open interval.

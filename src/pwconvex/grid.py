@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import numeric
 from .assumptions import AssumptionEnv, Ordering
 from .errors import GapInGuards, InputError, OverlappingGuards, ParseError, UndecidableComparison
 from .expr import (
@@ -35,7 +36,6 @@ from .expr import (
     X,
     ZERO,
     contains_var,
-    evaluate,
     substitute,
     to_text,
     tokenize,
@@ -163,27 +163,13 @@ def merge_seamless(bps: list, pieces: list, values: list, seamless) -> tuple[tup
     return tuple(bps), tuple(pieces), tuple(values)
 
 
-def sort_key_factory(env: AssumptionEnv):
-    """Sort expressions by value under the feasible binding; ties are
-    fine because duplicates were removed by exact comparison."""
-    binding = env.feasible_point()
-
-    def key(e: Expr) -> float:
-        try:
-            return float(evaluate(e, params=binding))
-        except Exception:
-            raise UndecidableComparison(to_text(e), "other breakpoints") from None
-
-    return key
-
-
 def sorted_unique(points, env: AssumptionEnv) -> list[Expr]:
     """The points without exact duplicates, in increasing order."""
     out: list[Expr] = []
     for e in points:
         if not any(env.require_comparable(e, c) == Ordering.EQUAL for c in out):
             out.append(e)
-    out.sort(key=sort_key_factory(env))
+    out.sort(key=numeric.sort_key(env))
     return out
 
 

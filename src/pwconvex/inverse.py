@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import numeric
 from .assumptions import AssumptionEnv
 from .errors import DomainError, NotMonotone
 from .expr import (
@@ -31,13 +32,11 @@ from .expr import (
     X,
     ZERO,
     contains_var,
-    evaluate,
     to_text,
 )
 from .simplify import as_terms, is_zero, simplify, structurally_equal
 
 GUARD_CLIP = 1e10
-GUARD_NODES = 33
 
 
 def poly_coeffs(e: Expr) -> dict[int, Expr] | None:
@@ -76,44 +75,13 @@ def poly_coeffs(e: Expr) -> dict[int, Expr] | None:
     return {d: c for d, c in coeffs.items() if not is_zero(c)}
 
 
-def _interval_probe_point(env: AssumptionEnv, lo, hi) -> float | None:
-    binding = env.feasible_point()
-    lof = _to_float(lo, binding)
-    hif = _to_float(hi, binding)
-    if lof is None or hif is None:
-        return None
-    lof = max(lof, -GUARD_CLIP)
-    hif = min(hif, GUARD_CLIP)
-    if not lof < hif:
-        return None
-    return 0.5 * (lof + hif)
-
-
-def _to_float(v, binding) -> float | None:
-    if isinstance(v, Expr):
-        try:
-            return float(evaluate(v, params=binding))
-        except Exception:
-            return None
-    return float(v)
-
-
 def _sign_on_interval(f: Expr, env: AssumptionEnv, lo, hi) -> int | None:
     """Sign of f somewhere strictly inside (lo, hi); assumes f does not
     change sign there (caller guarantees monotone context)."""
-    mid = _interval_probe_point(env, lo, hi)
-    if mid is None:
+    clipped = numeric.clip(env, lo, hi, GUARD_CLIP)
+    if clipped is None:
         return None
-    binding = env.feasible_point()
-    try:
-        v = float(evaluate(f, x=mid, params=binding))
-    except Exception:
-        return None
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return None
+    return numeric.sign(f, env, (0.5 * (clipped[0] + clipped[1]),)) or None
 
 
 def _root_branch(t: Expr, q: Fraction, base_sign: int | None) -> Expr | None:
@@ -216,27 +184,13 @@ def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi) -> int:
     Zeros are tolerated (flat spots are resolved symbolically upstream);
     only an actual sign conflict raises NotMonotone.
     """
-    binding = env.feasible_point()
-    lof = _to_float(lo, binding)
-    hif = _to_float(hi, binding)
-    if lof is None or hif is None:
+    samples = numeric.sample(e, env, lo, hi, GUARD_CLIP)
+    if samples is None:
         raise NotMonotone(f"cannot bound interval for monotonicity check of {to_text(e)}")
-    lof = max(lof, -GUARD_CLIP)
-    hif = min(hif, GUARD_CLIP)
-    if not lof < hif:
-        raise NotMonotone("empty interval after clipping in monotonicity check")
-    mid, half = 0.5 * (lof + hif), 0.5 * (hif - lof)
-    xs = [mid + half * math.cos(math.pi * (k + 0.5) / GUARD_NODES) for k in range(GUARD_NODES)][::-1]
-    vals = []
-    for x in xs:
-        try:
-            vals.append(float(evaluate(e, x=x, params=binding)))
-        except (DomainError, OverflowError, ValueError):
-            vals.append(math.nan)
     pos = neg = 0
     prev = None
-    for v in vals:
-        if math.isnan(v):
+    for _, v in samples:
+        if v is None:
             prev = None
             continue
         if prev is not None:
@@ -272,12 +226,7 @@ def invert_monotone(e: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf,
     if increasing is not None and (direction > 0) != increasing:
         raise NotMonotone(f"{to_text(s)} sampled {'decreasing' if direction < 0 else 'increasing'},"
                           f" expected the opposite")
-    binding = env.feasible_point()
-    lof = _to_float(lo, binding)
-    hif = _to_float(hi, binding)
-    if lof is None or hif is None:
-        raise NotMonotone("interval endpoints are not numerically resolvable")
-    return ImplicitInverse(s, lof, hif, direction > 0)
+    return ImplicitInverse(s, lo, hi, direction > 0)
 
 
 def solve_monotone(e: Expr, value: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf) -> Expr:

@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 from typing import Literal
 
+from . import numeric
 from .assumptions import AssumptionEnv
 from .errors import DomainError, UnboundParameter, UnsupportedOperation
 from .expr import (
@@ -38,7 +39,6 @@ from .expr import (
     Var,
     ZERO,
     contains_var,
-    evaluate,
     substitute,
     to_text,
 )
@@ -66,23 +66,6 @@ class _FactorLimit:
         self.scale = scale  # "exp" | "pow" | "log"
 
 
-def _binding(env: AssumptionEnv, extra: dict | None = None) -> dict:
-    b = dict(env.feasible_point())
-    if extra:
-        b.update(extra)
-    return b
-
-
-def _float_at(e: Expr, x: float, binding: dict) -> float | None:
-    try:
-        v = float(evaluate(e, x=x, params=binding))
-    except (DomainError, OverflowError, ValueError):
-        return None
-    if math.isnan(v):
-        return None
-    return v
-
-
 def _probe_points(x0: float | None, side: Side | None, direction: int | None):
     if x0 is not None:
         unit = 1.0 + abs(x0)
@@ -93,8 +76,8 @@ def _probe_points(x0: float | None, side: Side | None, direction: int | None):
 
 
 def _probe(e: Expr, env: AssumptionEnv, x0: float | None, side: Side | None, direction: int | None) -> float:
-    binding = _binding(env)
-    vals = [v for x in _probe_points(x0, side, direction) if (v := _float_at(e, x, binding)) is not None]
+    params = numeric.binding(env)
+    vals = [v for x in _probe_points(x0, side, direction) if (v := numeric.at(e, params, x)) is not None]
     if len(vals) < 4:
         raise UnsupportedOperation(f"cannot determine limit of {to_text(e)} numerically")
     tail = vals[-4:]
@@ -111,10 +94,7 @@ def _sign_of_value(env: AssumptionEnv, v: Expr) -> int | None:
     s = env.sign_of(v)
     if s is not None:
         return s
-    f = _float_at(v, 0.0, _binding(env))
-    if f is None or f == 0:
-        return None
-    return 1 if f > 0 else -1
+    return numeric.sign(v, env) or None
 
 
 def _pow_sign(base_sign: int, q: Fraction) -> int | None:
@@ -193,7 +173,7 @@ def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | 
             kind = _POS_INF if bound > 0 else _NEG_INF
             # growth rate is unknowable here; "opaque" blocks zero-inf races
             return _FactorLimit(kind, sign=1 if bound > 0 else -1, scale="opaque")
-        return _FactorLimit(_FINITE, value=Const(Fraction(bound)))
+        return _FactorLimit(_FINITE, value=bound)
     if isinstance(base, NumericIntegral):
         # quadrature nodes carry no structure worth mining; probe instead
         return None
@@ -242,22 +222,14 @@ def _apply_exponent(fl: _FactorLimit, q: Fraction, base: Expr, env: AssumptionEn
 def _side_sign(e: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | None,
                direction: int | None) -> int | None:
     """Sign of e on the approach side, probed numerically."""
-    binding = _binding(env)
     if x0 is not None:
-        x0f = _float_at(x0, 0.0, binding)
+        x0f = numeric.at(x0, numeric.binding(env))
         if x0f is None:
             return None
         pts = _probe_points(x0f, side, None)
     else:
         pts = _probe_points(None, None, direction)
-    vals = [v for x in pts[-5:] if (v := _float_at(e, x, binding)) is not None]
-    if not vals:
-        return None
-    if all(v > 0 for v in vals):
-        return 1
-    if all(v < 0 for v in vals):
-        return -1
-    return 0
+    return numeric.sign(e, env, pts[-5:])
 
 
 def _term_limit(coeff: Number, factors, env: AssumptionEnv, x0: Expr | None, side: Side | None,
@@ -360,14 +332,13 @@ def _limit_core(e: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | None,
             sub = None
         if sub is not None:
             try:
-                fv = float(evaluate(sub, params=_binding(env)))
+                fv = numeric.at(sub, numeric.binding(env))
+            except UnboundParameter:
+                return sub  # symbolically defined, parameters left free
+            if fv is not None:
                 if math.isfinite(fv):
                     return sub
                 return POS_INF if fv > 0 else NEG_INF
-            except UnboundParameter:
-                return sub  # symbolically defined, parameters left free
-            except (DomainError, OverflowError, ValueError):
-                pass
     try:
         terms = as_terms(s)
     except DomainError:
@@ -401,7 +372,7 @@ def one_sided_limit(e: Expr, x0: Expr, side: Side, env: AssumptionEnv) -> Expr |
     out = _limit_core(e, env, x0, side, None)
     if out is not None:
         return out
-    x0f = _float_at(x0, 0.0, _binding(env))
+    x0f = numeric.at(x0, numeric.binding(env))
     if x0f is None:
         raise UnsupportedOperation(f"cannot place limit point {to_text(x0)} numerically")
     return _probe(e, env, x0f, side, None)

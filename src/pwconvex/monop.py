@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+from . import numeric
 from .assumptions import AssumptionEnv, EMPTY_ENV, Ordering
 from .errors import (
     EmptyOperator,
@@ -53,7 +54,7 @@ from .grid import (
 )
 from .inverse import check_strictly_monotone, invert_monotone
 from .limits import limit_at, one_sided_limit
-from .pwf import PiecewiseFunction, _value_equal, _value_less
+from .pwf import PiecewiseFunction
 from .simplify import simplify, structurally_equal
 
 INF = math.inf
@@ -120,16 +121,11 @@ def interval(lo, hi, env: AssumptionEnv = EMPTY_ENV) -> SetValue:
     lo_e = -INF if lo_inf else simplify(as_expr(lo))
     hi_e = INF if hi_inf else simplify(as_expr(hi))
     if not lo_inf and not hi_inf:
-        order = env.compare(lo_e, hi_e)
+        order = numeric.order(env, lo_e, hi_e)
         if order == Ordering.GREATER:
             return EMPTY_SET
         if order == Ordering.EQUAL:
             return SetValue("point", lo_e, lo_e)
-        if order == Ordering.UNDECIDABLE:
-            if _value_less(env, hi_e, lo_e):
-                return EMPTY_SET
-            if _value_equal(env, lo_e, hi_e):
-                return SetValue("point", lo_e, lo_e)
     return SetValue("interval", lo_e, hi_e)
 
 
@@ -145,40 +141,6 @@ def _ext_scale(lam: Expr, a):
     if isinstance(a, float) and math.isinf(a):
         return a
     return simplify(Mul(lam, as_expr(a)))
-
-
-def _ext_cmp(env: AssumptionEnv, a, b) -> Ordering:
-    """Compare endpoints that may be expressions or +-inf floats."""
-    a_inf = isinstance(a, float) and math.isinf(a)
-    b_inf = isinstance(b, float) and math.isinf(b)
-    if a_inf or b_inf:
-        if a_inf and b_inf and (a > 0) == (b > 0):
-            return Ordering.EQUAL
-        if a_inf:
-            return Ordering.LESS if a < 0 else Ordering.GREATER
-        return Ordering.GREATER if b < 0 else Ordering.LESS
-    return env.compare(as_expr(a), as_expr(b))
-
-
-def _ext_less(env: AssumptionEnv, a, b) -> bool:
-    order = _ext_cmp(env, a, b)
-    if order != Ordering.UNDECIDABLE:
-        return order == Ordering.LESS
-    return _value_less(env, a, b)
-
-
-def _ext_min(env: AssumptionEnv, a, b):
-    order = _ext_cmp(env, a, b)
-    if order == Ordering.UNDECIDABLE:
-        return b if _value_less(env, b, a) else a
-    return b if order == Ordering.GREATER else a
-
-
-def _ext_max(env: AssumptionEnv, a, b):
-    order = _ext_cmp(env, a, b)
-    if order == Ordering.UNDECIDABLE:
-        return b if _value_less(env, a, b) else a
-    return b if order == Ordering.LESS else a
 
 
 def sv_add(a: SetValue, b: SetValue, env: AssumptionEnv) -> SetValue:
@@ -209,8 +171,10 @@ def sv_hull(values: list[SetValue], env: AssumptionEnv) -> SetValue:
     lo, hi = vals[0].bounds()
     for v in vals[1:]:
         l2, h2 = v.bounds()
-        lo = _ext_min(env, lo, l2)
-        hi = _ext_max(env, hi, h2)
+        if numeric.order(env, lo, l2) == Ordering.GREATER:
+            lo = l2
+        if numeric.order(env, hi, h2) == Ordering.LESS:
+            hi = h2
     return interval(lo, hi, env)
 
 
@@ -281,7 +245,7 @@ def _seamless(env: AssumptionEnv, left: Piece, right: Piece, v: SetValue, b: Exp
         return v.tag == "empty"
     if left.empty or right.empty or not structurally_equal(left.body, right.body) or v.tag != "point":
         return False
-    return _value_equal(env, v.lo, simplify(substitute(left.body, var=b)))
+    return numeric.equal(env, v.lo, simplify(substitute(left.body, var=b)))
 
 
 def _piece_bounds(p: Piece, lo, hi, env: AssumptionEnv):
@@ -316,7 +280,7 @@ def validate_operator(T: MonotoneOperator) -> None:
 
     def step(lo_v, hi_v, where: str):
         nonlocal prev_sup, prev_where
-        if prev_sup is not None and lo_v is not None and _ext_less(env, lo_v, prev_sup):
+        if prev_sup is not None and lo_v is not None and numeric.less(env, lo_v, prev_sup):
             raise NotMonotone(f"operator values decrease from {prev_where} to {where}")
         if hi_v is not None:
             # an unknown sup keeps the last known one: a weaker but
@@ -481,7 +445,7 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
             continue
         a = _as_endpoint(limit_at(p.body, lo, "right", env))
         b = _as_endpoint(limit_at(p.body, hi, "left", env))
-        if _ext_cmp(env, a, b) != Ordering.LESS:
+        if numeric.order(env, a, b) != Ordering.LESS:
             raise InternalInconsistency(f"piece {to_text(p.body)} has a degenerate image")
         if isinstance(a, Expr):
             images.append(a)
@@ -514,8 +478,8 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
         covering = [
             body
             for a, b2, body in fragments
-            if _ext_cmp(env, a, c_lo) in (Ordering.LESS, Ordering.EQUAL)
-            and _ext_cmp(env, c_hi, b2) in (Ordering.LESS, Ordering.EQUAL)
+            if numeric.order(env, a, c_lo) in (Ordering.LESS, Ordering.EQUAL)
+            and numeric.order(env, c_hi, b2) in (Ordering.LESS, Ordering.EQUAL)
         ]
         if len(covering) > 1:
             raise InternalInconsistency("inverse pieces overlap; the input graph was not monotone")
@@ -639,12 +603,7 @@ def _setval_at(sv: tuple, b: Expr, env: AssumptionEnv) -> SetValue:
     if sv[0] == "body":
         return point(simplify(substitute(sv[1], var=b)))
     if sv[0] == "set":
-        pts = [simplify(substitute(e, var=b)) for e in sv[1]]
-        lo = hi = pts[0]
-        for e in pts[1:]:
-            lo = _ext_min(env, lo, e)
-            hi = _ext_max(env, hi, e)
-        return interval(lo, hi, env)
+        return sv_hull([point(substitute(e, var=b)) for e in sv[1]], env)
     _, lo, hi = sv
     lo = lo if isinstance(lo, float) else simplify(substitute(lo, var=b))
     hi = hi if isinstance(hi, float) else simplify(substitute(hi, var=b))

@@ -1,0 +1,231 @@
+"""Every decision the library takes in floats at one parameter binding.
+
+Exact algebra decides what it can; where it runs out, the decision
+falls back to floats at the *binding*, one rational assignment that
+satisfies every fact of the environment.  Such a verdict holds at that
+binding, not for every binding the facts allow.  This module is the
+only reader of ``AssumptionEnv.feasible_point`` (through ``binding``,
+once per environment) and holds the one float coercion (``value``,
+``at``), the one extended-real order (``order``, ``less``, ``equal``,
+``difference_order``, ``sort_key``), the one clip and Chebyshev
+sampler (``clip``, ``sample``) and the one sign probe (``sign``).
+
+The float decisions that remain, by caller:
+
+* ``AssumptionEnv.compare``: a parameter-free irrational difference
+  (``difference_order``); within the tolerance band it is undecidable.
+* ``pwf.classify_piece``: convexity from derivative samples (``sample``,
+  window CLASSIFY_WINDOW); ``inverse.check_strictly_monotone``:
+  monotonicity from samples (``sample``, window GUARD_CLIP).
+* ``inverse._sign_on_interval``: the sign at a cell midpoint (``clip``
+  with GUARD_CLIP, ``sign``), which picks root branches in
+  ``inverse._peel`` and abs and log branches in ``conv.antiderivative``.
+* ``limits._probe``, ``_side_sign``, ``_sign_of_value``,
+  ``one_sided_limit`` and ``_limit_core``: numeric limits, signs, and
+  the float check of a substituted limit point (``at``, ``sign``).
+* ``grid.sorted_unique`` and ``pwf._assemble_parts``: the order of
+  points that exact comparison found distinct (``sort_key``).
+* ``pwf.validate``, ``pwf._seamless``, ``pwf._default_value``,
+  ``monop.interval``, ``monop._seamless``, ``monop.validate_operator``,
+  ``monop.sv_hull``, ``monop.invert``, ``risk._cdf_operator``,
+  ``risk._check_p`` and ``risk.quantile``: values, limits and endpoints
+  that ``env.compare`` cannot order (``order``, ``less``, ``equal``).
+* ``conv._probed``: values of bodies with bisection or quadrature nodes,
+  and limits the limits module cannot take (``value``).
+* ``risk.superexpectation``: the tail constant of a CDF whose drift has
+  no limit, read one unit right of the last breakpoint (``value``).
+* ``penalty.verify_penalty`` and ``oracle``: graph samples, distances
+  and grids (``value``, ``at``, ``clip``).
+
+Bisection (``expr._eval_implicit``) and quadrature
+(``expr._eval_quadrature``) run at whatever parameters they are given.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Mapping
+from fractions import Fraction
+from types import MappingProxyType
+
+from .assumptions import AssumptionEnv, Ordering
+from .errors import DomainError, UnboundParameter, UndecidableComparison
+from .expr import Const, Expr, as_expr, evaluate, to_text
+from .simplify import structurally_equal
+
+REL_TOL = 1e-9
+NODES = 33
+
+
+def binding(env: AssumptionEnv) -> Mapping[str, Fraction]:
+    """The feasible parameter binding of env, read-only; computed on
+    first use and kept on the environment."""
+    b = env._binding
+    if b is None:
+        b = MappingProxyType(env.feasible_point())
+        object.__setattr__(env, "_binding", b)
+    return b
+
+
+# ---------------------------------------------------------------------------
+# Float coercion
+# ---------------------------------------------------------------------------
+
+
+def value(v, params: Mapping, x=None) -> float:
+    """v as a float under params, with the variable at x.  v is an Expr,
+    a number, or a +-inf float (returned as is); x is a float, an Expr
+    (coerced the same way first), or None.  Evaluation errors propagate."""
+    if isinstance(v, float):
+        return v
+    if isinstance(x, Expr):
+        x = value(x, params)
+    return float(evaluate(as_expr(v), x=x, params=params))
+
+
+def at(v, params: Mapping, x=None) -> float | None:
+    """``value``, or None where v has no value there (a domain error,
+    overflow or NaN).  An unbound parameter and a bisection that cannot
+    converge still raise."""
+    try:
+        f = value(v, params, x)
+    except (DomainError, ArithmeticError, ValueError):
+        return None
+    return None if math.isnan(f) else f
+
+
+# ---------------------------------------------------------------------------
+# Extended-real order
+# ---------------------------------------------------------------------------
+
+
+def is_inf(v) -> bool:
+    """Whether v is the float +inf or -inf."""
+    return isinstance(v, float) and math.isinf(v)
+
+
+def _float_order(fa: float | None, fb: float | None) -> Ordering:
+    """LESS or GREATER when fa and fb differ by more than REL_TOL
+    relative to the larger magnitude, else EQUAL; UNDECIDABLE when
+    either is missing."""
+    if fa is None or fb is None:
+        return Ordering.UNDECIDABLE
+    tol = REL_TOL * (1.0 + max(abs(fa), abs(fb)))
+    if fa < fb - tol:
+        return Ordering.LESS
+    if fb < fa - tol:
+        return Ordering.GREATER
+    return Ordering.EQUAL
+
+
+def _at_binding(env: AssumptionEnv, v) -> float | None:
+    """``at`` the binding, and None for a parameter the facts do not mention."""
+    try:
+        return at(v, binding(env))
+    except UnboundParameter:
+        return None
+
+
+def order(env: AssumptionEnv, a, b) -> Ordering:
+    """Order of a and b (Exprs or +-inf floats): infinities first, then
+    ``env.compare``, then floats at the binding, where values within
+    REL_TOL are EQUAL and values without a float are UNDECIDABLE."""
+    if is_inf(a) or is_inf(b):
+        if a == b:
+            return Ordering.EQUAL
+        return Ordering.LESS if a == -math.inf or b == math.inf else Ordering.GREATER
+    decided = env.compare(as_expr(a), as_expr(b))
+    if decided != Ordering.UNDECIDABLE:
+        return decided
+    return _float_order(_at_binding(env, a), _at_binding(env, b))
+
+
+def less(env: AssumptionEnv, a, b) -> bool:
+    """a < b in the extended reals, by ``order``."""
+    return order(env, a, b) == Ordering.LESS
+
+
+def equal(env: AssumptionEnv, a, b) -> bool:
+    """a = b in the extended reals: exactly for rational constants, then
+    structurally, then in floats at the binding; never ``env.compare``."""
+    if is_inf(a) or is_inf(b):
+        return a == b
+    ea, eb = as_expr(a), as_expr(b)
+    if isinstance(ea, Const) and isinstance(eb, Const):
+        if isinstance(ea.value, Fraction) and isinstance(eb.value, Fraction):
+            return ea.value == eb.value
+    if structurally_equal(ea, eb):
+        return True
+    return _float_order(_at_binding(env, ea), _at_binding(env, eb)) == Ordering.EQUAL
+
+
+def difference_order(diff: Expr) -> Ordering:
+    """The order of a and b from their parameter-free difference
+    b - a in floats: LESS or GREATER outside the REL_TOL band around 0,
+    UNDECIDABLE inside it (a float cannot tell a tiny difference from
+    none) or where it has no float value."""
+    decided = _float_order(0.0, at(diff, {}))
+    return Ordering.UNDECIDABLE if decided == Ordering.EQUAL else decided
+
+
+def sort_key(env: AssumptionEnv):
+    """Sort key for points that exact comparison found distinct: their
+    floats at the binding.  A point without one raises
+    UndecidableComparison."""
+
+    def key(e: Expr) -> float:
+        v = _at_binding(env, e)
+        if v is None:
+            raise UndecidableComparison(to_text(e), "other breakpoints")
+        return v
+
+    return key
+
+
+# ---------------------------------------------------------------------------
+# Sampling
+# ---------------------------------------------------------------------------
+
+
+def clip(env: AssumptionEnv, lo, hi, window: float) -> tuple[float, float] | None:
+    """The interval (lo, hi) at the binding, clipped to [-window, window];
+    an interval beyond the window gives a strip of width 1 at its near
+    end.  None when an end has no float value or the interval is empty."""
+    params = binding(env)
+    lof, hif = at(lo, params), at(hi, params)
+    if lof is None or hif is None or not lof < hif:
+        return None
+    lo_c, hi_c = max(lof, -window), min(hif, window)
+    if lo_c < hi_c:
+        return lo_c, hi_c
+    if lof >= window:
+        return lof, min(hif, lof + 1.0)
+    return max(lof, hif - 1.0), hif
+
+
+def sample(e: Expr, env: AssumptionEnv, lo, hi, window: float) -> list[tuple[float, float | None]] | None:
+    """(x, e(x)) at NODES Chebyshev nodes of the clipped interval, in
+    increasing x, with None where e has no value; None when the interval
+    cannot be clipped."""
+    clipped = clip(env, lo, hi, window)
+    if clipped is None:
+        return None
+    mid, half = 0.5 * (clipped[0] + clipped[1]), 0.5 * (clipped[1] - clipped[0])
+    xs = [mid + half * math.cos(math.pi * (k + 0.5) / NODES) for k in range(NODES)][::-1]
+    params = binding(env)
+    return [(x, at(e, params, x)) for x in xs]
+
+
+def sign(e: Expr, env: AssumptionEnv, xs=(None,)) -> int | None:
+    """1 or -1 when e has that sign at every probe point in xs where it
+    has a value, 0 when the signs differ or a value is 0, None when no
+    point gives a value.  The default probes a variable-free e once."""
+    params = binding(env)
+    vals = [v for x in xs if (v := at(e, params, x)) is not None]
+    if not vals:
+        return None
+    if all(v > 0 for v in vals):
+        return 1
+    if all(v < 0 for v in vals):
+        return -1
+    return 0

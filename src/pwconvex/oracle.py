@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .errors import MaxIterations, WindowOutsideDomain
-from .expr import Expr, eval_array, evaluate
+from .expr import eval_array
 from .monop import MonotoneOperator
-from .pwf import PiecewiseFunction, _clip_interval, domain, eval_pwf
+from .pwf import PiecewiseFunction, domain, eval_pwf
 
 INF = math.inf
 
@@ -27,27 +28,17 @@ DEFAULT_SEED = 0xC0FFEE
 SAMPLE_WINDOW = 30.0
 
 
-def _as_float(v, binding) -> float:
-    if isinstance(v, Expr):
-        return float(evaluate(v, params=binding))
-    return float(v)
-
-
 def _domain_floats(f: PiecewiseFunction) -> tuple[float, float]:
     d = domain(f)
-    binding = f.env.feasible_point()
-    lo = -INF if isinstance(d.lo, float) and math.isinf(d.lo) else _as_float(d.lo, binding)
-    hi = INF if isinstance(d.hi, float) and math.isinf(d.hi) else _as_float(d.hi, binding)
-    return lo, hi
+    binding = numeric.binding(f.env)
+    return numeric.value(d.lo, binding), numeric.value(d.hi, binding)
 
 
 def grid_values(f: PiecewiseFunction, xs: np.ndarray, params: dict | None = None) -> np.ndarray:
     """Vectorized f(xs): +inf outside the domain, exact piece bodies inside."""
-    binding = dict(f.env.feasible_point())
-    if params:
-        binding.update(params)
+    binding = {**numeric.binding(f.env), **params} if params else numeric.binding(f.env)
     out = np.full(xs.shape, INF)
-    bps = [_as_float(b, binding) for b in f.breakpoints]
+    bps = [numeric.value(b, binding) for b in f.breakpoints]
     edges = [-INF] + bps + [INF]
     for i, p in enumerate(f.pieces):
         mask = (xs > edges[i]) & (xs < edges[i + 1])
@@ -57,7 +48,7 @@ def grid_values(f: PiecewiseFunction, xs: np.ndarray, params: dict | None = None
     for b, v in zip(bps, f.values):
         mask = xs == b
         if mask.any():
-            out[mask] = INF if isinstance(v, float) else _as_float(v, binding)
+            out[mask] = numeric.value(v, binding)
     return out
 
 
@@ -81,8 +72,8 @@ def grid_conjugate(
     if hi <= dlo or lo >= dhi:
         raise WindowOutsideDomain(f"window [{lo}, {hi}] misses the domain [{dlo}, {dhi}]")
     xs = np.linspace(lo, hi, int(n))
-    binding = f.env.feasible_point()
-    bps = np.array([_as_float(b, binding) for b in f.breakpoints])
+    binding = numeric.binding(f.env)
+    bps = np.array([numeric.value(b, binding) for b in f.breakpoints])
     if bps.size:
         inside = bps[(bps >= lo) & (bps <= hi)]
         if inside.size:
@@ -105,7 +96,7 @@ def numeric_prox(f: PiecewiseFunction, x, lam=1, tol: float = 1e-9, max_iter: in
     """
     xf = float(x)
     lamf = float(lam)
-    binding = f.env.feasible_point()
+    binding = numeric.binding(f.env)
 
     def phi(u: float) -> float:
         v = eval_pwf(f, u, params=binding)
@@ -189,19 +180,19 @@ def sample_graph(
     """
     rng = rng or random.Random(DEFAULT_SEED)
     env = T.env
-    binding = env.feasible_point()
+    binding = numeric.binding(env)
     pts: list[tuple[float, float]] = []
     for b, v in zip(T.breakpoints, T.values):
         if v.tag == "empty":
             continue
-        xb = _as_float(b, binding)
+        xb = numeric.value(b, binding)
         if v.tag == "point":
-            us = [_as_float(v.lo, binding)]
+            us = [numeric.value(v.lo, binding)]
         elif v.tag == "all":
             us = [-window, 0.0, window]
         else:
-            lo = -window if isinstance(v.lo, float) else _as_float(v.lo, binding)
-            hi = window if isinstance(v.hi, float) else _as_float(v.hi, binding)
+            lo = -window if isinstance(v.lo, float) else numeric.value(v.lo, binding)
+            hi = window if isinstance(v.hi, float) else numeric.value(v.hi, binding)
             us = [lo, 0.5 * (lo + hi), hi]
         pts.extend((xb, u) for u in us)
     live = [i for i, p in enumerate(T.pieces) if not p.empty]
@@ -209,17 +200,15 @@ def sample_graph(
         per = max(1, (n - len(pts)) // len(live) + 1)
         for i in live:
             lo, hi = T.interval(i)
-            clipped = _clip_interval(env, lo, hi, window=window)
+            clipped = numeric.clip(env, lo, hi, window)
             if clipped is None:
                 continue
             clo, chi = clipped
             for _ in range(per):
                 x = rng.uniform(clo, chi)
-                try:
-                    u = float(evaluate(T.pieces[i].body, x=x, params=binding))
-                except Exception:
-                    continue
-                pts.append((x, u))
+                u = numeric.at(T.pieces[i].body, binding, x)
+                if u is not None:
+                    pts.append((x, u))
     rng.shuffle(pts)
     return pts[:n] if len(pts) > n else pts
 

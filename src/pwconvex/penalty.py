@@ -20,9 +20,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import numeric
 from .conv import conjugate, integ
 from .errors import NonConvex
-from .expr import Add, Expr, Mul, Sub, X, as_expr, evaluate
+from .expr import Add, Expr, Mul, Sub, X, as_expr
 from .monop import (
     MonotoneOperator,
     SetValue,
@@ -88,8 +89,7 @@ def _set_distance(v: SetValue, u: float, binding: dict) -> float:
         return INF
     if v.tag == "all":
         return 0.0
-    lo = -INF if isinstance(v.lo, float) else float(evaluate(v.lo, params=binding))
-    hi = INF if isinstance(v.hi, float) else float(evaluate(v.hi, params=binding))
+    lo, hi = numeric.value(v.lo, binding), numeric.value(v.hi, binding)
     if u < lo:
         return lo - u
     if u > hi:
@@ -111,7 +111,7 @@ def verify_penalty(
     except NonConvex as exc:
         return PenaltyReport(False, INF, 0, reason=f"f plus the quadratic is not convex: {exc}")
     P = invert(subdifferential(g))
-    binding = T.env.feasible_point()
+    binding = numeric.binding(T.env)
     pts = sample_graph(T, n, random.Random(seed))
     worst = 0.0
     witness = None

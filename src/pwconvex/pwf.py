@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
+from . import numeric
 from .assumptions import AssumptionEnv, EMPTY_ENV, Ordering
 from .errors import (
     DiscontinuousOnDomain,
-    DomainError,
     InputError,
     NonConvex,
     NotLsc,
@@ -55,7 +54,6 @@ from .grid import (
     parse_branches,
     piece_body,
     rebind_var,
-    sort_key_factory,
 )
 from .inverse import poly_coeffs
 from .limits import one_sided_limit
@@ -69,7 +67,6 @@ KIND_INFINITE = "infinite"
 KIND_SMOOTH = "smooth"  # relaxed containers only (penalty recovery)
 
 CLASSIFY_WINDOW = 30.0
-CLASSIFY_NODES = 33
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class PiecewiseFunction(Grid):
 
     @staticmethod
     def value_empty(v) -> bool:
-        return _is_inf(v)
+        return numeric.is_inf(v)
 
     def __str__(self) -> str:
         from .render import render_function
@@ -110,77 +107,6 @@ class PiecewiseFunction(Grid):
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-
-def _is_inf(v) -> bool:
-    return isinstance(v, float) and math.isinf(v)
-
-
-def _value_equal(env: AssumptionEnv, a, b, tol: float = 1e-9) -> bool:
-    """Extended-real equality of breakpoint values and limits."""
-    a_inf = isinstance(a, float) and math.isinf(a)
-    b_inf = isinstance(b, float) and math.isinf(b)
-    if a_inf or b_inf:
-        return a_inf and b_inf and (a > 0) == (b > 0)
-    ea, eb = as_expr(a), as_expr(b)
-    if isinstance(ea, Const) and isinstance(eb, Const):
-        if isinstance(ea.value, Fraction) and isinstance(eb.value, Fraction):
-            return ea.value == eb.value
-    if structurally_equal(ea, eb):
-        return True
-    binding = env.feasible_point()
-    try:
-        fa = float(evaluate(ea, params=binding))
-        fb = float(evaluate(eb, params=binding))
-    except Exception:
-        return False
-    return abs(fa - fb) <= tol * (1.0 + max(abs(fa), abs(fb)))
-
-
-def _value_less(env: AssumptionEnv, a, b, tol: float = 1e-9) -> bool:
-    """a < b in the extended reals, by exact comparison then floats."""
-    a_inf = isinstance(a, float) and math.isinf(a)
-    b_inf = isinstance(b, float) and math.isinf(b)
-    if a_inf:
-        return a < 0 and not (b_inf and b < 0)
-    if b_inf:
-        return b > 0
-    order = env.compare(as_expr(a), as_expr(b))
-    if order != Ordering.UNDECIDABLE:
-        return order == Ordering.LESS
-    binding = env.feasible_point()
-    try:
-        fa = float(evaluate(as_expr(a), params=binding))
-        fb = float(evaluate(as_expr(b), params=binding))
-    except Exception:
-        return False
-    return fa < fb - tol * (1.0 + max(abs(fa), abs(fb)))
-
-
-def _chebyshev_nodes(lo: float, hi: float, n: int = CLASSIFY_NODES) -> list[float]:
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return [mid + half * math.cos(math.pi * (k + 0.5) / n) for k in range(n)][::-1]
-
-
-def _clip_interval(env: AssumptionEnv, lo, hi, window: float = CLASSIFY_WINDOW) -> tuple[float, float] | None:
-    binding = env.feasible_point()
-    lof = -INF if isinstance(lo, float) and lo < 0 else None
-    hif = INF if isinstance(hi, float) and hi > 0 else None
-    try:
-        if lof is None:
-            lof = float(evaluate(as_expr(lo), params=binding))
-        if hif is None:
-            hif = float(evaluate(as_expr(hi), params=binding))
-    except Exception:
-        return None
-    lo_c = max(lof, -window)
-    hi_c = min(hif, window)
-    if lo_c < hi_c:
-        return lo_c, hi_c
-    # interval lies beyond the window: sample a strip at its near end
-    if lof > window:
-        return lof, min(hif, lof + 1.0)
-    return max(lof, hif - 1.0), hif
 
 
 def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, relaxed: bool = False) -> str:
@@ -195,17 +121,13 @@ def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, relaxed: bool = False
         return KIND_AFFINE
     if relaxed:
         return KIND_SMOOTH
-    clipped = _clip_interval(env, lo, hi)
-    if clipped is None:
+    samples = numeric.sample(d, env, lo, hi, CLASSIFY_WINDOW)
+    if samples is None:
         raise UndecidableComparison(to_text(body), "interval bounds")
-    binding = env.feasible_point()
-    xs = _chebyshev_nodes(*clipped)
     prev = None
     prev_x = None
-    for x in xs:
-        try:
-            v = float(evaluate(d, x=x, params=binding))
-        except (DomainError, OverflowError, ValueError):
+    for x, v in samples:
+        if v is None:
             prev = None
             continue
         if prev is not None and v < prev:
@@ -227,10 +149,10 @@ def _seamless(env: AssumptionEnv, left: Piece, right: Piece, v, b: Expr) -> bool
     infinite pieces around +inf, or one body continued through its own
     value."""
     if left.empty and right.empty:
-        return _is_inf(v)
-    if left.empty or right.empty or not structurally_equal(left.body, right.body) or _is_inf(v):
+        return numeric.is_inf(v)
+    if left.empty or right.empty or not structurally_equal(left.body, right.body) or numeric.is_inf(v):
         return False
-    return _value_equal(env, v, simplify(substitute(left.body, var=b)))
+    return numeric.equal(env, v, simplify(substitute(left.body, var=b)))
 
 
 def build_function(
@@ -252,7 +174,7 @@ def build_function(
         else:
             body = simplify(as_expr(body))
             normd.append(Piece(body, classify_piece(body, env, *cell(bps, i), relaxed=weakly_convex)))
-    vals = [v if _is_inf(v) else simplify(as_expr(v)) for v in values]
+    vals = [v if numeric.is_inf(v) else simplify(as_expr(v)) for v in values]
     f = PiecewiseFunction(varname, *merge_seamless(bps, normd, vals, partial(_seamless, env)), env, weakly_convex)
     validate(f)
     return f
@@ -279,22 +201,22 @@ def validate(f: PiecewiseFunction) -> None:
         v = f.values[i]
         L = _limit_into(f, i, b, "left")
         R = _limit_into(f, i + 1, b, "right")
-        L_inf = _is_inf(L)
-        R_inf = _is_inf(R)
-        v_inf = _is_inf(v)
+        L_inf = numeric.is_inf(L)
+        R_inf = numeric.is_inf(R)
+        v_inf = numeric.is_inf(v)
         where = to_text(b)
         if not L_inf and not R_inf:
-            if not _value_equal(env, L, R):
+            if not numeric.equal(env, L, R):
                 raise DiscontinuousOnDomain(f"one-sided limits differ at {where}")
-            if v_inf or _value_less(env, L, v):
+            if numeric.less(env, L, v):
                 raise NotLsc(f"value at {where} exceeds the one-sided limit")
-            if _value_less(env, v, L):
+            if numeric.less(env, v, L):
                 raise DiscontinuousOnDomain(f"value at {where} lies below the one-sided limit")
         elif not L_inf or not R_inf:
             fin = R if L_inf else L
-            if v_inf or _value_less(env, fin, v):
+            if numeric.less(env, fin, v):
                 raise NotLsc(f"value at {where} exceeds the adjacent limit")
-            if _value_less(env, v, fin):
+            if numeric.less(env, v, fin):
                 raise DiscontinuousOnDomain(f"value at {where} lies below the adjacent limit")
         else:
             if not v_inf:
@@ -311,20 +233,7 @@ def validate(f: PiecewiseFunction) -> None:
             continue
         dl = _derivative_limit(left_piece, b, "left", env)
         dr = _derivative_limit(right_piece, b, "right", env)
-        dl_inf = _is_inf(dl)
-        dr_inf = _is_inf(dr)
-        ok: bool
-        if dl_inf or dr_inf:
-            ok = (dl_inf and dl < 0) or (dr_inf and dr > 0)
-        elif isinstance(dl, Expr) and isinstance(dr, Expr):
-            order = env.compare(dl, dr)
-            if order == Ordering.UNDECIDABLE:
-                ok = not _value_less(env, dr, dl)
-            else:
-                ok = order in (Ordering.LESS, Ordering.EQUAL)
-        else:
-            ok = not _value_less(env, dr, dl, tol=1e-9)
-        if not ok and not f.weakly_convex:
+        if numeric.order(env, dl, dr) == Ordering.GREATER and not f.weakly_convex:
             raise NonConvex(
                 f"slope decreases across breakpoint {to_text(b)}",
                 witness=(
@@ -482,7 +391,7 @@ def _assemble_parts(branches, env: AssumptionEnv):
                     strictly_inside = False
             if strictly_inside and not any(structurally_equal(r, c) for c in cuts):
                 cuts.append(r)
-        cuts.sort(key=sort_key_factory(env))
+        cuts.sort(key=numeric.sort_key(env))
         segments: list[Region] = []
         prev_lo, prev_closed = region.lo, region.lo_closed
         for c in cuts:
@@ -549,6 +458,6 @@ def _default_value(pieces, bps, j, env: AssumptionEnv):
         return R
     if R_inf:
         return L
-    if not _value_equal(env, L, R):
+    if not numeric.equal(env, L, R):
         raise DiscontinuousOnDomain(f"one-sided limits differ at omitted breakpoint {to_text(b)}")
     return L

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import numeric
 from .assumptions import AssumptionEnv, EMPTY_ENV
 from .conv import _value_expr_at, conjugate, integ
 from .errors import (
@@ -37,7 +38,6 @@ from .expr import (
     ZERO,
     as_expr,
     contains_var,
-    evaluate,
     substitute,
     to_text,
 )
@@ -52,7 +52,7 @@ from .monop import (
     maximal_extension,
     subdifferential,
 )
-from .pwf import PiecewiseFunction, _value_equal, _value_less, parse_piecewise_map
+from .pwf import PiecewiseFunction, parse_piecewise_map
 from .simplify import simplify
 
 INF = math.inf
@@ -92,14 +92,6 @@ class DistributionSpec:
         return DistributionSpec(invert(maximal_extension(op)), simplify(q), env)
 
 
-def _lim_is(env: AssumptionEnv, lim, target: Expr, tol: float = 1e-9) -> bool:
-    if isinstance(lim, float):
-        if math.isinf(lim):
-            return False
-        return abs(lim - float(evaluate(target))) <= tol
-    return _value_equal(env, lim, target)
-
-
 def _cdf_operator(varname, bps, bodies, values, env: AssumptionEnv) -> MonotoneOperator:
     if any(b is None for b in bodies) or any(isinstance(v, float) and math.isinf(v) for v in values):
         raise InputError("a distribution function must be finite everywhere")
@@ -109,9 +101,9 @@ def _cdf_operator(varname, bps, bodies, values, env: AssumptionEnv) -> MonotoneO
         right = limit_at_infinity(bodies[-1], 1, env)
     except UnsupportedOperation as exc:
         raise InputError(f"cannot settle the tails of the distribution function: {exc}") from exc
-    if not _lim_is(env, left, ZERO):
+    if not numeric.equal(env, left, ZERO):
         raise InputError("the distribution function must tend to 0 at -inf")
-    if not _lim_is(env, right, ONE):
+    if not numeric.equal(env, right, ONE):
         raise InputError("the distribution function must tend to 1 at +inf")
     op_values = []
     for i, b in enumerate(bps):
@@ -119,12 +111,12 @@ def _cdf_operator(varname, bps, bodies, values, env: AssumptionEnv) -> MonotoneO
         R = one_sided_limit(bodies[i + 1], b, "right", env)
         if isinstance(L, float) or isinstance(R, float):
             raise InputError(f"the distribution function is unbounded beside {to_text(b)}")
-        if not _value_equal(env, values[i], R):
+        if not numeric.equal(env, values[i], R):
             raise InputError(
                 f"a distribution function is right-continuous: the value at {to_text(b)}"
                 " must equal the limit from the right"
             )
-        if _value_less(env, R, L):
+        if numeric.less(env, R, L):
             raise InputError(f"the distribution function decreases across {to_text(b)}")
         op_values.append(interval(L, R, env))
     return build_operator(varname, list(bps), list(bodies), op_values, env)
@@ -160,9 +152,9 @@ def superexpectation(d: DistributionSpec) -> PiecewiseFunction:
     except UnsupportedOperation as exc:
         last = d.cdf_op.pieces[-1]
         if not last.empty and not contains_var(last.body) and d.cdf_op.breakpoints:
-            binding = d.env.feasible_point()
-            edge = float(evaluate(d.cdf_op.breakpoints[-1], params=binding))
-            m = as_expr(Fraction(float(evaluate(drift, x=edge + 1.0, params=binding))))
+            binding = numeric.binding(d.env)
+            edge = numeric.value(d.cdf_op.breakpoints[-1], binding)
+            m = as_expr(Fraction(numeric.value(drift, binding, edge + 1.0)))
         else:
             raise UnsupportedTail(
                 f"cannot pin the superexpectation constant: {exc}"
@@ -191,18 +183,9 @@ def _check_p(p, env: AssumptionEnv) -> Expr:
     pe = simplify(as_expr(p))
     if contains_var(pe):
         raise InputError("the probability level must not contain the variable")
-    if not _value_less(env, ZERO, pe) or not _value_less(env, pe, ONE):
+    if not numeric.less(env, ZERO, pe) or not numeric.less(env, pe, ONE):
         raise POutOfRange(f"p = {to_text(pe)} is not strictly inside (0, 1)")
     return pe
-
-
-def _at_least(env: AssumptionEnv, a, p: Expr) -> bool:
-    """a >= p in the extended reals; a may be an Expr or a float."""
-    if isinstance(a, float):
-        if math.isinf(a):
-            return a > 0
-        a = as_expr(Fraction(a))
-    return not _value_less(env, a, p)
 
 
 def quantile(d: DistributionSpec, p) -> Expr:
@@ -218,7 +201,7 @@ def quantile(d: DistributionSpec, p) -> Expr:
         if not piece.empty:
             body = piece.body
             if not contains_var(body):
-                if _at_least(env, body, pe):
+                if not numeric.less(env, body, pe):
                     if isinstance(lo, float):
                         raise InternalInconsistency(
                             "the distribution function reaches p on an unbounded flat"
@@ -226,12 +209,12 @@ def quantile(d: DistributionSpec, p) -> Expr:
                     return lo
             else:
                 sup = limit_at(body, hi, "left", env)
-                if _at_least(env, sup, pe):
+                if not numeric.less(env, sup, pe):
                     return solve_monotone(body, pe, env, lo, hi)
         if i < len(T.breakpoints):
             v = T.values[i]
             bounds = v.bounds()
-            if bounds is not None and _at_least(env, bounds[1], pe):
+            if bounds is not None and not numeric.less(env, bounds[1], pe):
                 return T.breakpoints[i]
     raise InternalInconsistency("no point reaches the level p; the tail checks are broken")
 

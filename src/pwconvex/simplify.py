@@ -291,7 +291,8 @@ def _snf(e: Expr) -> SumMap:
             return _scale(_single(Abs(inner)), abs(coeff))
         return _single(Abs(_rebuild(arg_map)))
     if isinstance(e, ImplicitInverse):
-        return _single(ImplicitInverse(simplify(e.forward), e.lo, e.hi, e.increasing))
+        lo, hi = (b if isinstance(b, float) else simplify(b) for b in (e.lo, e.hi))
+        return _single(ImplicitInverse(simplify(e.forward), lo, hi, e.increasing))
     if isinstance(e, NumericIntegral):
         return _single(NumericIntegral(simplify(e.integrand), simplify(e.base)))
     raise TypeError(type(e).__name__)

@@ -97,6 +97,15 @@ def test_param_binding_must_satisfy_assumptions(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_prox_of_a_wall_honours_the_bound_parameter(capsys):
+    # the implicit inverse keeps its bound l exact instead of its value at
+    # the feasible point (l = 1), so the bisection runs on (1/10, inf)
+    argv = ["prox", "pw{ x < l -> inf ; x >= l -> x^4 }", "--assume", "0 < l", "--at", "1", "--param", "l=1/10"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert float(out.strip().strip("{}")) == pytest.approx(0.5, abs=1e-9)
+
+
 def test_param_binding_checks_unbound_parameters_too(capsys):
     facts = ["--assume", "0 < l", "--assume", "l < a", "--assume", "a < 2"]
     argv = ["eval", WALL, *facts, "--param", "l=3", "--at", "4"]

@@ -81,6 +81,11 @@ class TestValidation:
         with pytest.raises(NonConvex):
             parse_pwf("pw{ x < 0 -> -x^2 ; x >= 0 -> x }", ENV)
 
+    def test_concave_piece_at_the_sampling_window_edge(self):
+        # a cell that starts at the window edge is sampled on a strip inside it
+        with pytest.raises(NonConvex):
+            parse_pwf("pw{ x < 30 -> inf ; x >= 30 -> ln(x) }", ENV)
+
     def test_slope_decrease_across_pieces(self):
         with pytest.raises(NonConvex) as exc:
             parse_pwf("pw{ x < 0 -> x ; x >= 0 -> 0 }", ENV)
