@@ -192,7 +192,7 @@ class AssumptionEnv:
 
     def sign_of(self, e: Expr) -> int | None:
         """Structural sign of a variable-free expression: 1, -1, 0 or None."""
-        from .expr import Abs, Exp, Mul, Neg, Pow
+        from .expr import Abs, Exp, Mul, Neg, Pow, pow_sign
 
         s = simplify(e)
         if isinstance(s, Const):
@@ -220,14 +220,7 @@ class AssumptionEnv:
                 return None
             return l * r
         if isinstance(s, Pow):
-            base_sign = self.sign_of(s.base)
-            if base_sign == 1:
-                return 1
-            if base_sign == 0:
-                return 0 if s.exponent > 0 else None
-            if base_sign == -1 and s.exponent.denominator == 1:
-                return -1 if s.exponent.numerator % 2 else 1
-            return None
+            return pow_sign(self.sign_of(s.base), s.exponent)
         return None
 
     def require_comparable(self, a, b) -> Ordering:

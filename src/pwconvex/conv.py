@@ -41,15 +41,15 @@ from .expr import (
     as_expr,
     contains_var,
     is_numeric_node,
+    map_children,
     parse_expr,
-    substitute,
     to_text,
 )
 from .inverse import _sign_on_interval, poly_coeffs
 from .limits import limit_at
 from .monop import MonotoneOperator, eval_op, invert, subdifferential
 from .pwf import PiecewiseFunction, build_function, domain
-from .simplify import simplify
+from .simplify import is_zero, simplify
 
 INF = math.inf
 
@@ -156,31 +156,21 @@ def antiderivative(e: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
 
 def _fix_log_branch(e: Expr, env: AssumptionEnv, lo, hi) -> Expr:
     """Rewrite Ln(u) as Ln(-u) wherever u < 0 on (lo, hi)."""
-    if isinstance(e, Ln):
-        arg = _fix_log_branch(e.arg, env, lo, hi)
-        if contains_var(arg) and _sign_on_interval(arg, env, lo, hi) == -1:
-            return Ln(simplify(Neg(arg)))
-        return Ln(arg)
-    if isinstance(e, (Neg, Abs, Exp)):
-        return type(e)(_fix_log_branch(e.arg, env, lo, hi))
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return type(e)(
-            _fix_log_branch(e.left, env, lo, hi),
-            _fix_log_branch(e.right, env, lo, hi),
-        )
-    if isinstance(e, Pow):
-        return Pow(_fix_log_branch(e.base, env, lo, hi), e.exponent)
-    return e
+
+    def go(node: Expr) -> Expr:
+        if isinstance(node, Ln):
+            arg = go(node.arg)
+            if contains_var(arg) and _sign_on_interval(arg, env, lo, hi) == -1:
+                return Ln(simplify(Neg(arg)))
+            return Ln(arg)
+        return map_children(node, go)
+
+    return go(e)
 
 
 # ---------------------------------------------------------------------------
 # integ
 # ---------------------------------------------------------------------------
-
-
-def _probed(e: Expr, x, env: AssumptionEnv) -> Expr:
-    """e at the point x as a float constant, at the feasible binding."""
-    return as_expr(numeric.value(e, numeric.binding(env), x))
 
 
 def _interior_point(lo, hi) -> Expr:
@@ -201,7 +191,7 @@ def _end_value(A: Expr, b: Expr, side: str, env: AssumptionEnv):
     """Value of the antiderivative A at the finite cell endpoint b,
     approached from inside the cell; Expr, or a float infinity."""
     if is_numeric_node(A):
-        return _probed(A, b, env)
+        return numeric.body_at(A, b, env)
     return _body_limit(A, b, side, env)
 
 
@@ -224,7 +214,7 @@ def _body_limit(body: Expr, b, side: str, env: AssumptionEnv):
     try:
         return limit_at(body, b, side, env)
     except UnsupportedOperation:
-        return _probed(body, b, env)
+        return as_expr(numeric.value(body, numeric.binding(env), b))
 
 
 def _slice_edge(T: MonotoneOperator, s: int, side: str):
@@ -352,34 +342,24 @@ def _shift_to_anchor(f: PiecewiseFunction, anchor, anchor_value) -> PiecewiseFun
     if isinstance(anchor_value, float) and math.isinf(anchor_value):
         raise InputError("the anchor value must be finite")
     xe = simplify(parse_expr(anchor) if isinstance(anchor, str) else as_expr(anchor))
-    cur = _value_expr_at(f, xe)
+    cur = f.at(xe)
     if isinstance(cur, float):
         raise InputError(f"anchor {to_text(xe)} lies outside the domain")
     target = parse_expr(anchor_value) if isinstance(anchor_value, str) else as_expr(anchor_value)
     return _shift_by(f, simplify(Sub(target, cur)))
 
 
-def _shift_by(f: PiecewiseFunction, delta: Expr) -> PiecewiseFunction:
-    from .simplify import is_zero
-
-    if is_zero(delta):
+def _shift_by(f: PiecewiseFunction, g: Expr, weakly_convex: bool | None = None) -> PiecewiseFunction:
+    """f + g pointwise, for a g defined on the whole line (a constant or
+    a polynomial); the result is weakly convex as f is, unless
+    ``weakly_convex`` says otherwise."""
+    if is_zero(g):
         return f
-    pieces = [None if p.empty else Add(p.body, delta) for p in f.pieces]
-    values = [v if isinstance(v, float) else simplify(Add(v, delta)) for v in f.values]
-    return build_function(f.varname, list(f.breakpoints), pieces, values, f.env, f.weakly_convex)
-
-
-def _value_expr_at(f: PiecewiseFunction, xe: Expr):
-    """f(xe) as an expression (exact in parameters), or a float infinity."""
-    where, i = f.locate(xe)
-    if where == "breakpoint":
-        return f.values[i]
-    p = f.pieces[i]
-    if p.empty:
-        return INF
-    if is_numeric_node(p.body):
-        return _probed(p.body, xe, f.env)
-    return simplify(substitute(p.body, var=xe))
+    pieces = [None if p.empty else Add(p.body, g) for p in f.pieces]
+    values = [v if isinstance(v, float) else simplify(Add(v, numeric.body_at(g, b, f.env)))
+              for b, v in zip(f.breakpoints, f.values)]
+    weakly = f.weakly_convex if weakly_convex is None else weakly_convex
+    return build_function(f.varname, list(f.breakpoints), pieces, values, f.env, weakly)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +427,8 @@ def conjugate(f: PiecewiseFunction) -> PiecewiseFunction:
         if x0 is None:
             continue
         try:
-            fx = _value_expr_at(f, simplify(x0))
-            gy = _value_expr_at(g, simplify(y0))
+            fx = f.at(simplify(x0))
+            gy = g.at(simplify(y0))
         except Exception:
             continue
         if isinstance(fx, float) or isinstance(gy, float):

@@ -228,6 +228,7 @@ def as_expr(v: "Expr | int | float | Fraction") -> Expr:
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
+    """The subexpressions of e, in the order ``map_children`` rebuilds them."""
     if isinstance(e, (Const, Var, Param)):
         return ()
     if isinstance(e, (Neg, Abs, Exp, Ln)):
@@ -237,9 +238,32 @@ def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, Pow):
         return (e.base,)
     if isinstance(e, ImplicitInverse):
-        return (e.forward,)
+        return (e.forward, *(b for b in (e.lo, e.hi) if isinstance(b, Expr)))
     if isinstance(e, NumericIntegral):
         return (e.integrand, e.base)
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def map_children(e: Expr, fn) -> Expr:
+    """e rebuilt with ``fn`` applied to each of its ``children``; leaves
+    come back as they are.  Tree rewrites handle their special nodes and
+    leave every other node to this function, the only code that knows
+    each node's fields.  The forward map of an ImplicitInverse and the
+    integrand of a NumericIntegral are in their own bound variable, so
+    a rewrite that moves the variable must handle those nodes itself."""
+    if isinstance(e, (Const, Var, Param)):
+        return e
+    if isinstance(e, (Neg, Abs, Exp, Ln)):
+        return type(e)(fn(e.arg))
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(fn(e.left), fn(e.right))
+    if isinstance(e, Pow):
+        return Pow(fn(e.base), e.exponent)
+    if isinstance(e, ImplicitInverse):
+        lo, hi = (b if isinstance(b, float) else fn(b) for b in (e.lo, e.hi))
+        return ImplicitInverse(fn(e.forward), lo, hi, e.increasing)
+    if isinstance(e, NumericIntegral):
+        return NumericIntegral(fn(e.integrand), fn(e.base))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -607,7 +631,11 @@ def substitute(
     var: Expr | None = None,
     params: Mapping[str, Expr | int | float | Fraction] | None = None,
 ) -> Expr:
-    """Replace the variable and/or named parameters by expressions."""
+    """Replace the variable and/or named parameters by expressions.
+
+    The variable of a bisection or quadrature node is its implicit
+    argument, which has no node to replace: such a node keeps it and
+    takes only the parameters."""
 
     def go(node: Expr) -> Expr:
         if isinstance(node, Var):
@@ -616,33 +644,9 @@ def substitute(
             if params is not None and node.name in params:
                 return as_expr(params[node.name])
             return node
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Neg):
-            return Neg(go(node.arg))
-        if isinstance(node, Abs):
-            return Abs(go(node.arg))
-        if isinstance(node, Exp):
-            return Exp(go(node.arg))
-        if isinstance(node, Ln):
-            return Ln(go(node.arg))
-        if isinstance(node, Add):
-            return Add(go(node.left), go(node.right))
-        if isinstance(node, Sub):
-            return Sub(go(node.left), go(node.right))
-        if isinstance(node, Mul):
-            return Mul(go(node.left), go(node.right))
-        if isinstance(node, Div):
-            return Div(go(node.left), go(node.right))
-        if isinstance(node, Pow):
-            return Pow(go(node.base), node.exponent)
-        if isinstance(node, ImplicitInverse):
-            # the forward map lives in its own bound variable; only params substitute
-            lo, hi = (b if isinstance(b, float) else substitute(b, None, params) for b in (node.lo, node.hi))
-            return ImplicitInverse(substitute(node.forward, None, params), lo, hi, node.increasing)
-        if isinstance(node, NumericIntegral):
-            return NumericIntegral(go(node.integrand), go(node.base))
-        raise TypeError(type(node).__name__)
+        if var is not None and isinstance(node, (ImplicitInverse, NumericIntegral)):
+            return substitute(node, None, params)
+        return map_children(node, go)
 
     return go(e)
 
@@ -652,12 +656,24 @@ def substitute(
 # ---------------------------------------------------------------------------
 
 
-def _pow_number(base: Number, q: Fraction) -> Number:
-    """Real power with rational exponent.
+def pow_sign(base_sign: int | None, exponent: Fraction) -> int | None:
+    """Sign of u^(p/q), p/q the exponent in lowest terms, from the sign
+    of u (1, -1, 0, or None for unknown).  A negative u follows the
+    real-root rule u^(p/q) = (-1)^p * |u|^(p/q): no real value (None)
+    for even q, else the sign (-1)^p.  0^(p/q) is 0 for p/q > 0 and has
+    no value otherwise."""
+    if base_sign is None or base_sign > 0:
+        return base_sign
+    if base_sign == 0:
+        return 0 if exponent > 0 else None
+    if exponent.denominator % 2 == 0:
+        return None
+    return -1 if exponent.numerator % 2 else 1
 
-    Negative bases are defined only for odd-denominator exponents, where
-    the real root applies: x^(p/q) = sign(x)^p * |x|^(p/q).
-    """
+
+def _pow_number(base: Number, q: Fraction) -> Number:
+    """Real power with rational exponent; the sign of a negative base's
+    power is ``pow_sign``'s."""
     if q.denominator == 1:
         p = q.numerator
         if base == 0 and p < 0:
@@ -670,9 +686,9 @@ def _pow_number(base: Number, q: Fraction) -> Number:
             raise DomainError("zero raised to a negative power")
         return Fraction(0) if isinstance(base, Fraction) else 0.0
     if base < 0:
-        if q.denominator % 2 == 0:
+        sign = pow_sign(-1, q)
+        if sign is None:
             raise DomainError(f"negative base {base} under even-root exponent {q}")
-        sign = -1.0 if q.numerator % 2 else 1.0
         return sign * math.pow(abs(float(base)), float(q))
     return math.pow(float(base), float(q))
 
@@ -876,11 +892,11 @@ def eval_array(e: Expr, xs, params: Mapping[str, Number | int] | None = None):
             if q.denominator == 1:
                 return base ** int(q)
             if np.any(base < 0):
-                if q.denominator % 2 == 0:
+                sign = pow_sign(-1, q)
+                if sign is None:
                     raise DomainError("negative base under even-root exponent")
-                # real root: x^(p/q) = sign(x)^p * |x|^(p/q)
                 magnitude = np.abs(base) ** float(q)
-                return np.sign(base) * magnitude if q.numerator % 2 else magnitude
+                return np.where(base < 0, sign * magnitude, magnitude)
             return base ** float(q)
         if isinstance(node, Exp):
             with np.errstate(over="ignore"):

@@ -18,7 +18,8 @@ A piecewise function stores an extended-real value at each breakpoint
 monotone operator stores a closed SetValue at each breakpoint and an
 empty piece where its graph has no points.  This module holds what the
 two share: the Piece and Grid types, breakpoint checks and merging, the
-point locator, and the guard DSL from branch parsing to cell cover.
+point locator and reader, and the guard DSL from branch parsing to cell
+cover.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .expr import (
     _parse_expr,
 )
 from .inverse import poly_coeffs
-from .simplify import simplify
+from .simplify import simplify, structurally_equal
 
 INF = math.inf
 
@@ -85,6 +86,17 @@ class Grid:
         """Whether a breakpoint value holds no point of the object."""
         raise NotImplementedError
 
+    @staticmethod
+    def value_point(v) -> Expr | None:
+        """The one finite point a breakpoint value holds, or None."""
+        raise NotImplementedError
+
+    @staticmethod
+    def piece_value(body: Expr | None):
+        """A piece read at a point, as a breakpoint value: ``body`` is the
+        body there, or None for an empty piece."""
+        raise NotImplementedError
+
     def interval(self, i: int) -> tuple[Expr | float, Expr | float]:
         """Open interval spanned by piece i."""
         return cell(self.breakpoints, i)
@@ -117,6 +129,17 @@ class Grid:
                 return "piece", i
         return "piece", len(self.breakpoints)
 
+    def at(self, x: Expr, env: AssumptionEnv | None = None):
+        """The value at the point x, under ``env`` in place of the grid's
+        own: the breakpoint value, or the piece there read at x
+        (``numeric.body_at``) as a breakpoint value."""
+        env = self.env if env is None else env
+        where, i = self.locate(x, env=env)
+        if where == "breakpoint":
+            return self.values[i]
+        body = self.pieces[i].body
+        return self.piece_value(None if body is None else numeric.body_at(body, x, env))
+
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -148,13 +171,20 @@ def piece_body(p) -> Expr | None:
     return p
 
 
-def merge_seamless(bps: list, pieces: list, values: list, seamless) -> tuple[tuple, tuple, tuple]:
-    """Drop every breakpoint i for which ``seamless(left, right, value,
-    b_i)`` holds, joining its two pieces into one."""
+def merge_seamless(grid_type: type, bps: list, pieces: list, values: list,
+                   env: AssumptionEnv) -> tuple[tuple, tuple, tuple]:
+    """Drop every breakpoint that separates nothing, joining its two
+    pieces into one: two empty pieces around an empty value, or one body
+    continued through its own value, the body read at the breakpoint."""
     i = 0
     while i < len(bps):
-        left, right = pieces[i], pieces[i + 1]
-        if seamless(left, right, values[i], bps[i]):
+        left, right, v = pieces[i], pieces[i + 1], values[i]
+        if left.empty or right.empty:
+            seamless = left.empty and right.empty and grid_type.value_empty(v)
+        else:
+            p = grid_type.value_point(v) if structurally_equal(left.body, right.body) else None
+            seamless = p is not None and numeric.equal(env, p, numeric.body_at(left.body, bps[i], env))
+        if seamless:
             del bps[i]
             del values[i]
             pieces[i : i + 2] = [left if not left.empty else right]

@@ -109,9 +109,7 @@ def _peel(e: Expr, target: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
             return Div(Sub(target, b), a_n)
         r = simplify(Div(poly.get(n - 1, ZERO), Mul(Const(Fraction(-n)), a_n)))
         shifted = Mul(a_n, Pow(Sub(X, r), Fraction(n)))
-        from .expr import substitute
-
-        d = simplify(substitute(e, var=r))
+        d = numeric.body_at(e, r, env)
         if structurally_equal(e, Add(shifted, d)):
             t = Div(Sub(target, d), a_n)
             branch = _root_branch(t, Fraction(n), _sign_on_interval(Sub(X, r), env, lo, hi))
@@ -231,7 +229,4 @@ def invert_monotone(e: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf,
 
 def solve_monotone(e: Expr, value: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf) -> Expr:
     """x with e(x) = value on the interval where e is strictly monotone."""
-    from .expr import substitute
-
-    inv = invert_monotone(e, env, lo, hi)
-    return simplify(substitute(inv, var=value))
+    return numeric.body_at(invert_monotone(e, env, lo, hi), value, env)

@@ -39,6 +39,7 @@ from .expr import (
     Var,
     ZERO,
     contains_var,
+    pow_sign,
     substitute,
     to_text,
 )
@@ -95,21 +96,6 @@ def _sign_of_value(env: AssumptionEnv, v: Expr) -> int | None:
     if s is not None:
         return s
     return numeric.sign(v, env) or None
-
-
-def _pow_sign(base_sign: int, q: Fraction) -> int | None:
-    """Sign of u^q given sign of u, under real odd-root semantics."""
-    if base_sign > 0:
-        return 1
-    if base_sign == 0:
-        return 0
-    if q.denominator % 2 == 1:
-        return -1 if q.numerator % 2 else 1
-    return None
-
-
-def _subst_point(e: Expr, x0: Expr) -> Expr:
-    return simplify(substitute(e, var=x0))
 
 
 def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | None,
@@ -203,19 +189,19 @@ def _apply_exponent(fl: _FactorLimit, q: Fraction, base: Expr, env: AssumptionEn
             return _FactorLimit(_FINITE, value=simplify(Pow(fl.value, q)))
     if fl.kind == _ZERO:
         if q > 0:
-            return _FactorLimit(_ZERO, sign=_pow_sign(fl.sign, q) or 0, scale=fl.scale)
-        sgn = _pow_sign(fl.sign, q)
+            return _FactorLimit(_ZERO, sign=pow_sign(fl.sign, q) or 0, scale=fl.scale)
+        sgn = pow_sign(fl.sign, q)
         if sgn is None or sgn == 0:
             return None
         return _FactorLimit(_POS_INF if sgn > 0 else _NEG_INF, sign=sgn, scale=fl.scale)
     # infinite base
     inf_sign = 1 if fl.kind == _POS_INF else -1
     if q > 0:
-        sgn = _pow_sign(inf_sign, q)
+        sgn = pow_sign(inf_sign, q)
         if sgn is None:
             return None
         return _FactorLimit(_POS_INF if sgn > 0 else _NEG_INF, sign=sgn, scale=fl.scale)
-    sgn = _pow_sign(inf_sign, q)
+    sgn = pow_sign(inf_sign, q)
     return _FactorLimit(_ZERO, sign=sgn or 0, scale=fl.scale)
 
 
@@ -327,7 +313,7 @@ def _limit_core(e: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | None,
     # plain substitution first at finite points
     if x0 is not None:
         try:
-            sub = _subst_point(s, x0)
+            sub = simplify(substitute(s, var=x0))
         except DomainError:
             sub = None
         if sub is not None:

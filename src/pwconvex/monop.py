@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from . import numeric
 from .assumptions import AssumptionEnv, EMPTY_ENV, Ordering
@@ -35,7 +34,6 @@ from .expr import (
     as_expr,
     contains_var,
     differentiate,
-    is_numeric_node,
     substitute,
     to_text,
     _parse_expr,
@@ -55,7 +53,7 @@ from .grid import (
 from .inverse import check_strictly_monotone, invert_monotone
 from .limits import limit_at, one_sided_limit
 from .pwf import PiecewiseFunction
-from .simplify import simplify, structurally_equal
+from .simplify import simplify
 
 INF = math.inf
 
@@ -200,6 +198,14 @@ class MonotoneOperator(Grid):
     def value_empty(v) -> bool:
         return v.tag == "empty"
 
+    @staticmethod
+    def value_point(v) -> Expr | None:
+        return v.lo if v.tag == "point" else None
+
+    @staticmethod
+    def piece_value(body: Expr | None) -> SetValue:
+        return EMPTY_SET if body is None else point(body)
+
     def __str__(self) -> str:
         from .render import render_operator
 
@@ -232,20 +238,9 @@ def build_operator(
             continue
         body = simplify(as_expr(body))
         normd.append(Piece(body, classify_op_piece(body, env, *cell(bps, i))))
-    T = MonotoneOperator(varname, *merge_seamless(bps, normd, list(values), partial(_seamless, env)), env)
+    T = MonotoneOperator(varname, *merge_seamless(MonotoneOperator, bps, normd, list(values), env), env)
     validate_operator(T)
     return T
-
-
-def _seamless(env: AssumptionEnv, left: Piece, right: Piece, v: SetValue, b: Expr) -> bool:
-    """Whether the breakpoint b with value v separates nothing: two empty
-    pieces around an empty value, or one body continued through its own
-    value."""
-    if left.empty and right.empty:
-        return v.tag == "empty"
-    if left.empty or right.empty or not structurally_equal(left.body, right.body) or v.tag != "point":
-        return False
-    return numeric.equal(env, v.lo, simplify(substitute(left.body, var=b)))
 
 
 def _piece_bounds(p: Piece, lo, hi, env: AssumptionEnv):
@@ -312,12 +307,7 @@ def eval_op(T: MonotoneOperator, x, params: dict | None = None) -> SetValue:
     p = T.pieces[i]
     if p.empty:
         return EMPTY_SET
-    if is_numeric_node(p.body):
-        from .expr import evaluate
-
-        body = substitute(p.body, params=params_e) if params_e else p.body
-        return point(as_expr(evaluate(body, x=float(evaluate(xe)))))
-    return point(simplify(substitute(p.body, var=xe, params=params_e)))
+    return point(numeric.body_at(p.body, xe, T.env, params_e or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -378,38 +368,25 @@ def scale(T: MonotoneOperator, lam) -> MonotoneOperator:
     return build_operator(T.varname, list(T.breakpoints), pieces, values, env)
 
 
-def _piece_from(T: MonotoneOperator, lo, env: AssumptionEnv) -> Piece:
-    """The piece of T on the merged-grid cell whose lower bound is lo
-    (a breakpoint of the merged grid, or -inf)."""
-    if isinstance(lo, float):
-        return T.pieces[0]
-    where, i = T.locate(lo, env=env)
-    return T.pieces[i + 1 if where == "breakpoint" else i]
-
-
-def value_at(T: MonotoneOperator, b: Expr, env: AssumptionEnv) -> SetValue:
-    """Value of T at one point, under a possibly merged env."""
-    where, i = T.locate(b, env=env)
-    if where == "breakpoint":
-        return T.values[i]
-    p = T.pieces[i]
-    if p.empty:
-        return EMPTY_SET
-    return point(simplify(substitute(p.body, var=b)))
-
-
 def add(T1: MonotoneOperator, T2: MonotoneOperator) -> MonotoneOperator:
     """Pointwise Minkowski sum on the merged breakpoint grid."""
     if T1.varname != T2.varname:
         raise InputError(f"cannot add operators in {T1.varname} and {T2.varname}")
     env = T1.env.merge(T2.env)
     bps = sorted_unique(T1.breakpoints + T2.breakpoints, env)
-    pieces: list[Expr | None] = []
-    for k in range(len(bps) + 1):
-        lo, _ = cell(bps, k)
-        p1, p2 = _piece_from(T1, lo, env), _piece_from(T2, lo, env)
-        pieces.append(None if p1.empty or p2.empty else Add(p1.body, p2.body))
-    values = [sv_add(value_at(T1, b, env), value_at(T2, b, env), env) for b in bps]
+
+    def merged_cells(T: MonotoneOperator) -> list[Piece]:
+        """T's piece on each cell of the merged grid, which starts at -inf
+        or at a merged breakpoint."""
+        out = [T.pieces[0]]
+        for b in bps:
+            where, i = T.locate(b, env=env)
+            out.append(T.pieces[i + 1 if where == "breakpoint" else i])
+        return out
+
+    pieces = [None if p1.empty or p2.empty else Add(p1.body, p2.body)
+              for p1, p2 in zip(merged_cells(T1), merged_cells(T2))]
+    values = [sv_add(T1.at(b, env), T2.at(b, env), env) for b in bps]
     return build_operator(T1.varname, bps, pieces, values, env)
 
 

@@ -6,7 +6,8 @@ satisfies every fact of the environment.  Such a verdict holds at that
 binding, not for every binding the facts allow.  This module is the
 only reader of ``AssumptionEnv.feasible_point`` (through ``binding``,
 once per environment) and holds the one float coercion (``value``,
-``at``), the one extended-real order (``order``, ``less``, ``equal``,
+``at``), the one read of a body at a point (``body_at``), the one
+extended-real order (``order``, ``less``, ``equal``,
 ``difference_order``, ``sort_key``), the one clip and Chebyshev
 sampler (``clip``, ``sample``) and the one sign probe (``sign``).
 
@@ -25,13 +26,17 @@ The float decisions that remain, by caller:
   the float check of a substituted limit point (``at``, ``sign``).
 * ``grid.sorted_unique`` and ``pwf._assemble_parts``: the order of
   points that exact comparison found distinct (``sort_key``).
-* ``pwf.validate``, ``pwf._seamless``, ``pwf._default_value``,
-  ``monop.interval``, ``monop._seamless``, ``monop.validate_operator``,
-  ``monop.sv_hull``, ``monop.invert``, ``risk._cdf_operator``,
-  ``risk._check_p`` and ``risk.quantile``: values, limits and endpoints
-  that ``env.compare`` cannot order (``order``, ``less``, ``equal``).
-* ``conv._probed``: values of bodies with bisection or quadrature nodes,
-  and limits the limits module cannot take (``value``).
+* ``pwf.validate``, ``pwf._default_value``, ``grid.merge_seamless``,
+  ``monop.interval``, ``monop.validate_operator``, ``monop.sv_hull``,
+  ``monop.invert``, ``risk._cdf_operator``, ``risk._check_p`` and
+  ``risk.quantile``: values, limits and endpoints that ``env.compare``
+  cannot order (``order``, ``less``, ``equal``).
+* ``body_at``: a body with a bisection or quadrature node read at a
+  point.  Its callers: ``grid.Grid.at``, the grid reader (``monop.add``,
+  ``conv.conjugate``, ``conv._shift_to_anchor``,
+  ``risk.superquantile``), ``grid.merge_seamless``, ``conv._end_value``
+  and ``inverse.solve_monotone`` (``risk.quantile``).
+* ``conv._body_limit``: limits the limits module cannot take (``value``).
 * ``risk.superexpectation``: the tail constant of a CDF whose drift has
   no limit, read one unit right of the last breakpoint (``value``).
 * ``penalty.verify_penalty`` and ``oracle``: graph samples, distances
@@ -50,8 +55,8 @@ from types import MappingProxyType
 
 from .assumptions import AssumptionEnv, Ordering
 from .errors import DomainError, UnboundParameter, UndecidableComparison
-from .expr import Const, Expr, as_expr, evaluate, to_text
-from .simplify import structurally_equal
+from .expr import Const, Expr, as_expr, evaluate, is_numeric_node, substitute, to_text
+from .simplify import simplify, structurally_equal
 
 REL_TOL = 1e-9
 NODES = 33
@@ -81,6 +86,20 @@ def value(v, params: Mapping, x=None) -> float:
     if isinstance(x, Expr):
         x = value(x, params)
     return float(evaluate(as_expr(v), x=x, params=params))
+
+
+def body_at(body: Expr, x: Expr, env: AssumptionEnv, params: Mapping | None = None) -> Expr:
+    """body with the variable at the point x: the exact substitution,
+    or, for a body holding a bisection or quadrature node (whose
+    variable is an implicit argument no substitution reaches), its float
+    there at env's binding, as a constant.  ``params``, when given, are
+    substituted first and are then the only binding: an evaluation at
+    the caller's parameters, where one left unbound raises."""
+    if not is_numeric_node(body):
+        return simplify(substitute(body, var=x, params=params))
+    if params is None:
+        return as_expr(value(body, binding(env), x))
+    return as_expr(value(substitute(body, params=params), {}, x))
 
 
 def at(v, params: Mapping, x=None) -> float | None:

@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import numeric
-from .conv import conjugate, integ
+from .conv import _shift_by, conjugate, integ
 from .errors import NonConvex
-from .expr import Add, Expr, Mul, Sub, X, as_expr
+from .expr import Div, Mul, Neg, X, as_expr
 from .monop import (
     MonotoneOperator,
     SetValue,
@@ -33,30 +32,11 @@ from .monop import (
     subdifferential,
 )
 from .oracle import DEFAULT_SEED, sample_graph
-from .pwf import PiecewiseFunction, build_function
-from .simplify import simplify
+from .pwf import PiecewiseFunction
 
 INF = math.inf
 
-HALF = as_expr(Fraction(1, 2))
-
-
-def _half_square(e: Expr) -> Expr:
-    return simplify(Mul(HALF, Mul(e, e)))
-
-
-def _shift_quadratic(f: PiecewiseFunction, sign: int, weakly_convex: bool) -> PiecewiseFunction:
-    """f(x) + sign * x^2/2, pointwise."""
-    q = _half_square(X)
-    node = Add if sign > 0 else Sub
-    pieces = [None if p.empty else simplify(node(p.body, q)) for p in f.pieces]
-    values = [
-        v if isinstance(v, float) else simplify(node(v, _half_square(b)))
-        for b, v in zip(f.breakpoints, f.values)
-    ]
-    return build_function(
-        f.varname, list(f.breakpoints), pieces, values, f.env, weakly_convex=weakly_convex
-    )
+HALF_SQUARE = Div(Mul(X, X), as_expr(2))
 
 
 def recover_penalty(T: MonotoneOperator) -> PiecewiseFunction:
@@ -70,7 +50,7 @@ def recover_penalty(T: MonotoneOperator) -> PiecewiseFunction:
     """
     h = integ(maximal_extension(T))
     g = conjugate(h)
-    return _shift_quadratic(g, -1, weakly_convex=True)
+    return _shift_by(g, Neg(HALF_SQUARE), weakly_convex=True)
 
 
 @dataclass(frozen=True)
@@ -107,7 +87,7 @@ def verify_penalty(
     """Check that sampled graph points of T land in the graph of the
     proximal map of f.  Failures are reported, not raised."""
     try:
-        g = _shift_quadratic(f, +1, weakly_convex=False)
+        g = _shift_by(f, HALF_SQUARE, weakly_convex=False)
     except NonConvex as exc:
         return PenaltyReport(False, INF, 0, reason=f"f plus the quadratic is not convex: {exc}")
     P = invert(subdifferential(g))

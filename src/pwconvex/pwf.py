@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from . import numeric
 from .assumptions import AssumptionEnv, EMPTY_ENV, Ordering
@@ -37,6 +36,7 @@ from .expr import (
     contains_var,
     differentiate,
     evaluate,
+    map_children,
     substitute,
     to_text,
     walk,
@@ -98,6 +98,14 @@ class PiecewiseFunction(Grid):
     def value_empty(v) -> bool:
         return numeric.is_inf(v)
 
+    @staticmethod
+    def value_point(v) -> Expr | None:
+        return None if numeric.is_inf(v) else v
+
+    @staticmethod
+    def piece_value(body: Expr | None):
+        return INF if body is None else body
+
     def __str__(self) -> str:
         from .render import render_function
 
@@ -144,17 +152,6 @@ def _derivative_limit(piece: Piece, b: Expr, side: str, env: AssumptionEnv):
     return one_sided_limit(d, b, side, env)
 
 
-def _seamless(env: AssumptionEnv, left: Piece, right: Piece, v, b: Expr) -> bool:
-    """Whether the breakpoint b with value v separates nothing: two
-    infinite pieces around +inf, or one body continued through its own
-    value."""
-    if left.empty and right.empty:
-        return numeric.is_inf(v)
-    if left.empty or right.empty or not structurally_equal(left.body, right.body) or numeric.is_inf(v):
-        return False
-    return numeric.equal(env, v, simplify(substitute(left.body, var=b)))
-
-
 def build_function(
     varname: str,
     breakpoints: list[Expr],
@@ -175,7 +172,7 @@ def build_function(
             body = simplify(as_expr(body))
             normd.append(Piece(body, classify_piece(body, env, *cell(bps, i), relaxed=weakly_convex)))
     vals = [v if numeric.is_inf(v) else simplify(as_expr(v)) for v in values]
-    f = PiecewiseFunction(varname, *merge_seamless(bps, normd, vals, partial(_seamless, env)), env, weakly_convex)
+    f = PiecewiseFunction(varname, *merge_seamless(PiecewiseFunction, bps, normd, vals, env), env, weakly_convex)
     validate(f)
     return f
 
@@ -306,31 +303,12 @@ def _abs_root(node: Abs, env: AssumptionEnv) -> tuple[Expr, Expr]:
 
 def _strip_abs(body: Expr, signs: dict[Abs, int]) -> Expr:
     """Rewrite each absolute value with the sign its argument takes."""
-    from .expr import Add, Div, Exp, Ln, Mul, Pow, Sub
 
     def go(e: Expr) -> Expr:
-        if isinstance(e, Abs):
-            if e in signs:
-                inner = go(e.arg)
-                return inner if signs[e] > 0 else Neg(inner)
-            return Abs(go(e.arg))
-        if isinstance(e, Neg):
-            return Neg(go(e.arg))
-        if isinstance(e, Add):
-            return Add(go(e.left), go(e.right))
-        if isinstance(e, Sub):
-            return Sub(go(e.left), go(e.right))
-        if isinstance(e, Mul):
-            return Mul(go(e.left), go(e.right))
-        if isinstance(e, Div):
-            return Div(go(e.left), go(e.right))
-        if isinstance(e, Pow):
-            return Pow(go(e.base), e.exponent)
-        if isinstance(e, Exp):
-            return Exp(go(e.arg))
-        if isinstance(e, Ln):
-            return Ln(go(e.arg))
-        return e
+        if isinstance(e, Abs) and e in signs:
+            inner = go(e.arg)
+            return inner if signs[e] > 0 else Neg(inner)
+        return map_children(e, go)
 
     return go(body)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import numeric
 from .assumptions import AssumptionEnv, EMPTY_ENV
-from .conv import _value_expr_at, conjugate, integ
+from .conv import _shift_by, conjugate, integ
 from .errors import (
     InputError,
     InternalInconsistency,
@@ -38,7 +38,6 @@ from .expr import (
     ZERO,
     as_expr,
     contains_var,
-    substitute,
     to_text,
 )
 from .grid import detect_varname, rebind_var
@@ -143,8 +142,6 @@ def _quantile_operator(q: Expr, env: AssumptionEnv) -> MonotoneOperator:
 def superexpectation(d: DistributionSpec) -> PiecewiseFunction:
     """E(x) = E[max(x, X)]: antiderivative of the CDF operator, with the
     constant fixed by E(x) - x -> 0 at +inf."""
-    from .conv import _shift_by
-
     E0 = integ(d.cdf_op)
     drift = simplify(Sub(E0.pieces[-1].body, X))
     try:
@@ -193,7 +190,7 @@ def quantile(d: DistributionSpec, p) -> Expr:
     pieces, left edge on flats."""
     pe = _check_p(p, d.env)
     if d.quantile_expr is not None:
-        return simplify(substitute(d.quantile_expr, var=pe))
+        return numeric.body_at(d.quantile_expr, pe, d.env)
     T = d.cdf_op
     env = d.env
     for i, piece in enumerate(T.pieces):
@@ -224,7 +221,7 @@ def superquantile(d: DistributionSpec, p) -> Expr:
     the conjugate of the superexpectation between p and 1."""
     pe = _check_p(p, d.env)
     Estar = conjugate(superexpectation(d))
-    v = _value_expr_at(Estar, pe)
+    v = Estar.at(pe)
     if isinstance(v, float):
         raise InternalInconsistency("the conjugate of the superexpectation is infinite inside (0,1)")
     return simplify(Div(Neg(v), Sub(ONE, pe)))

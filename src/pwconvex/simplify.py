@@ -40,6 +40,8 @@ from .expr import (
     X,
     ZERO,
     _pow_number,
+    map_children,
+    pow_sign,
     to_text,
 )
 
@@ -154,12 +156,9 @@ def _exact_pow_frac(c: Fraction, q: Fraction) -> Fraction | None:
     if c == 0:
         return Fraction(0) if q > 0 else None
     if c < 0:
-        if q.denominator % 2 == 0:
-            return None
-        sub = _exact_pow_frac(-c, q)
-        if sub is None:
-            return None
-        return -sub if q.numerator % 2 else sub
+        sign = pow_sign(-1, q)
+        sub = None if sign is None else _exact_pow_frac(-c, q)
+        return None if sub is None else sign * sub
     p = c**q.numerator
     rn = _iroot(p.numerator, q.denominator)
     rd = _iroot(p.denominator, q.denominator)
@@ -290,11 +289,8 @@ def _snf(e: Expr) -> SumMap:
             inner = _rebuild({factors: Fraction(1)})
             return _scale(_single(Abs(inner)), abs(coeff))
         return _single(Abs(_rebuild(arg_map)))
-    if isinstance(e, ImplicitInverse):
-        lo, hi = (b if isinstance(b, float) else simplify(b) for b in (e.lo, e.hi))
-        return _single(ImplicitInverse(simplify(e.forward), lo, hi, e.increasing))
-    if isinstance(e, NumericIntegral):
-        return _single(NumericIntegral(simplify(e.integrand), simplify(e.base)))
+    if isinstance(e, (ImplicitInverse, NumericIntegral)):
+        return _single(map_children(e, simplify))
     raise TypeError(type(e).__name__)
 
 

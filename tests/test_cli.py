@@ -106,6 +106,15 @@ def test_prox_of_a_wall_honours_the_bound_parameter(capsys):
     assert float(out.strip().strip("{}")) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_quantile_through_an_implicit_inverse_is_a_number(capsys):
+    # the CDF 1 - exp(-x)*(1 + x) has no closed-form inverse; the quantile
+    # reads the bisection-backed inverse at p instead of returning it unread
+    argv = ["risk", "--cdf", "pw{ x < 0 -> 0 ; x >= 0 -> 1 - exp(0 - x)*(1 + x) }", "quantile", "1/2"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert float(out) == pytest.approx(1.6783469900, abs=1e-9)
+
+
 def test_param_binding_checks_unbound_parameters_too(capsys):
     facts = ["--assume", "0 < l", "--assume", "l < a", "--assume", "a < 2"]
     argv = ["eval", WALL, *facts, "--param", "l=3", "--at", "4"]

@@ -12,13 +12,19 @@ from pwconvex import grid_conjugate, parse_pwf
 from pwconvex.expr import (
     MAX_PARSE_DEPTH,
     Const,
+    ImplicitInverse,
+    NumericIntegral,
     X,
     as_expr,
+    children,
     differentiate,
     eval_array,
     evaluate,
     format_number,
+    map_children,
+    param_names,
     parse_expr,
+    pow_sign,
     substitute,
     to_text,
 )
@@ -88,10 +94,47 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             ev("x^(1/2)", x=-1)
 
+    @pytest.mark.parametrize("q, sign", [("1/3", -1), ("2/3", 1), ("-5/3", -1), ("1/2", None), ("3", -1)])
+    def test_real_root_rule(self, q, sign):
+        # x^(p/q) for x < 0: no real value for even q, else the sign (-1)^p
+        e = parse_expr(f"(0 - 2)^({q})")
+        assert pow_sign(-1, Fraction(q)) == sign
+        assert AssumptionEnv.empty().sign_of(e) == sign
+        if sign is None:
+            with pytest.raises(DomainError):
+                evaluate(e)
+            return
+        assert math.copysign(1, evaluate(e)) == sign
+        assert math.copysign(1, eval_array(parse_expr(f"x^({q})"), [-2.0])[0]) == sign
+        assert math.copysign(1, evaluate(simplify(parse_expr(f"(0 - 8)^({q})")))) == sign
+
     def test_substitute_expr(self):
         e = parse_expr("x^2 + 1")
         out = simplify(substitute(e, var=parse_expr("x + 1")))
         assert evaluate(out, x=Fraction(2)) == 10
+
+
+class TestNumericNodes:
+    """ImplicitInverse bounds are children: walks, rewrites and parameter
+    substitution all see them."""
+
+    NODE = ImplicitInverse(parse_expr("x^3 + x"), parse_expr("l + 1"), math.inf)
+
+    def test_param_names_sees_a_bound(self):
+        assert param_names(self.NODE) == {"l"}
+        assert self.NODE.lo in children(self.NODE)
+
+    def test_map_children_rebuilds_every_child(self):
+        out = map_children(self.NODE, lambda c: substitute(c, params={"l": 2}))
+        assert evaluate(out.lo) == 3
+        assert out.hi == math.inf and out.increasing
+
+    def test_substitute_keeps_the_implicit_argument(self):
+        # the forward map and the integrand are in their own variable
+        q = NumericIntegral(parse_expr("x^2"), parse_expr("l"))
+        out = substitute(q, var=parse_expr("5"), params={"l": 1})
+        assert out == NumericIntegral(parse_expr("x^2"), as_expr(1))
+        assert evaluate(out, x=2) == pytest.approx(7 / 3)
 
 
 class TestEvalArray:

@@ -25,7 +25,7 @@ from pwconvex.errors import (
     NegativeScalar,
     NotMonotone,
 )
-from pwconvex.expr import evaluate, to_text
+from pwconvex.expr import contains_var, evaluate, to_text
 
 ENV = AssumptionEnv.empty()
 
@@ -118,6 +118,16 @@ class TestAlgebra:
         assert fval(eval_op(T, 2).lo) == 3
         v = eval_op(T, 0)
         assert v.tag == "interval" and fval(v.lo) == -1 and fval(v.hi) == 1
+
+    def test_add_reads_an_implicit_inverse_at_the_breakpoints(self):
+        # y^5 + y has no closed-form inverse; its value at the sign
+        # breakpoint is the bisection root of t^5 + t = 1, not the variable
+        T = add(invert(parse_operator("y^5 + y", ENV)),
+                parse_operator("sd{ x < 1 -> {0} ; x = 1 -> [0, 1] ; x > 1 -> {1} }", ENV))
+        assert all(not contains_var(e) for v in T.values for e in (v.lo, v.hi))
+        v = eval_op(T, 1)
+        assert v.tag == "interval"
+        assert (fval(v.lo), fval(v.hi)) == pytest.approx((0.7548776662, 1.7548776662), abs=1e-9)
 
     def test_add_varname_mismatch(self):
         with pytest.raises(InputError):

@@ -104,11 +104,12 @@ class TestProxConsistency:
         T = parse_operator(HARD, ENV)
         p = recover_penalty(T)
         from pwconvex import eval_op, invert, subdifferential
-        from pwconvex.penalty import _shift_quadratic
+        from pwconvex.conv import _shift_by
+        from pwconvex.penalty import HALF_SQUARE
 
         from pwconvex.expr import evaluate
 
-        P = invert(subdifferential(_shift_quadratic(p, +1, weakly_convex=False)))
+        P = invert(subdifferential(_shift_by(p, HALF_SQUARE, weakly_convex=False)))
         for x, u in [(-3, -3), (Fraction(1, 2), 0), (2, 2)]:
             v = eval_op(P, x)
             assert v.tag in ("point", "interval")
