@@ -15,19 +15,33 @@ Two extra node types exist only as *outputs* of symbolic pipelines:
   evaluates by Gauss-Legendre quadrature from a base point.
 
 Both can be evaluated and printed but never re-parsed.
+
+``evaluate`` is the tree walk: exact in rationals while the arithmetic
+stays closed, floats otherwise.  ``float_kernel`` compiles an expression
+once (cached per expression, ``KERNEL_CACHE_SIZE`` entries) to a float
+function of the point, bound to a parameter binding, for the loops that
+evaluate one expression many times: the forward map of a bisection, the
+integrand of a quadrature, and the Chebyshev sampler
+``numeric.sample``.  Its contract is bit identity with the walk: for
+every float point it returns ``float(evaluate(e, x, params))`` or raises
+the walk's exception.  Both read the float meaning of each node from the
+same helpers (``_nonzero``, ``_exp_number``, ``_ln_number``,
+``_pow_number``).  Single evaluations stay on the walk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
     DomainError,
     MaxIterations,
     ParseError,
+    ToolkitError,
     UnboundParameter,
     UnsupportedOperation,
 )
@@ -693,6 +707,32 @@ def _pow_number(base: Number, q: Fraction) -> Number:
     return math.pow(float(base), float(q))
 
 
+def _nonzero(den: Number) -> Number:
+    """den as a divisor; DomainError when it is zero."""
+    if den == 0:
+        raise DomainError("division by zero")
+    return den
+
+
+def _exp_number(v: Number) -> Number:
+    """exp(v): exactly 1 at v = 0, inf where the float overflows."""
+    if v == 0:
+        return Fraction(1)
+    try:
+        return math.exp(float(v))
+    except OverflowError:
+        return math.inf
+
+
+def _ln_number(v: Number) -> Number:
+    """ln(v): exactly 0 at v = 1; DomainError for v <= 0."""
+    if v <= 0:
+        raise DomainError(f"log of nonpositive value {v}")
+    if v == 1:
+        return Fraction(0)
+    return math.log(float(v))
+
+
 def evaluate(
     e: Expr,
     x: Number | int | None = None,
@@ -728,27 +768,14 @@ def evaluate(
         if isinstance(node, Mul):
             return go(node.left) * go(node.right)
         if isinstance(node, Div):
-            den = go(node.right)
-            if den == 0:
-                raise DomainError("division by zero")
+            den = _nonzero(go(node.right))
             return go(node.left) / den
         if isinstance(node, Pow):
             return _pow_number(go(node.base), node.exponent)
         if isinstance(node, Exp):
-            v = go(node.arg)
-            if v == 0:
-                return Fraction(1)
-            try:
-                return math.exp(float(v))
-            except OverflowError:
-                return math.inf
+            return _exp_number(go(node.arg))
         if isinstance(node, Ln):
-            v = go(node.arg)
-            if v <= 0:
-                raise DomainError(f"log of nonpositive value {v}")
-            if v == 1:
-                return Fraction(0)
-            return math.log(float(v))
+            return _ln_number(go(node.arg))
         if isinstance(node, ImplicitInverse):
             if x is None:
                 raise DomainError("implicit inverse needs an evaluation point")
@@ -763,12 +790,131 @@ def evaluate(
     return go(e)
 
 
+# ---------------------------------------------------------------------------
+# Compiled float kernel
+# ---------------------------------------------------------------------------
+
+#: expressions whose kernel template is kept, least recently used first out
+KERNEL_CACHE_SIZE = 256
+
+_BINARY = {Add: "+", Sub: "-", Mul: "*"}
+_UNARY = {Neg: "-{}", Abs: "abs({})", Exp: "_exp_number({})", Ln: "_ln_number({})"}
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel_template(e: Expr):
+    """The code of e's kernel, as (factory, slots).  ``factory(walk,
+    params, s0, s1, ...)`` returns the kernel; slot ``si`` is described
+    by ``slots[i]``: ("fold", path) for a maximal subtree that does not
+    read the point, bound as its float; ("node", path) for a numeric
+    node, bound as the node; ("const", value) for an exponent.  A path
+    lists ``children`` indices from the root, so the slots of any
+    expression equal to e are read from that expression itself."""
+    lines: list[str] = []
+    slots: list[tuple[str, object]] = []
+
+    def bind(kind: str, payload) -> str:
+        slots.append((kind, payload))
+        return f"s{len(slots) - 1}"
+
+    def emit(node: Expr, path: tuple[int, ...]) -> str:
+        # a numeric node reads the point as its argument
+        if not (contains_var(node) or is_numeric_node(node)):
+            return bind("fold", path)
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, (Neg, Abs, Exp, Ln)):
+            arg = emit(node.arg, path + (0,))
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = " + _UNARY[type(node)].format(arg))
+            if isinstance(node, (Exp, Ln)):
+                # the walk keeps exp(0) = 1 and ln(1) = 0 as Fractions,
+                # which then combine exactly with exact neighbours where
+                # the kernel has floats: such a point is the walk's
+                lines.append(f"if {out}.__class__ is not float: return walk(x)")
+            return out
+        if isinstance(node, Div):
+            # the walk reads and checks the divisor first
+            den = emit(node.right, path + (1,))
+            lines.append(f"_nonzero({den})")
+            num = emit(node.left, path + (0,))
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = {num} / {den}")
+            return out
+        if isinstance(node, (Add, Sub, Mul)):
+            left, right = emit(node.left, path + (0,)), emit(node.right, path + (1,))
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = {left} {_BINARY[type(node)]} {right}")
+            return out
+        if isinstance(node, Pow):
+            base, q = emit(node.base, path + (0,)), node.exponent
+            if q.denominator == 1 and q >= 0:
+                value = f"{base} ** {bind('const', q.numerator)}"
+            else:
+                value = f"_pow_number({base}, {bind('const', q)})"
+        elif isinstance(node, ImplicitInverse):
+            value = f"_eval_implicit({bind('node', path)}, x, params)"
+        else:
+            base = bind("fold", path + (1,))
+            value = f"_eval_quadrature({bind('node', path)}.integrand, {base}, x, params)"
+        out = f"t{len(lines)}"
+        lines.append(f"{out} = {value}")
+        return out
+
+    result = emit(e, ())
+    args = "".join(f", s{i}" for i in range(len(slots)))
+    body = "".join(f"        {line}\n" for line in lines)
+    source = (f"def factory(walk, params{args}):\n    def kernel(x):\n{body}"
+              f"        return {result}\n    return kernel\n")
+    namespace: dict = {}
+    exec(compile(source, "<float kernel>", "exec"), globals(), namespace)
+    return namespace["factory"], tuple(slots)
+
+
+def float_kernel(e: Expr, params: Mapping[str, Number | int] | None = None) -> Callable[[float], float]:
+    """e as a float function of a float point x under params, equal bit
+    for bit to ``float(evaluate(e, x, params))``, errors included.
+
+    The template is compiled once per expression (``KERNEL_CACHE_SIZE``)
+    and bound here: each maximal subtree that does not read the point is
+    evaluated exactly once and enters as its float, which is the operand
+    the walk converts it to.  Where the two would part the kernel is the
+    walk: a folded subtree that raises, or that rounds to 0.0 from a
+    nonzero value (a divisor), and a point where exp or ln is exact."""
+    factory, slots = _kernel_template(e)
+
+    def walk(x: float) -> float:
+        return float(evaluate(e, x, params))
+
+    bound = []
+    for kind, payload in slots:
+        if kind == "const":
+            bound.append(payload)
+            continue
+        node = e
+        for i in payload:
+            node = children(node)[i]
+        if kind == "node":
+            bound.append(node)
+            continue
+        try:
+            exact = evaluate(node, None, params)
+            value = float(exact)
+        except (ToolkitError, ArithmeticError, ValueError):
+            return walk
+        if value == 0 and exact != 0:
+            return walk
+        bound.append(value)
+    return factory(walk, params, *bound)
+
+
 def _eval_implicit(node: ImplicitInverse, target: float, params) -> float:
     """Solve forward(t) = target for t in (lo, hi) by bisection."""
+    forward = float_kernel(node.forward, params)
 
     def f(t: float) -> float:
         try:
-            return float(evaluate(node.forward, t, params))
+            return forward(t)
         except DomainError:
             return math.nan
 
@@ -828,15 +974,13 @@ def _eval_implicit(node: ImplicitInverse, target: float, params) -> float:
     return 0.5 * (a + b)
 
 
-_LEGENDRE_CACHE: dict[int, tuple] = {}
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes and weights on [-1, 1], as Python floats."""
+    import numpy as np
 
-
-def _leggauss(n: int):
-    if n not in _LEGENDRE_CACHE:
-        import numpy as np
-
-        _LEGENDRE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGENDRE_CACHE[n]
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return tuple(map(float, nodes)), tuple(map(float, weights))
 
 
 def _eval_quadrature(integrand: Expr, a: float, b: float, params) -> float:
@@ -844,6 +988,7 @@ def _eval_quadrature(integrand: Expr, a: float, b: float, params) -> float:
     if a == b:
         return 0.0
     nodes, weights = _leggauss(QUAD_NODES)
+    f = float_kernel(integrand, params)
     panels = max(1, min(64, int(abs(b - a)) + 1))
     total = 0.0
     width = (b - a) / panels
@@ -852,7 +997,7 @@ def _eval_quadrature(integrand: Expr, a: float, b: float, params) -> float:
         mid = lo + width / 2.0
         half = width / 2.0
         for t, w in zip(nodes, weights):
-            total += w * float(evaluate(integrand, mid + half * float(t), params))
+            total += w * f(mid + half * t)
     return total * (width / 2.0)
 
 

@@ -17,7 +17,9 @@ The float decisions that remain, by caller:
   (``difference_order``); within the tolerance band it is undecidable.
 * ``pwf.classify_piece``: convexity from derivative samples (``sample``,
   window CLASSIFY_WINDOW); ``inverse.check_strictly_monotone``:
-  monotonicity from samples (``sample``, window GUARD_CLIP).
+  monotonicity from samples (``sample``, window GUARD_CLIP).  ``sample``
+  reads its NODES points through ``expr.float_kernel`` bound once at the
+  binding, which gives bit for bit the floats ``at`` gives there.
 * ``inverse._sign_on_interval``: the sign at a cell midpoint (``clip``
   with GUARD_CLIP, ``sign``), which picks root branches in
   ``inverse._peel`` and abs and log branches in ``conv.antiderivative``.
@@ -43,7 +45,8 @@ The float decisions that remain, by caller:
   and grids (``value``, ``at``, ``clip``).
 
 Bisection (``expr._eval_implicit``) and quadrature
-(``expr._eval_quadrature``) run at whatever parameters they are given.
+(``expr._eval_quadrature``) run at whatever parameters they are given,
+through ``expr.float_kernel`` as well.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from types import MappingProxyType
 
 from .assumptions import AssumptionEnv, Ordering
 from .errors import DomainError, UnboundParameter, UndecidableComparison
-from .expr import Const, Expr, as_expr, evaluate, is_numeric_node, substitute, to_text
+from .expr import Const, Expr, as_expr, evaluate, float_kernel, is_numeric_node, substitute, to_text
 from .simplify import simplify, structurally_equal
 
 REL_TOL = 1e-9
@@ -106,8 +109,14 @@ def at(v, params: Mapping, x=None) -> float | None:
     """``value``, or None where v has no value there (a domain error,
     overflow or NaN).  An unbound parameter and a bisection that cannot
     converge still raise."""
+    return _defined(value, v, params, x)
+
+
+def _defined(fn, *args) -> float | None:
+    """fn(*args), or None where that raises a domain error or overflow
+    or gives NaN."""
     try:
-        f = value(v, params, x)
+        f = fn(*args)
     except (DomainError, ArithmeticError, ValueError):
         return None
     return None if math.isnan(f) else f
@@ -231,8 +240,8 @@ def sample(e: Expr, env: AssumptionEnv, lo, hi, window: float) -> list[tuple[flo
         return None
     mid, half = 0.5 * (clipped[0] + clipped[1]), 0.5 * (clipped[1] - clipped[0])
     xs = [mid + half * math.cos(math.pi * (k + 0.5) / NODES) for k in range(NODES)][::-1]
-    params = binding(env)
-    return [(x, at(e, params, x)) for x in xs]
+    f = float_kernel(e, binding(env))
+    return [(x, _defined(f, x)) for x in xs]
 
 
 def sign(e: Expr, env: AssumptionEnv, xs=(None,)) -> int | None:

@@ -13,14 +13,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import numeric
 from .errors import MaxIterations, WindowOutsideDomain
 from .expr import eval_array
 from .monop import MonotoneOperator
 from .pwf import PiecewiseFunction, domain, eval_pwf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INF = math.inf
 
@@ -36,6 +38,8 @@ def _domain_floats(f: PiecewiseFunction) -> tuple[float, float]:
 
 def grid_values(f: PiecewiseFunction, xs: np.ndarray, params: dict | None = None) -> np.ndarray:
     """Vectorized f(xs): +inf outside the domain, exact piece bodies inside."""
+    import numpy as np
+
     binding = {**numeric.binding(f.env), **params} if params else numeric.binding(f.env)
     out = np.full(xs.shape, INF)
     bps = [numeric.value(b, binding) for b in f.breakpoints]
@@ -59,6 +63,8 @@ def grid_conjugate(
     n: int = 10**5,
 ) -> float:
     """Lower bound on the conjugate at y: max of y*x - f(x) over a grid."""
+    import numpy as np
+
     dlo, dhi = _domain_floats(f)
     if window is None:
         lo, hi = -10.0, 10.0

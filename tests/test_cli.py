@@ -2,9 +2,14 @@
 failures, and one error line on stderr instead of a traceback."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pwconvex
 from pwconvex import cli
 from pwconvex.errors import InternalInconsistency
 
@@ -132,3 +137,12 @@ def test_deeply_nested_parentheses_are_a_parse_error(capsys):
     code, _, err = run(capsys, ["eval", "(" * 3000 + "x" + ")" * 3000, "--at", "1"])
     assert code == 2
     assert err.startswith("error[ParseError]")
+
+
+def test_import_does_not_load_numpy():
+    # numpy is for the oracles and vector evaluation only; start-up skips it
+    src = str(Path(pwconvex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, pwconvex, pwconvex.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,22 +4,36 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwconvex.assumptions import AssumptionEnv
 from pwconvex.conv import antiderivative
-from pwconvex.errors import DomainError, ParseError, UnboundParameter
+from pwconvex.errors import DomainError, MaxIterations, ParseError, UnboundParameter
 from pwconvex import grid_conjugate, parse_pwf
 from pwconvex.expr import (
     MAX_PARSE_DEPTH,
+    ZERO,
+    Abs,
+    Add,
     Const,
+    Div,
+    Exp,
     ImplicitInverse,
+    Ln,
+    Mul,
+    Neg,
     NumericIntegral,
+    Param,
+    Pow,
+    Sub,
     X,
     as_expr,
     children,
     differentiate,
     eval_array,
     evaluate,
+    float_kernel,
     format_number,
     map_children,
     param_names,
@@ -135,6 +149,91 @@ class TestNumericNodes:
         out = substitute(q, var=parse_expr("5"), params={"l": 1})
         assert out == NumericIntegral(parse_expr("x^2"), as_expr(1))
         assert evaluate(out, x=2) == pytest.approx(7 / 3)
+
+
+    def test_quadrature_gives_a_python_float(self):
+        q = NumericIntegral(parse_expr("exp(0 - x^2)"), ZERO)
+        assert type(evaluate(q, 1.0)) is float
+        assert evaluate(q, 1.0) == pytest.approx(0.746824132812427)
+
+
+# expressions of every node kind the grammar admits, with float constants
+# as the pipelines build them, and up to two parameters
+EXPONENTS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+LEAVES = st.one_of(
+    st.just(X),
+    st.builds(Const, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))),
+    st.builds(Const, st.floats(-4, 4)),
+    st.sampled_from([Param("a"), Param("b")]),
+)
+EXPRS = st.recursive(
+    LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub), st.builds(Abs, sub), st.builds(Exp, sub), st.builds(Ln, sub),
+        st.builds(Add, sub, sub), st.builds(Sub, sub, sub), st.builds(Mul, sub, sub),
+        st.builds(Div, sub, sub), st.builds(Pow, sub, EXPONENTS),
+    ),
+    max_leaves=10,
+)
+POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-6, 6),
+                   st.floats(allow_nan=False, allow_infinity=False))
+BINDINGS = st.dictionaries(
+    st.sampled_from(["a", "b"]), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)), max_size=2
+)
+
+
+def outcome(fn) -> str:
+    """repr of the float fn returns (the sign of zero counts), or the
+    class of the exception it raises."""
+    try:
+        return repr(float(fn()))
+    except Exception as exc:  # the class is the outcome under test
+        return type(exc).__name__
+
+
+class TestFloatKernel:
+    """The compiled kernel equals the tree walk bit for bit, errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(EXPRS, POINTS, BINDINGS)
+    def test_kernel_is_the_walk(self, e, x, params):
+        walk = outcome(lambda: evaluate(e, x, params))
+        assert outcome(lambda: float_kernel(e, params)(x)) == walk
+
+    @pytest.mark.parametrize("text, x", [("exp(x - 1)", 1.0), ("-ln(x)", 1.0), ("exp(x)/10 + 2/10", 0.0)])
+    def test_exact_exp_and_ln(self, text, x):
+        # the walk keeps exp(0) = 1 and ln(1) = 0 exact: -ln(1) is 0.0, not -0.0
+        e = parse_expr(text)
+        assert repr(float_kernel(e)(x)) == repr(float(evaluate(e, x)))
+
+    def test_divisor_is_read_first(self):
+        # 10^400 overflows, but the walk stops at the zero divisor before it
+        e = parse_expr("x^400/(x - x)")
+        with pytest.raises(DomainError):
+            float_kernel(e)(10.0)
+
+    def test_divisor_that_rounds_to_zero(self):
+        # (1/10)^400 is a nonzero divisor to the walk and 0.0 as a float
+        e = parse_expr("x/(1/10)^400")
+        assert outcome(lambda: float_kernel(e)(1.0)) == outcome(lambda: evaluate(e, 1.0))
+
+    def test_folded_subtree_that_raises(self):
+        e = parse_expr("x + ln(0 - 1)")
+        with pytest.raises(DomainError):
+            float_kernel(e)(2.0)
+        # as the forward map of a bisection every value is a domain error
+        with pytest.raises(MaxIterations, match="from below"):
+            evaluate(ImplicitInverse(e, -math.inf, math.inf), 0.0)
+
+    def test_bindings_do_not_share_values(self):
+        # Fraction(1, 2) and 0.5 hash alike; each binding reads its own
+        for e in (parse_expr("a*x"), parse_expr("(a + 1/10)*x")):
+            for a in (Fraction(1, 2), 0.5, Fraction(1, 5), 0.2):
+                assert repr(float_kernel(e, {"a": a})(3.0)) == repr(float(evaluate(e, 3.0, {"a": a})))
+        # equal trees share a template but not their constants: 0.0 == -0.0
+        for c in (0.0, -0.0):
+            e = Mul(Const(c), X)
+            assert repr(float_kernel(e)(1.0)) == repr(c)
 
 
 class TestEvalArray:

@@ -9,6 +9,14 @@ output, regenerate the file with
     PYTHONPATH=src python tests/test_golden.py > tests/golden_corpus.txt
 
 and review its diff.
+
+The numeric nodes those outputs print (bisection inverses and quadrature
+integrals) are also evaluated: ``eval_op`` of prox(1) and ``eval_pwf``
+of conj at NUMERIC_POINTS, against tests/golden_evals.txt by exact
+``repr``, so a change to the float evaluator that moves a single bit
+shows.  Regenerate that file with
+
+    PYTHONPATH=src python tests/test_golden.py evals > tests/golden_evals.txt
 """
 
 import json
@@ -23,6 +31,8 @@ from pwconvex import (
     AssumptionEnv,
     biconjugate,
     conjugate,
+    eval_op,
+    eval_pwf,
     function_to_json,
     operator_to_json,
     parse_pwf,
@@ -33,6 +43,8 @@ from pwconvex import (
 )
 
 GOLDEN = Path(__file__).with_name("golden_corpus.txt")
+GOLDEN_EVALS = Path(__file__).with_name("golden_evals.txt")
+NUMERIC_POINTS = (-2.0, -0.5, 0.25, 1.0, 3.0)
 NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 FLOAT_REL_TOL = 1e-12
 
@@ -49,6 +61,23 @@ def render_corpus() -> str:
             else:
                 shown, doc = render_function(obj), function_to_json(obj)
             out += [f"== {name} {stage}", shown, json.dumps(doc)]
+    return "\n".join(out) + "\n"
+
+
+def render_numeric_evals() -> str:
+    """Values at NUMERIC_POINTS of prox(1) and conj of each corpus input
+    whose prox or conj prints a bisection or quadrature node."""
+    out = []
+    for name, text in CORPUS_TEXTS.items():
+        f = parse_pwf(text, AssumptionEnv.empty())
+        p, c = prox(f, 1), conjugate(f)
+        if not re.search(r"inverse\[|integral\[", render_operator(p) + render_function(c)):
+            continue
+        for x in NUMERIC_POINTS:
+            v = eval_op(p, x)
+            shown = repr(float(v.lo.value)) if v.tag == "point" else str(v)
+            out.append(f"{name} prox {x!r} {shown}")
+            out.append(f"{name} conj {x!r} {float(eval_pwf(c, x))!r}")
     return "\n".join(out) + "\n"
 
 
@@ -78,6 +107,10 @@ def test_corpus_outputs_match_the_golden_file():
     assert mismatch(GOLDEN.read_text(), render_corpus()) is None
 
 
+def test_numeric_node_values_match_bit_for_bit():
+    assert render_numeric_evals() == GOLDEN_EVALS.read_text()
+
+
 def test_float_tokens_compare_within_the_tolerance():
     assert mismatch("y -> 0.69314718055994529 + x/3", "y -> 0.69314718055994540 + x/3") is None
     assert mismatch("y -> 0.69314718055994529", "y -> 0.69314718") is not None
@@ -86,4 +119,4 @@ def test_float_tokens_compare_within_the_tolerance():
 
 
 if __name__ == "__main__":
-    sys.stdout.write(render_corpus())
+    sys.stdout.write(render_numeric_evals() if sys.argv[1:] == ["evals"] else render_corpus())
