@@ -38,13 +38,7 @@ from .monop import (
     scale,
     subdifferential,
 )
-from .oracle import (
-    MonotonicityReport,
-    grid_conjugate,
-    monotonicity_check,
-    numeric_prox,
-    sample_graph,
-)
+from .oracle import sample_graph
 from .penalty import PenaltyReport, recover_penalty, verify_penalty
 from .pwf import PiecewiseFunction, build_function, domain, eval_pwf, parse_pwf
 from .render import (
@@ -73,7 +67,6 @@ __all__ = [
     "InputError",
     "InternalInconsistency",
     "MonotoneOperator",
-    "MonotonicityReport",
     "NonConvex",
     "Ordering",
     "ParseError",
@@ -96,13 +89,10 @@ __all__ = [
     "evaluate",
     "format_number",
     "function_to_json",
-    "grid_conjugate",
     "identity_operator",
     "integ",
     "invert",
     "maximal_extension",
-    "monotonicity_check",
-    "numeric_prox",
     "operator_to_json",
     "parse_expr",
     "parse_operator",

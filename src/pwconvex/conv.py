@@ -6,8 +6,8 @@ right for continuity, affine connectors across interior gaps of the
 domain, and quadrature-backed pieces when no elementary antiderivative
 exists.  conjugate composes subdifferential -> invert -> integ and
 fixes the additive constant with the Fenchel-Young equality at a
-single graph point; the pointwise sup formula never enters (the grid
-oracle owns that route).
+single graph point; the pointwise sup formula never enters (only the
+brute-force cross-check in ``tests/oracles.py`` takes that route).
 """
 
 from __future__ import annotations

@@ -123,9 +123,5 @@ class DimensionMismatch(InputError):
     """Vector length does not match the number of separable coordinates."""
 
 
-class WindowOutsideDomain(InputError):
-    """A numeric oracle window misses the effective domain entirely."""
-
-
 class MaxIterations(InternalInconsistency):
     """An iterative numeric fallback failed to converge."""

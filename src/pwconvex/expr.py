@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Union
@@ -52,8 +53,12 @@ Number = Union[Fraction, float]
 BISECT_REL_TOL = 1e-14
 BISECT_MAX_ITER = 200
 
-#: Gauss-Legendre nodes per panel for the quadrature fallback
-QUAD_NODES = 64
+#: a quadrature panel whose last two Legendre coefficients exceed this
+#: share of max(1, its largest sample) is halved, at most QUAD_MAX_SPLITS
+#: deep; the floor of 1 keeps bisection noise (BISECT_REL_TOL absolute
+#: below 1) from splitting panels of small values
+QUAD_TAIL_TOL = 1e-8
+QUAD_MAX_SPLITS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -974,88 +979,91 @@ def _eval_implicit(node: ImplicitInverse, target: float, params) -> float:
     return 0.5 * (a + b)
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes and weights on [-1, 1], as Python floats."""
-    import numpy as np
+#: the 64-node Gauss-Legendre rule on [-1, 1] for the quadrature fallback,
+#: as (node, weight) for the 32 positive nodes; the rule is symmetric
+_GL_HALF = (
+    (0.02435029266342443, 0.048690957009139814),
+    (0.07299312178779904, 0.04857546744150351),
+    (0.12146281929612054, 0.048344762234802996),
+    (0.16964442042399283, 0.04799938859645842),
+    (0.21742364374000708, 0.04754016571483042),
+    (0.2646871622087674, 0.046968182816210076),
+    (0.31132287199021097, 0.04628479658131447),
+    (0.3572201583376681, 0.045491627927418184),
+    (0.4022701579639916, 0.044590558163756566),
+    (0.4463660172534641, 0.04358372452932355),
+    (0.48940314570705296, 0.04247351512365361),
+    (0.5312794640198946, 0.041262563242623576),
+    (0.571895646202634, 0.039953741132720544),
+    (0.6111553551723933, 0.03855015317861564),
+    (0.6489654712546573, 0.03705512854024009),
+    (0.6852363130542333, 0.0354722132568823),
+    (0.7198818501716109, 0.033805161837141794),
+    (0.7528199072605319, 0.032057928354851495),
+    (0.7839723589433414, 0.030234657072402554),
+    (0.8132653151227975, 0.028339672614259535),
+    (0.8406292962525803, 0.02637746971505491),
+    (0.8659993981540928, 0.0243527025687112),
+    (0.8893154459951141, 0.02227017380838297),
+    (0.9105221370785028, 0.020134823153530088),
+    (0.9295691721319396, 0.017951715775697284),
+    (0.9464113748584028, 0.01572603047602503),
+    (0.9610087996520538, 0.01346304789671786),
+    (0.973326827789911, 0.011168139460131028),
+    (0.983336253884626, 0.008846759826363397),
+    (0.9910133714767443, 0.006504457968978502),
+    (0.9963401167719552, 0.004147033260564499),
+    (0.9993050417357722, 0.00178328072169414),
+)
+#: the whole rule, nodes ascending, which fixes the order each panel sums in
+_GL_NODES = tuple(-t for t, _ in reversed(_GL_HALF)) + tuple(t for t, _ in _GL_HALF)
+_GL_WEIGHTS = tuple(w for _, w in reversed(_GL_HALF)) + tuple(w for _, w in _GL_HALF)
 
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return tuple(map(float, nodes)), tuple(map(float, weights))
+
+def _legendre(k: int, t: float) -> float:
+    """P_k(t), k >= 1, by the three-term recurrence."""
+    p, q = 1.0, t
+    for j in range(1, k):
+        p, q = q, ((2 * j + 1) * t * q - j * p) / (j + 1)
+    return q
 
 
-def _eval_quadrature(integrand: Expr, a: float, b: float, params) -> float:
-    """Composite Gauss-Legendre integral of ``integrand`` over [a, b]."""
-    if a == b:
-        return 0.0
-    nodes, weights = _leggauss(QUAD_NODES)
-    f = float_kernel(integrand, params)
-    panels = max(1, min(64, int(abs(b - a)) + 1))
+#: weights on a panel's samples that give the last two Legendre
+#: coefficients of the polynomial through them
+_GL_TAIL = tuple(tuple((k + 0.5) * w * _legendre(k, t) for t, w in zip(_GL_NODES, _GL_WEIGHTS))
+                 for k in (len(_GL_NODES) - 2, len(_GL_NODES) - 1))
+
+
+def _composite(f: Callable[[float], float], a: float, b: float, panels: int, splits: int) -> float:
+    """Gauss-Legendre rule on equal panels of [a, b], summed in one pass in
+    node order.  A panel whose last two Legendre coefficients exceed
+    QUAD_TAIL_TOL of max(1, its largest sample) holds more than the rule
+    resolves, and is ruled again on two halves, at most ``splits`` deep
+    (NaN and inf samples never split: halving does not help them)."""
     total = 0.0
+    halved: list[float] = []
     width = (b - a) / panels
     for k in range(panels):
         lo = a + k * width
         mid = lo + width / 2.0
         half = width / 2.0
-        for t, w in zip(nodes, weights):
-            total += w * f(mid + half * t)
-    return total * (width / 2.0)
+        vals = [f(mid + half * t) for t in _GL_NODES]
+        tail = sum(abs(sum(map(operator.mul, c, vals))) for c in _GL_TAIL)
+        if splits and tail > QUAD_TAIL_TOL * max(1.0, *map(abs, vals)):
+            halved.append(_composite(f, lo, lo + width, 2, splits - 1))
+            continue
+        for w, v in zip(_GL_WEIGHTS, vals):
+            total += w * v
+    return sum(halved, total * (width / 2.0))
 
 
-def eval_array(e: Expr, xs, params: Mapping[str, Number | int] | None = None):
-    """Vectorized float evaluation over a numpy array of points."""
-    import numpy as np
-
-    xs = np.asarray(xs, dtype=float)
-
-    def go(node: Expr):
-        if isinstance(node, Const):
-            return np.full_like(xs, float(node.value))
-        if isinstance(node, Var):
-            return xs
-        if isinstance(node, Param):
-            if params is None or node.name not in params:
-                raise UnboundParameter(node.name)
-            return np.full_like(xs, float(params[node.name]))
-        if isinstance(node, Neg):
-            return -go(node.arg)
-        if isinstance(node, Abs):
-            return np.abs(go(node.arg))
-        if isinstance(node, Add):
-            return go(node.left) + go(node.right)
-        if isinstance(node, Sub):
-            return go(node.left) - go(node.right)
-        if isinstance(node, Mul):
-            return go(node.left) * go(node.right)
-        if isinstance(node, Div):
-            den = go(node.right)
-            if np.any(den == 0):
-                raise DomainError("division by zero")
-            return go(node.left) / den
-        if isinstance(node, Pow):
-            base = go(node.base)
-            q = node.exponent
-            if q.denominator == 1:
-                return base ** int(q)
-            if np.any(base < 0):
-                sign = pow_sign(-1, q)
-                if sign is None:
-                    raise DomainError("negative base under even-root exponent")
-                magnitude = np.abs(base) ** float(q)
-                return np.where(base < 0, sign * magnitude, magnitude)
-            return base ** float(q)
-        if isinstance(node, Exp):
-            with np.errstate(over="ignore"):
-                return np.exp(go(node.arg))
-        if isinstance(node, Ln):
-            arg = go(node.arg)
-            if np.any(arg <= 0):
-                raise DomainError("log of nonpositive value")
-            return np.log(arg)
-        if isinstance(node, (ImplicitInverse, NumericIntegral)):
-            return np.array([float(evaluate(node, float(t), params)) for t in xs])
-        raise TypeError(type(node).__name__)
-
-    return go(e)
+def _eval_quadrature(integrand: Expr, a: float, b: float, params) -> float:
+    """Integral of ``integrand`` over [a, b], one panel per unit of length
+    (64 at most)."""
+    if a == b:
+        return 0.0
+    panels = max(1, min(64, int(abs(b - a)) + 1))
+    return _composite(float_kernel(integrand, params), a, b, panels, QUAD_MAX_SPLITS)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ The float decisions that remain, by caller:
 * ``conv._body_limit``: limits the limits module cannot take (``value``).
 * ``risk.superexpectation``: the tail constant of a CDF whose drift has
   no limit, read one unit right of the last breakpoint (``value``).
-* ``penalty.verify_penalty`` and ``oracle``: graph samples, distances
-  and grids (``value``, ``at``, ``clip``).
+* ``penalty.verify_penalty`` and its graph sampler
+  ``oracle.sample_graph``: graph samples and distances (``value``,
+  ``at``, ``clip``).
 
 Bisection (``expr._eval_implicit``) and quadrature
 (``expr._eval_quadrature``) run at whatever parameters they are given,

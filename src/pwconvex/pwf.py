@@ -18,6 +18,7 @@ from . import numeric
 from .assumptions import AssumptionEnv, EMPTY_ENV, Ordering
 from .errors import (
     DiscontinuousOnDomain,
+    DomainError,
     InputError,
     NonConvex,
     NotLsc,
@@ -414,12 +415,24 @@ def _assemble_parts(branches, env: AssumptionEnv):
     for j, b in enumerate(bps):
         body = at[j]
         if body is not None:
-            values.append(INF if body is _INF_BODY else simplify(substitute(body, var=b)))
+            values.append(INF if body is _INF_BODY else _closed_end_value(body, cells, j, b, env))
         elif j in root_values:  # abs-root synthesized value
             values.append(root_values[j])
         else:
             values.append(_default_value(pieces, bps, j, env))
     return bps, pieces, values
+
+
+def _closed_end_value(body: Expr, cells, j: int, b: Expr, env: AssumptionEnv):
+    """The body at breakpoint j; where substitution has no value (ln(0) at
+    a closed end), the one-sided limit from inside the cell the body owns."""
+    try:
+        return simplify(substitute(body, var=b))
+    except DomainError:
+        sides = [side for side, c in (("left", cells[j]), ("right", cells[j + 1])) if c is body]
+        if len(sides) != 1:
+            raise
+        return one_sided_limit(body, b, sides[0], env)
 
 
 def _default_value(pieces, bps, j, env: AssumptionEnv):

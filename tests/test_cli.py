@@ -139,10 +139,31 @@ def test_deeply_nested_parentheses_are_a_parse_error(capsys):
     assert err.startswith("error[ParseError]")
 
 
-def test_import_does_not_load_numpy():
-    # numpy is for the oracles and vector evaluation only; start-up skips it
+NUMPY_BLOCKED = """
+import json, sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, BlockNumpy())
+from pwconvex import cli, conjugate, eval_pwf, parse_pwf
+
+codes = {name: cli.main(argv) for name, argv in json.loads(sys.argv[1]).items()}
+quadrature = eval_pwf(conjugate(parse_pwf("exp(x) + x^2")), 1.0)
+print(json.dumps({"codes": codes, "quadrature": quadrature}))
+"""
+
+
+def test_every_subcommand_runs_without_numpy():
+    # the declared dependencies are complete: nothing imports numpy, not
+    # even the quadrature behind a conjugate with no closed form
     src = str(Path(pwconvex.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, pwconvex, pwconvex.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    argv = [sys.executable, "-c", NUMPY_BLOCKED, json.dumps(SUBCOMMANDS)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == dict.fromkeys(SUBCOMMANDS, 0)
+    assert result["quadrature"] == pytest.approx(-1.0, abs=1e-12)

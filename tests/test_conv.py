@@ -109,6 +109,20 @@ class TestConjugatePairs:
             assert eval_pwf(g, y) == Fraction(y) ** 2 / 2
         assert eval_pwf(g, 2) == INF
 
+    def test_quadrature_from_a_square_root_end(self):
+        # (f')^-1 for f' = x^3 + 3x^2 goes like sqrt(y/3) at 0; one 64-node
+        # panel missed the limit at 0 by more than the continuity check
+        # allows.  Halving gains about 2^1.5 per level at such an end, so the
+        # 8 levels leave 2e-11 in the constant pinned through [0, 1]
+        g = conjugate(parse_pwf("pw{ x < 0 -> inf ; x >= 0 -> x^4/4 + x^3 }", ENV))
+        assert eval_pwf(g, 0) == 0
+        for y in (0.5, 2.0, 5.0):
+            lo, hi = 0.0, y
+            for _ in range(100):
+                x = (lo + hi) / 2
+                lo, hi = (x, hi) if x**3 + 3 * x**2 < y else (lo, x)
+            assert abs(f_at(g, y) - (x * y - x**4 / 4 - x**3)) < 1e-10
+
     def test_affine_to_shifted_point_indicator(self):
         g = conjugate(parse_pwf("2*x + 3", ENV))
         assert eval_pwf(g, 2) == -3

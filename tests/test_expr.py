@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pwconvex.assumptions import AssumptionEnv
 from pwconvex.conv import antiderivative
 from pwconvex.errors import DomainError, MaxIterations, ParseError, UnboundParameter
-from pwconvex import grid_conjugate, parse_pwf
+from pwconvex import parse_pwf
 from pwconvex.expr import (
     MAX_PARSE_DEPTH,
     ZERO,
@@ -31,7 +31,6 @@ from pwconvex.expr import (
     as_expr,
     children,
     differentiate,
-    eval_array,
     evaluate,
     float_kernel,
     format_number,
@@ -119,7 +118,7 @@ class TestEvaluate:
                 evaluate(e)
             return
         assert math.copysign(1, evaluate(e)) == sign
-        assert math.copysign(1, eval_array(parse_expr(f"x^({q})"), [-2.0])[0]) == sign
+        assert math.copysign(1, float_kernel(parse_expr(f"x^({q})"))(-2.0)) == sign
         assert math.copysign(1, evaluate(simplify(parse_expr(f"(0 - 8)^({q})")))) == sign
 
     def test_substitute_expr(self):
@@ -150,6 +149,20 @@ class TestNumericNodes:
         assert out == NumericIntegral(parse_expr("x^2"), as_expr(1))
         assert evaluate(out, x=2) == pytest.approx(7 / 3)
 
+
+    def test_quadrature_halves_a_panel_it_does_not_resolve(self):
+        # the inverse of h(t) = 10t^3 + t/2 - 1/2 has branch points 0.04 off
+        # the real line near -1/2, where one 64-node panel errs by 2e-9; the
+        # integral of h^-1 from 0 to s is [r*h^-1(r) - H(h^-1(r))] with H' = h
+        inv = ImplicitInverse(parse_expr("10*x^3 + x/2 - 1/2"), -math.inf, math.inf)
+
+        def primitive(r):
+            u = evaluate(inv, r)
+            return r * u - (5 / 2 * u**4 + u**2 / 4 - u / 2)
+
+        for s in (-1.875, -0.6, 2.5):
+            exact = primitive(s) - primitive(0.0)
+            assert evaluate(NumericIntegral(inv, ZERO), s) == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
     def test_quadrature_gives_a_python_float(self):
         q = NumericIntegral(parse_expr("exp(0 - x^2)"), ZERO)
@@ -225,6 +238,12 @@ class TestFloatKernel:
         with pytest.raises(MaxIterations, match="from below"):
             evaluate(ImplicitInverse(e, -math.inf, math.inf), 0.0)
 
+    def test_even_numerator_root_of_negative(self):
+        # x^(p/q) = sign(x)^p * |x|^(p/q): even p gives a positive value
+        assert [float_kernel(parse_expr("x^(2/3)"))(x) for x in (-8.0, 8.0)] == pytest.approx([4.0, 4.0])
+        assert float_kernel(parse_expr("x^(1/3)"))(-8.0) == pytest.approx(-2.0)
+        assert float_kernel(parse_expr("x^(-2/3)"))(-8.0) == pytest.approx(0.25)
+
     def test_bindings_do_not_share_values(self):
         # Fraction(1, 2) and 0.5 hash alike; each binding reads its own
         for e in (parse_expr("a*x"), parse_expr("(a + 1/10)*x")):
@@ -234,20 +253,6 @@ class TestFloatKernel:
         for c in (0.0, -0.0):
             e = Mul(Const(c), X)
             assert repr(float_kernel(e)(1.0)) == repr(c)
-
-
-class TestEvalArray:
-    def test_even_numerator_root_of_negative(self):
-        # x^(p/q) = sign(x)^p * |x|^(p/q): even p gives a positive value
-        assert eval_array(parse_expr("x^(2/3)"), [-8.0, 8.0]).tolist() == pytest.approx([4.0, 4.0])
-        assert eval_array(parse_expr("x^(1/3)"), [-8.0]).tolist() == pytest.approx([-2.0])
-        assert eval_array(parse_expr("x^(-2/3)"), [-8.0]).tolist() == pytest.approx([0.25])
-
-    def test_grid_conjugate_of_even_root_power(self):
-        # (|x|^(4/3))*(y) = max over x of y x - |x|^(4/3) = 27/256 at y = +-1
-        f = parse_pwf("abs(x)^(4/3)")
-        for y in (-1, 1):
-            assert grid_conjugate(f, y) == pytest.approx(27 / 256, abs=1e-6)
 
 
 class TestParseDepth:

@@ -5,7 +5,9 @@ PLQ with rational data under conjugation and proximal maps, so the
 identities below hold exactly at rational points:
 
 * Moreau decomposition: prox_f(x) + prox_{f*}(x) = x;
-* Fenchel-Moreau: f** = f.
+* Fenchel-Moreau: f** = f;
+* Fenchel-Young: f(x) + f*(y) >= x*y, with equality exactly when y is
+  in the subdifferential of f at x.
 
 The functions are built as the antiderivative of a nondecreasing
 piecewise-affine slope, so every one is convex and continuous.
@@ -16,7 +18,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwconvex import AssumptionEnv, biconjugate, conjugate, eval_op, eval_pwf, parse_pwf, prox
+from pwconvex import AssumptionEnv, biconjugate, conjugate, eval_op, eval_pwf, parse_pwf, prox, subdifferential
 from pwconvex.expr import evaluate
 
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
@@ -69,3 +71,19 @@ def test_moreau_decomposition_and_biconjugate(case):
         assert p.tag == pstar.tag == "point"
         assert exact(evaluate(p.lo)) + exact(evaluate(pstar.lo)) == x
         assert exact(eval_pwf(f2, x)) == exact(eval_pwf(f, x))
+
+
+@settings(max_examples=30, deadline=None)
+@given(plq_functions(), st.lists(RATIONALS, min_size=1, max_size=3))
+def test_fenchel_young(case, ys):
+    text, points = case
+    f = parse_pwf(text, AssumptionEnv.empty())
+    g, sd = conjugate(f), subdifferential(f)
+    for x in points:
+        fx = exact(eval_pwf(f, x))
+        for y in ys:
+            gy = eval_pwf(g, y)
+            assert gy == float("inf") or fx + exact(gy) >= x * y
+        s = eval_op(sd, x)
+        for y in {exact(evaluate(s.lo)), exact(evaluate(s.hi))}:
+            assert fx + exact(eval_pwf(g, y)) == x * y

@@ -5,7 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from pwconvex import AssumptionEnv, build_function, domain, eval_pwf, parse_pwf
+from pwconvex import (
+    AssumptionEnv,
+    build_function,
+    conjugate,
+    domain,
+    eval_op,
+    eval_pwf,
+    parse_pwf,
+    render_function,
+    render_operator,
+    subdifferential,
+)
 from pwconvex.errors import (
     DiscontinuousOnDomain,
     GapInGuards,
@@ -155,3 +166,24 @@ class TestEvalAndDomain:
         assert eval_pwf(f, 1) == 0
         assert eval_pwf(f, 0) == math.inf
         assert math.isclose(float(eval_pwf(f, 2.0)), -math.log(2.0))
+
+
+class TestClosedEndWithoutValue:
+    """A closed end where the body has no value (ln(0)) takes the
+    one-sided limit from inside its cell."""
+
+    @pytest.mark.parametrize("closed, reference", [
+        ("pw{ x < 0 -> inf ; x >= 0 -> x*ln(x) - x }", "pw{ x < 0 -> inf ; x = 0 -> 0 ; x > 0 -> x*ln(x) - x }"),
+        ("pw{ x < 0 -> inf ; x >= 0 -> 0 - ln(x) }", "pw{ x < 0 -> inf ; x > 0 -> 0 - ln(x) }"),
+    ])
+    def test_same_as_the_explicit_form(self, closed, reference):
+        f, ref = parse_pwf(closed, ENV), parse_pwf(reference, ENV)
+        assert eval_pwf(f, 0) == eval_pwf(ref, 0)
+        assert render_operator(subdifferential(f)) == render_operator(subdifferential(ref))
+        assert render_function(conjugate(f)) == render_function(conjugate(ref))
+
+    def test_entropy(self):
+        f = parse_pwf("pw{ x < 0 -> inf ; x >= 0 -> x*ln(x) - x }", ENV)
+        assert eval_pwf(f, 0) == 0
+        assert eval_op(subdifferential(f), 0).tag == "empty"
+        assert render_function(conjugate(f)) == render_function(parse_pwf("exp(y)", ENV))
