@@ -67,7 +67,9 @@ QUAD_MAX_SPLITS = 8
 
 
 class Expr:
-    """Base class of all expression nodes.  Nodes are immutable."""
+    """Base class of all expression nodes.  Nodes are immutable and
+    slotted (no instance dict): the simplify cache holds thousands of
+    them."""
 
     __slots__ = ()
 
@@ -105,7 +107,7 @@ class Expr:
         return f"<expr {to_text(self)}>"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Const(Expr):
     """A rational or decimal constant.  Rationals are preferred.
 
@@ -132,53 +134,53 @@ class Const(Expr):
         return hash((Const, isinstance(self.value, float), self.value))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Var(Expr):
     """The distinguished variable of the one-dimensional family."""
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Param(Expr):
     """A named symbolic parameter (anything the grammar's ident matches)."""
 
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Abs(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Pow(Expr):
     """Power with a fixed rational exponent."""
 
@@ -190,17 +192,17 @@ class Pow(Expr):
             object.__setattr__(self, "exponent", Fraction(self.exponent))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Ln(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class ImplicitInverse(Expr):
     """Inverse of ``forward`` (strictly monotone on (lo, hi)) at the
     variable.  ``lo``/``hi`` bound the *forward* argument: variable-free
@@ -214,7 +216,7 @@ class ImplicitInverse(Expr):
     increasing: bool = True
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class NumericIntegral(Expr):
     """integral of ``integrand`` from ``base`` to the variable, by
     composite Gauss-Legendre quadrature.  Downstream consumers may

@@ -18,18 +18,21 @@ A piecewise function stores an extended-real value at each breakpoint
 monotone operator stores a closed SetValue at each breakpoint and an
 empty piece where its graph has no points.  This module holds what the
 two share: the Piece and Grid types, breakpoint checks and merging, the
-point locator and reader, and the guard DSL from branch parsing to cell
-cover.
+point locator and exact reader (``Grid.locate``, ``Grid.at``), the float
+reader for loops over many float points (``Grid.float_view``), and the
+guard DSL from branch parsing to cell cover.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from . import numeric
 from .assumptions import AssumptionEnv, Ordering
-from .errors import GapInGuards, InputError, OverlappingGuards, ParseError, UndecidableComparison
+from .errors import GapInGuards, InputError, OverlappingGuards, ParseError, ToolkitError, UndecidableComparison
 from .expr import (
     Expr,
     Neg,
@@ -37,6 +40,7 @@ from .expr import (
     X,
     ZERO,
     contains_var,
+    float_kernel,
     substitute,
     to_text,
     tokenize,
@@ -46,6 +50,10 @@ from .inverse import poly_coeffs
 from .simplify import simplify, structurally_equal
 
 INF = math.inf
+
+# a float point this close to a float breakpoint b, relative to max(1, |b|),
+# is read exactly: the float of b may sit on either side of b itself
+BREAKPOINT_BAND = 1e-12
 
 RESERVED_VARS = ("x", "y", "p")
 
@@ -139,6 +147,45 @@ class Grid:
             return self.values[i]
         body = self.pieces[i].body
         return self.piece_value(None if body is None else numeric.body_at(body, x, env))
+
+    def float_view(self, binding: Mapping) -> FloatView:
+        """The grid read at float points under binding: its breakpoints as
+        floats and one ``float_kernel`` per live piece, built once."""
+        return FloatView(
+            [numeric.value(b, binding) for b in self.breakpoints],
+            [None if p.empty else float_kernel(p.body, binding) for p in self.pieces],
+        )
+
+
+@dataclass(frozen=True)
+class FloatView:
+    """A grid read at many float points under one binding (``Grid.float_view``).
+
+    ``at`` finds a point's cell by bisection on the float breakpoints and
+    reads the piece there through its kernel, bit for bit the tree walk.
+    The points where floats could decide otherwise than the exact reader
+    (``Grid.at``, ``eval_op``) it leaves to that reader."""
+
+    breakpoints: list[float]
+    kernels: list[Callable[[float], float] | None]  # None for an empty piece
+
+    def at(self, x: float) -> float | None:
+        """The live piece containing x read at x; None where the exact
+        reader decides: within BREAKPOINT_BAND of a float breakpoint, in an
+        empty piece, or where the kernel raises or gives NaN."""
+        bps = self.breakpoints
+        i = bisect.bisect_left(bps, x)
+        for b in bps[max(i - 1, 0) : i + 1]:
+            if abs(x - b) <= BREAKPOINT_BAND * max(1.0, abs(b)):
+                return None
+        kernel = self.kernels[i]
+        if kernel is None:
+            return None
+        try:
+            u = kernel(x)
+        except (ToolkitError, ArithmeticError, ValueError):
+            return None
+        return None if math.isnan(u) else u
 
 
 # ---------------------------------------------------------------------------

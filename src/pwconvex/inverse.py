@@ -37,6 +37,9 @@ from .expr import (
 from .simplify import as_terms, is_zero, simplify, structurally_equal
 
 GUARD_CLIP = 1e10
+# sampled values this many units in the last place apart count as equal:
+# far out, a slope that flattens to +-1 wobbles in its last digit
+TIE_ULPS = 4
 
 
 def poly_coeffs(e: Expr) -> dict[int, Expr] | None:
@@ -179,8 +182,9 @@ def _peel_inner(shell: Expr, t: Expr, env: AssumptionEnv, lo, hi) -> Expr | None
 def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi) -> int:
     """Numeric guardrail: sample on Chebyshev nodes and insist the
     finite differences never disagree in sign.  Returns +1 or -1.
-    Zeros are tolerated (flat spots are resolved symbolically upstream);
-    only an actual sign conflict raises NotMonotone.
+    Zeros, and differences within TIE_ULPS units in the last place, are
+    tolerated (flat spots are resolved symbolically upstream); only an
+    actual sign conflict raises NotMonotone.
     """
     samples = numeric.sample(e, env, lo, hi, GUARD_CLIP)
     if samples is None:
@@ -193,10 +197,11 @@ def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi) -> int:
             continue
         if prev is not None:
             d = v - prev
-            if d > 0:
-                pos += 1
-            elif d < 0:
-                neg += 1
+            if math.isinf(d) or abs(d) > TIE_ULPS * math.ulp(max(abs(v), abs(prev))):
+                if d > 0:
+                    pos += 1
+                else:
+                    neg += 1
         prev = v
     if pos and neg:
         raise NotMonotone(f"{to_text(e)} is not monotone on the sampled interval")

@@ -6,8 +6,8 @@ satisfies every fact of the environment.  Such a verdict holds at that
 binding, not for every binding the facts allow.  This module is the
 only reader of ``AssumptionEnv.feasible_point`` (through ``binding``,
 once per environment) and holds the one float coercion (``value``,
-``at``), the one read of a body at a point (``body_at``), the one
-extended-real order (``order``, ``less``, ``equal``,
+``at``, ``defined``), the one read of a body at a point (``body_at``),
+the one extended-real order (``order``, ``less``, ``equal``,
 ``difference_order``, ``sort_key``), the one clip and Chebyshev
 sampler (``clip``, ``sample``) and the one sign probe (``sign``).
 
@@ -43,7 +43,11 @@ The float decisions that remain, by caller:
   no limit, read one unit right of the last breakpoint (``value``).
 * ``penalty.verify_penalty`` and its graph sampler
   ``oracle.sample_graph``: graph samples and distances (``value``,
-  ``at``, ``clip``).
+  ``clip``, ``defined``).  Both read a grid at many float points
+  through ``grid.Grid.float_view``: float breakpoints and one
+  ``expr.float_kernel`` per piece at the binding.  A point near a
+  breakpoint, or where a kernel has no value, is read exactly instead
+  (``monop.eval_op``).
 
 Bisection (``expr._eval_implicit``) and quadrature
 (``expr._eval_quadrature``) run at whatever parameters they are given,
@@ -110,10 +114,10 @@ def at(v, params: Mapping, x=None) -> float | None:
     """``value``, or None where v has no value there (a domain error,
     overflow or NaN).  An unbound parameter and a bisection that cannot
     converge still raise."""
-    return _defined(value, v, params, x)
+    return defined(value, v, params, x)
 
 
-def _defined(fn, *args) -> float | None:
+def defined(fn, *args) -> float | None:
     """fn(*args), or None where that raises a domain error or overflow
     or gives NaN."""
     try:
@@ -242,7 +246,7 @@ def sample(e: Expr, env: AssumptionEnv, lo, hi, window: float) -> list[tuple[flo
     mid, half = 0.5 * (clipped[0] + clipped[1]), 0.5 * (clipped[1] - clipped[0])
     xs = [mid + half * math.cos(math.pi * (k + 0.5) / NODES) for k in range(NODES)][::-1]
     f = float_kernel(e, binding(env))
-    return [(x, _defined(f, x)) for x in xs]
+    return [(x, defined(f, x)) for x in xs]
 
 
 def sign(e: Expr, env: AssumptionEnv, xs=(None,)) -> int | None:

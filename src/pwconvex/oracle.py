@@ -28,16 +28,17 @@ def sample_graph(
 
     Breakpoint values contribute endpoints and midpoints (half-lines are
     clipped to the window); pieces contribute uniform random interior
-    points.
+    points, read through the pieces' kernels (``Grid.float_view``), which
+    give bit for bit the floats of ``numeric.at``.
     """
     rng = rng or random.Random(DEFAULT_SEED)
     env = T.env
     binding = numeric.binding(env)
+    view = T.float_view(binding)
     pts: list[tuple[float, float]] = []
-    for b, v in zip(T.breakpoints, T.values):
+    for xb, v in zip(view.breakpoints, T.values):
         if v.tag == "empty":
             continue
-        xb = numeric.value(b, binding)
         if v.tag == "point":
             us = [numeric.value(v.lo, binding)]
         elif v.tag == "all":
@@ -58,7 +59,7 @@ def sample_graph(
             clo, chi = clipped
             for _ in range(per):
                 x = rng.uniform(clo, chi)
-                u = numeric.at(T.pieces[i].body, binding, x)
+                u = numeric.defined(view.kernels[i], x)
                 if u is not None:
                     pts.append((x, u))
     rng.shuffle(pts)

@@ -10,11 +10,14 @@ piece classification.
 verify_penalty goes the other way and never raises on a bad claim: it
 rebuilds the proximal map of the candidate penalty through the
 subdifferential of f + x^2/2 and measures how far sampled graph points
-of T fall from it.
+of T fall from it.  It reads that map at the samples through one
+``Grid.float_view``; a sample the view leaves to the exact reader (one
+near a breakpoint) goes through ``eval_op``, once per distinct point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -64,12 +67,17 @@ class PenaltyReport:
     reason: str | None = None
 
 
-def _set_distance(v: SetValue, u: float, binding: dict) -> float:
-    if v.tag == "empty":
+def _float_bounds(v: SetValue, binding) -> tuple[float, float] | None:
+    """The ends of v as floats at the binding; None for the empty set."""
+    ends = v.bounds()
+    return None if ends is None else (numeric.value(ends[0], binding), numeric.value(ends[1], binding))
+
+
+def _distance(bounds: tuple[float, float] | None, u: float) -> float:
+    """How far u lies from the closed interval ``bounds`` (inf for None)."""
+    if bounds is None:
         return INF
-    if v.tag == "all":
-        return 0.0
-    lo, hi = numeric.value(v.lo, binding), numeric.value(v.hi, binding)
+    lo, hi = bounds
     if u < lo:
         return lo - u
     if u > hi:
@@ -92,11 +100,14 @@ def verify_penalty(
         return PenaltyReport(False, INF, 0, reason=f"f plus the quadratic is not convex: {exc}")
     P = invert(subdifferential(g))
     binding = numeric.binding(T.env)
+    view = P.float_view(binding)
+    exact = functools.cache(lambda x: _float_bounds(eval_op(P, x, params=binding or None), binding))
     pts = sample_graph(T, n, random.Random(seed))
     worst = 0.0
     witness = None
     for x, u in pts:
-        d = _set_distance(eval_op(P, x, params=binding or None), u, binding)
+        p = view.at(x)
+        d = _distance(exact(x) if p is None else (p, p), u)
         if d > worst:
             worst, witness = d, (x, u)
     passed = worst <= tol

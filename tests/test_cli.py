@@ -2,6 +2,7 @@
 failures, and one error line on stderr instead of a traceback."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,36 @@ def test_quantile_through_an_implicit_inverse_is_a_number(capsys):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert float(out) == pytest.approx(1.6783469900, abs=1e-9)
+
+
+SMOOTH_ABS = "(1 + x^2)^(1/2)"
+
+
+def test_a_slope_that_flattens_out_is_monotone(capsys):
+    # x*(1 + x^2)^(-1/2) rounds to -1 and +1 far out, where the samples
+    # wobble in the last ulp; those differences are ties, not decreases
+    code, out, err = run(capsys, ["subdiff", SMOOTH_ABS])
+    assert code == 0, err
+    assert out.strip() == "x  ->  {x*(1 + x^2)^(-1/2)}"
+
+
+def test_prox_of_a_slope_that_flattens_out(capsys):
+    code, out, err = run(capsys, ["prox", SMOOTH_ABS, "--at", "2"])
+    assert code == 0, err
+    # the root of p + p/sqrt(1 + p^2) = 2, by bisection on [0, 2]
+    lo, hi = 0.0, 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid + mid / math.sqrt(1 + mid * mid) < 2 else (lo, mid)
+    assert float(out.strip().strip("{}")) == pytest.approx(lo, rel=1e-12, abs=0.0)
+
+
+def test_a_true_decrease_is_not_a_tie(capsys):
+    # x^3 - 3*x falls on (-1, 1), by far more than a few ulps
+    cubic = "sd{ x < -2 -> {x} ; x = -2 -> {-2} ; -2 < x & x < 2 -> {x^3 - 3*x} ; x = 2 -> {2} ; x > 2 -> {x} }"
+    code, out, err = run(capsys, ["invert", cubic])
+    assert code == 2 and not out
+    assert err.startswith("error[NotMonotone]")
 
 
 def test_param_binding_checks_unbound_parameters_too(capsys):
