@@ -10,7 +10,8 @@ admits.
 Two extra node types exist only as *outputs* of symbolic pipelines:
 
 * ``ImplicitInverse`` -- the inverse of a strictly monotone expression
-  that has no closed form; it evaluates by bisection.
+  that has no closed form; it evaluates by Newton's method safeguarded
+  by bisection.
 * ``NumericIntegral`` -- an antiderivative with no closed form; it
   evaluates by Gauss-Legendre quadrature from a base point.
 
@@ -20,8 +21,9 @@ Both can be evaluated and printed but never re-parsed.
 stays closed, floats otherwise.  ``float_kernel`` compiles an expression
 once (cached per expression, ``KERNEL_CACHE_SIZE`` entries) to a float
 function of the point, bound to a parameter binding, for the loops that
-evaluate one expression many times: the forward map of a bisection, the
-integrand of a quadrature, and the Chebyshev sampler
+evaluate one expression many times: the forward map of an implicit
+inverse and its derivative, the integrand of a quadrature, and the
+Chebyshev sampler
 ``numeric.sample``.  Its contract is bit identity with the walk: for
 every float point it returns ``float(evaluate(e, x, params))`` or raises
 the walk's exception.  Both read the float meaning of each node from the
@@ -49,13 +51,15 @@ from .errors import (
 
 Number = Union[Fraction, float]
 
-#: relative tolerance and iteration cap for the bisection fallback
+#: an implicit inverse is solved to relative tolerance BISECT_REL_TOL
+#: (of max(1, |root|)); BISECT_MAX_ITER caps each push of the bracket
+#: toward an end, and three times that the safeguarded Newton steps
 BISECT_REL_TOL = 1e-14
 BISECT_MAX_ITER = 200
 
 #: a quadrature panel whose last two Legendre coefficients exceed this
 #: share of max(1, its largest sample) is halved, at most QUAD_MAX_SPLITS
-#: deep; the floor of 1 keeps bisection noise (BISECT_REL_TOL absolute
+#: deep; the floor of 1 keeps solver noise (BISECT_REL_TOL absolute
 #: below 1) from splitting panels of small values
 QUAD_TAIL_TOL = 1e-8
 QUAD_MAX_SPLITS = 8
@@ -207,7 +211,9 @@ class ImplicitInverse(Expr):
     """Inverse of ``forward`` (strictly monotone on (lo, hi)) at the
     variable.  ``lo``/``hi`` bound the *forward* argument: variable-free
     expressions, exact in the parameters, or +-inf.  Evaluates by
-    bisection to relative tolerance BISECT_REL_TOL.
+    Newton's method on ``forward`` and its derivative, safeguarded by a
+    bracket that bisection keeps, to relative tolerance BISECT_REL_TOL
+    (``_Solver``).
     """
 
     forward: Expr
@@ -303,7 +309,7 @@ def param_names(e: Expr) -> set[str]:
 
 
 def is_numeric_node(e: Expr) -> bool:
-    """True when the tree contains a bisection or quadrature node."""
+    """True when the tree contains an implicit inverse or a quadrature node."""
     return any(isinstance(n, (ImplicitInverse, NumericIntegral)) for n in walk(e))
 
 
@@ -654,7 +660,7 @@ def substitute(
 ) -> Expr:
     """Replace the variable and/or named parameters by expressions.
 
-    The variable of a bisection or quadrature node is its implicit
+    The variable of an implicit inverse or quadrature node is its implicit
     argument, which has no node to replace: such a node keeps it and
     takes only the parameters."""
 
@@ -814,9 +820,11 @@ def _kernel_template(e: Expr):
     params, s0, s1, ...)`` returns the kernel; slot ``si`` is described
     by ``slots[i]``: ("fold", path) for a maximal subtree that does not
     read the point, bound as its float; ("node", path) for a numeric
-    node, bound as the node; ("const", value) for an exponent.  A path
-    lists ``children`` indices from the root, so the slots of any
-    expression equal to e are read from that expression itself."""
+    node, bound as the node; ("solver", path) for an implicit inverse,
+    bound as its ``_Solver`` at the binding; ("const", value) for an
+    exponent.  A path lists ``children`` indices from the root, so the
+    slots of any expression equal to e are read from that expression
+    itself."""
     lines: list[str] = []
     slots: list[tuple[str, object]] = []
 
@@ -860,7 +868,7 @@ def _kernel_template(e: Expr):
             else:
                 value = f"_pow_number({base}, {bind('const', q)})"
         elif isinstance(node, ImplicitInverse):
-            value = f"_eval_implicit({bind('node', path)}, x, params)"
+            value = f"_eval_implicit({bind('node', path)}, x, params, {bind('solver', path)})"
         else:
             base = bind("fold", path + (1,))
             value = f"_eval_quadrature({bind('node', path)}.integrand, {base}, x, params)"
@@ -887,7 +895,10 @@ def float_kernel(e: Expr, params: Mapping[str, Number | int] | None = None) -> C
     evaluated exactly once and enters as its float, which is the operand
     the walk converts it to.  Where the two would part the kernel is the
     walk: a folded subtree that raises, or that rounds to 0.0 from a
-    nonzero value (a divisor), and a point where exp or ln is exact."""
+    nonzero value (a divisor), and a point where exp or ln is exact.
+    Each implicit inverse enters with its solver, the one the walk takes
+    from the solver cache; where building it raises, every solve looks
+    it up again and raises as the walk's does."""
     factory, slots = _kernel_template(e)
 
     def walk(x: float) -> float:
@@ -904,6 +915,12 @@ def float_kernel(e: Expr, params: Mapping[str, Number | int] | None = None) -> C
         if kind == "node":
             bound.append(node)
             continue
+        if kind == "solver":
+            try:
+                bound.append(_solver(node, params))
+            except (ToolkitError, ArithmeticError, ValueError):
+                bound.append(None)
+            continue
         try:
             exact = evaluate(node, None, params)
             value = float(exact)
@@ -915,70 +932,149 @@ def float_kernel(e: Expr, params: Mapping[str, Number | int] | None = None) -> C
     return factory(walk, params, *bound)
 
 
-def _eval_implicit(node: ImplicitInverse, target: float, params) -> float:
-    """Solve forward(t) = target for t in (lo, hi) by bisection."""
-    forward = float_kernel(node.forward, params)
+def _eval_implicit(node: ImplicitInverse, target: float, params, solver: "_Solver | None" = None) -> float:
+    """Solve forward(t) = target for t in (lo, hi).  A kernel passes the
+    solver it bound; the walk takes it from the solver cache."""
+    return (_solver(node, params) if solver is None else solver).solve(target)
 
-    def f(t: float) -> float:
+
+#: (node, binding) pairs whose solver is kept, least recently used first out
+SOLVER_CACHE_SIZE = 64
+
+
+def _solver(node: ImplicitInverse, params) -> "_Solver":
+    """The solver of node under params.  The key tells apart bindings
+    that compare equal but evaluate differently: Fraction(1, 2) and 0.5,
+    0.0 and -0.0."""
+    key = tuple(sorted((k, type(v), repr(v), v) for k, v in params.items())) if params else ()
+    return _cached_solver(node, key)
+
+
+@functools.lru_cache(maxsize=SOLVER_CACHE_SIZE)
+def _cached_solver(node: ImplicitInverse, key: tuple) -> "_Solver":
+    return _Solver(node, {k: v for k, _, _, v in key})
+
+
+def _no_slope(t: float) -> float:
+    return math.nan
+
+
+class _Solver:
+    """forward(t) = target for t in the open (lo, hi) of one
+    ImplicitInverse under one binding, by Newton's method safeguarded by
+    bisection (after Brent, *Algorithms for Minimization without
+    Derivatives*, 1973).  The forward map and its derivative are float
+    kernels and the bounds floats, all bound once."""
+
+    __slots__ = ("forward", "slope", "lo", "hi", "sign")
+
+    def __init__(self, node: ImplicitInverse, params):
+        self.forward = float_kernel(node.forward, params)
         try:
-            return forward(t)
+            self.slope = float_kernel(differentiate(node.forward), params)
+        except UnsupportedOperation:  # abs or a nested inverse: every step bisects
+            self.slope = _no_slope
+        # the bounds are exact in the parameters: evaluate them with the rest
+        self.lo, self.hi = (b if isinstance(b, float) else float(evaluate(as_expr(b), None, params))
+                            for b in (node.lo, node.hi))
+        self.sign = 1.0 if node.increasing else -1.0
+
+    def gap(self, t: float, target: float) -> float:
+        """sign * (forward(t) - target): increasing in t, NaN off the domain."""
+        try:
+            return self.sign * (self.forward(t) - target)
         except DomainError:
             return math.nan
 
-    # the bounds are exact in the parameters: evaluate them with the rest
-    lo, hi = (b if isinstance(b, float) else float(evaluate(as_expr(b), None, params))
-              for b in (node.lo, node.hi))
-    sign = 1.0 if node.increasing else -1.0
-
-    # Establish a finite starting bracket inside the open interval.
-    if math.isinf(lo) and math.isinf(hi):
-        a, b = -1.0, 1.0
-    elif math.isinf(lo):
-        b = hi - 1.0 if math.isfinite(hi) else 0.0
-        a = b - 1.0
-    elif math.isinf(hi):
-        a = lo + 1.0
-        b = a + 1.0
-    else:
-        a = lo + (hi - lo) / 4.0
-        b = hi - (hi - lo) / 4.0
-
-    def push_low(a: float) -> float:
-        # move toward lo until f(a) is on the low side of target
+    def push(self, t: float, target: float, side: float) -> tuple[float, float]:
+        """t moved toward the end on ``side`` (-1 lo, 1 hi) until the gap
+        there has that side's sign, with that gap: by doubling steps
+        toward an infinite end, by halving the distance to a finite one.
+        Within BISECT_REL_TOL of a finite end with the gap still on the
+        wrong side, the root lies in that sliver: the end is returned,
+        with NaN for its gap."""
+        end = self.lo if side < 0 else self.hi
         for _ in range(BISECT_MAX_ITER):
-            fa = f(a)
-            if not math.isnan(fa) and sign * (fa - target) <= 0:
-                return a
-            a = (a - 1.0) * 2.0 if math.isinf(lo) else lo + (a - lo) / 2.0
-        raise MaxIterations("bisection could not bracket from below")
+            g = self.gap(t, target)
+            if side * g >= 0:
+                return t, g
+            if math.isinf(end):
+                t = (t + side) * 2.0
+            elif g == g and abs(t - end) <= BISECT_REL_TOL * max(1.0, abs(t)):
+                return end, math.nan
+            else:
+                t = end + (t - end) / 2.0
+        raise MaxIterations(f"could not bracket the root from {'below' if side < 0 else 'above'}")
 
-    def push_high(b: float) -> float:
-        for _ in range(BISECT_MAX_ITER):
-            fb = f(b)
-            if not math.isnan(fb) and sign * (fb - target) >= 0:
-                return b
-            b = (b + 1.0) * 2.0 if math.isinf(hi) else hi - (hi - b) / 2.0
-        raise MaxIterations("bisection could not bracket from above")
+    def solve(self, target: float) -> float:
+        """The midpoint of a bracket no wider than BISECT_REL_TOL *
+        max(1, |midpoint|) whose ends straddle the target, or a point where
+        forward hits the target exactly.
 
-    a = push_low(a)
-    b = push_high(b)
-    if a > b:
-        a, b = b, a
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (a + b)
-        if b - a <= BISECT_REL_TOL * max(1.0, abs(mid)):
-            return mid
-        fm = f(mid)
-        if math.isnan(fm):
-            # fall toward the finite side on domain hiccups near open ends
-            a = mid if math.isinf(hi) else a
-            b = mid if not math.isinf(hi) else b
-            continue
-        if sign * (fm - target) < 0:
-            a = mid
+        Each step takes the Newton iterate, or bisects when that iterate
+        leaves the bracket, when the derivative there has no positive
+        finite value, or when the step has not halved in two steps (the
+        step, not the bracket: Newton converges from one side, so one end
+        of the bracket stays where it was).  A Newton step shorter than
+        the tolerance closes the bracket with one probe on each side of
+        the iterate."""
+        lo, hi = self.lo, self.hi
+        # Establish a finite starting bracket inside the open interval.
+        if math.isinf(lo) and math.isinf(hi):
+            a, b = -1.0, 1.0
+        elif math.isinf(lo):
+            b = hi - 1.0 if math.isfinite(hi) else 0.0
+            a = b - 1.0
+        elif math.isinf(hi):
+            a = lo + 1.0
+            b = a + 1.0
         else:
-            b = mid
-    return 0.5 * (a + b)
+            a = lo + (hi - lo) / 4.0
+            b = hi - (hi - lo) / 4.0
+        (a, ga), (b, gb) = self.push(a, target, -1.0), self.push(b, target, 1.0)
+        if ga == 0 or gb == 0:
+            return a if ga == 0 else b
+        # start from the secant point: the midpoint of a wide bracket is
+        # often 0, where exp is exact and the kernels fall back to the walk
+        t = a - ga * ((b - a) / (gb - ga))
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        # a domain hiccup lies near an open end: fall toward the finite side
+        nan_is_low = math.isinf(hi)
+        older = newer = b - a  # the last two step lengths
+        radius = 0.0  # of the two probes around t, when they are next
+        for _ in range(3 * BISECT_MAX_ITER):
+            for p in (t - radius, t + radius) if radius else (t,):
+                if not a < p < b:
+                    continue
+                g = self.gap(p, target)
+                if g == 0:
+                    return p
+                if g < 0 or (nan_is_low and g != g):
+                    a = p
+                else:
+                    b = p
+            mid = 0.5 * (a + b)
+            if b - a <= BISECT_REL_TOL * max(1.0, abs(mid)):
+                return mid
+            if radius:  # the probes missed the root: go on from the iterate
+                radius = 0.0
+                if not a < t < b:
+                    t = mid
+                continue
+            try:
+                d = self.sign * self.slope(t)
+            except (ToolkitError, ArithmeticError, ValueError):
+                d = math.nan
+            step = g / d if 0.0 < d < math.inf else math.nan
+            r = BISECT_REL_TOL / 8.0 * max(1.0, abs(t))
+            if abs(step) <= r:
+                t, radius = t - step, r
+            elif a < t - step < b and abs(step) <= 0.5 * older:
+                t, older, newer = t - step, newer, abs(step)
+            else:
+                t, older, newer = mid, newer, 0.5 * (b - a)
+        raise MaxIterations("safeguarded Newton did not converge")
 
 
 #: the 64-node Gauss-Legendre rule on [-1, 1] for the quadrature fallback,

@@ -3,8 +3,8 @@
 The peeling pass handles every composition of affine maps, integer and
 rational powers (including shifted powers like c*(x - r)^n + d), exp,
 ln, and abs around a single occurrence of the variable.  Everything
-else falls back to a bisection-backed implicit inverse after a numeric
-strict-monotonicity guardrail.
+else falls back to an implicit inverse, solved numerically, after a
+numeric strict-monotonicity guardrail.
 """
 
 from __future__ import annotations

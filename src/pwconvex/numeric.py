@@ -33,9 +33,9 @@ The float decisions that remain, by caller:
   ``monop.invert``, ``risk._cdf_operator``, ``risk._check_p`` and
   ``risk.quantile``: values, limits and endpoints that ``env.compare``
   cannot order (``order``, ``less``, ``equal``).
-* ``body_at``: a body with a bisection or quadrature node read at a
-  point.  Its callers: ``grid.Grid.at``, the grid reader (``monop.add``,
-  ``conv.conjugate``, ``conv._shift_to_anchor``,
+* ``body_at``: a body with an implicit inverse or quadrature node read
+  at a point.  Its callers: ``grid.Grid.at``, the grid reader
+  (``monop.add``, ``conv.conjugate``, ``conv._shift_to_anchor``,
   ``risk.superquantile``), ``grid.merge_seamless``, ``conv._end_value``
   and ``inverse.solve_monotone`` (``risk.quantile``).
 * ``conv._body_limit``: limits the limits module cannot take (``value``).
@@ -49,7 +49,8 @@ The float decisions that remain, by caller:
   breakpoint, or where a kernel has no value, is read exactly instead
   (``monop.eval_op``).
 
-Bisection (``expr._eval_implicit``) and quadrature
+Implicit inverses (``expr._eval_implicit``: Newton's method safeguarded
+by bisection, one solver per node and binding) and quadrature
 (``expr._eval_quadrature``) run at whatever parameters they are given,
 through ``expr.float_kernel`` as well.
 """
@@ -98,7 +99,7 @@ def value(v, params: Mapping, x=None) -> float:
 
 def body_at(body: Expr, x: Expr, env: AssumptionEnv, params: Mapping | None = None) -> Expr:
     """body with the variable at the point x: the exact substitution,
-    or, for a body holding a bisection or quadrature node (whose
+    or, for a body holding an implicit inverse or quadrature node (whose
     variable is an implicit argument no substitution reaches), its float
     there at env's binding, as a constant.  ``params``, when given, are
     substituted first and are then the only binding: an evaluation at
@@ -112,8 +113,8 @@ def body_at(body: Expr, x: Expr, env: AssumptionEnv, params: Mapping | None = No
 
 def at(v, params: Mapping, x=None) -> float | None:
     """``value``, or None where v has no value there (a domain error,
-    overflow or NaN).  An unbound parameter and a bisection that cannot
-    converge still raise."""
+    overflow or NaN).  An unbound parameter and an implicit inverse that
+    cannot converge still raise."""
     return defined(value, v, params, x)
 
 

@@ -1,11 +1,16 @@
-"""Brute-force cross-checks of conjugation and the proximal map.
+"""Brute-force cross-checks of conjugation, the proximal map and the
+implicit-inverse solver.
 
-Both read the input function only through ``eval_pwf`` at float points
-and share no code with the symbolic paths they check: no
+The first two read the input function only through ``eval_pwf`` at
+float points and share no code with the symbolic paths they check: no
 ``conjugate``, ``prox``, ``subdifferential`` or ``invert``.  One
 golden-section search serves both, as
 
     f*(y) = -min_x (f(x) - y*x)    and    prox_f(x) = argmin_u f(u) + (u - x)^2/2.
+
+``bisect_root`` is plain bisection on a Python float function, with no
+library code at all, against which the Newton solver of
+``ImplicitInverse`` is checked.
 
 Keep it that way; the differential tests lose their teeth otherwise.
 """
@@ -76,3 +81,15 @@ def brute_conjugate(f, y: float) -> float:
 def brute_prox(f, x: float) -> float:
     """argmin_u f(u) + (u - x)^2/2, for f finite on the whole line."""
     return minimize(lambda u: _at(f, u) + (u - x) ** 2 / 2.0, x)[0]
+
+
+def bisect_root(f, target: float, a: float, b: float) -> float:
+    """The crossing of target by the increasing f in [a, b], where
+    f(a) <= target <= f(b): the bracket halves until its midpoint is one
+    of its ends, so the result is within an ulp of where the float f
+    crosses."""
+    while True:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            return mid
+        a, b = (mid, b) if f(mid) < target else (a, mid)

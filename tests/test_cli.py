@@ -143,6 +143,28 @@ def test_prox_of_a_slope_that_flattens_out(capsys):
     assert float(out.strip().strip("{}")) == pytest.approx(lo, rel=1e-12, abs=0.0)
 
 
+ENTROPY_FORMS = ("pw{ x < 0 -> inf ; x = 0 -> 0 ; x > 0 -> x*ln(x) - x }",
+                 "pw{ x < 0 -> inf ; x >= 0 -> x*ln(x) - x }")
+
+
+@pytest.mark.parametrize("entropy", ENTROPY_FORMS)
+def test_prox_of_the_entropy(capsys, entropy):
+    # the prox inverts t + ln(t) on (0, inf); building it reads the inverse
+    # at targets whose root lies within the tolerance of the open end 0
+    code, out, err = run(capsys, ["prox", entropy, "--at", "1"])
+    assert code == 0, err
+    assert float(out.strip().strip("{}")) == pytest.approx(1.0, rel=0.0, abs=1e-13)
+    code, out, err = run(capsys, ["prox", entropy, "--at", "-3"])
+    assert code == 0, err
+    # the root of t + ln(t) = -3, by bisection on [1/1000, 1]
+    lo, hi = 1e-3, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid + math.log(mid) < -3 else (lo, mid)
+    assert lo == pytest.approx(0.0474784910248, abs=1e-13)
+    assert float(out.strip().strip("{}")) == pytest.approx(lo, rel=1e-13, abs=0.0)
+
+
 def test_a_true_decrease_is_not_a_tie(capsys):
     # x^3 - 3*x falls on (-1, 1), by far more than a few ulps
     cubic = "sd{ x < -2 -> {x} ; x = -2 -> {-2} ; -2 < x & x < 2 -> {x^3 - 3*x} ; x = 2 -> {2} ; x > 2 -> {x} }"

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bisect_root
 from pwconvex.assumptions import AssumptionEnv
 from pwconvex.conv import antiderivative
 from pwconvex.errors import DomainError, MaxIterations, ParseError, UnboundParameter
 from pwconvex import parse_pwf
 from pwconvex.expr import (
+    BISECT_REL_TOL,
     MAX_PARSE_DEPTH,
     ZERO,
     Abs,
@@ -170,6 +172,49 @@ class TestNumericNodes:
         assert evaluate(q, 1.0) == pytest.approx(0.746824132812427)
 
 
+COEFFS = st.builds(Fraction, st.integers(1, 40), st.sampled_from([4, 10]))
+
+
+def q(v: Fraction) -> str:
+    return f"({v.numerator}/{v.denominator})"
+
+
+@st.composite
+def monotone_maps(draw):
+    """(forward text, the same map as a Python float function, lo, a point
+    t0 in (lo, inf)) of a strictly increasing map on (lo, inf)."""
+    kind = draw(st.sampled_from(["odd_polynomial", "exp", "log"]))
+    c = [draw(COEFFS) for _ in range(3)]
+    f0, f1, f2 = map(float, c)
+    if kind == "odd_polynomial":
+        return (f"{q(c[0])}*x + {q(c[1])}*x^3 + {q(c[2])}*x^5", lambda t: f0 * t + f1 * t**3 + f2 * t**5,
+                -math.inf, draw(st.floats(-4, 4)))
+    if kind == "exp":
+        return f"exp({q(c[0])}*x) + {q(c[1])}*x", lambda t: math.exp(f0 * t) + f1 * t, -math.inf, draw(st.floats(-20, 5))
+    return f"x + {q(c[0])}*ln(x)", lambda t: t + f0 * math.log(t), 0.0, draw(st.floats(1e-8, 50))
+
+
+class TestSolver:
+    """The Newton solver of ImplicitInverse against plain bisection."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(monotone_maps(), st.booleans())
+    def test_solver_agrees_with_bisection(self, example, increasing):
+        text, fn, lo, t0 = example
+        target = fn(t0)
+        # the oracle brackets the crossing by t0's neighbours; f is strictly increasing
+        root = bisect_root(fn, target, t0 / 2 if lo == 0.0 else t0 - 1.0, t0 + 1.0)
+        sign = 1.0 if increasing else -1.0
+        forward = parse_expr(text if increasing else f"0 - ({text})")
+        got = evaluate(ImplicitInverse(forward, lo, math.inf, increasing), sign * target)
+        assert abs(got - root) <= 2 * BISECT_REL_TOL * max(1.0, abs(root))
+        # the forward straddles the target one tolerance either side of the result
+        tol = BISECT_REL_TOL * max(1.0, abs(got))
+        if got - tol > lo:
+            assert fn(got - tol) <= target
+        assert fn(got + tol) >= target
+
+
 # expressions of every node kind the grammar admits, with float constants
 # as the pipelines build them, and up to two parameters
 EXPONENTS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
@@ -253,6 +298,48 @@ class TestFloatKernel:
         for c in (0.0, -0.0):
             e = Mul(Const(c), X)
             assert repr(float_kernel(e)(1.0)) == repr(c)
+
+    CUBIC = ImplicitInverse(parse_expr("x^3 + a*x"), -math.inf, math.inf)
+    NUMERIC = (
+        CUBIC,
+        Add(Mul(X, CUBIC), parse_expr("a/3")),
+        ImplicitInverse(parse_expr("x + a*ln(x)"), 0.0, math.inf),
+        ImplicitInverse(parse_expr("0 - exp(a*x)"), -math.inf, math.inf, False),
+        NumericIntegral(CUBIC, ZERO),
+        NumericIntegral(ImplicitInverse(parse_expr("x + exp(x)"), -math.inf, math.inf), parse_expr("a - 1")),
+    )
+
+    @pytest.mark.parametrize("e", NUMERIC, ids=to_text)
+    @pytest.mark.parametrize("a", [Fraction(1, 2), 0.5, Fraction(3), 0.0, -0.0, Fraction(-1)])
+    def test_numeric_nodes_are_the_walk(self, e, a):
+        for x in (-2.5, -0.0, 0.0, 0.5, 3.0):
+            walk = outcome(lambda: evaluate(e, x, {"a": a}))
+            assert outcome(lambda: float_kernel(e, {"a": a})(x)) == walk
+
+    def test_equal_bindings_of_two_types_keep_their_solvers(self):
+        # the bound is 0 for a = 1/2 and 2775.5... for a = 0.5, where
+        # a/10 + a/5 rounds up; the inverse of x^3 + x at 1 is the root
+        # 0.68 on (0, inf) and the end on (2775.5..., inf)
+        lo = parse_expr("100000000000000000000*(a/10 + a/5 - 3*a/10)")
+        node = ImplicitInverse(parse_expr("x^3 + x"), lo, math.inf)
+        expected = {Fraction: pytest.approx(0.6823278038280193), float: pytest.approx(2775.5575615628914)}
+        for order in ((Fraction(1, 2), 0.5), (0.5, Fraction(1, 2))):
+            for a in order:
+                for e in (node, NumericIntegral(node, ZERO)):
+                    walk = outcome(lambda: evaluate(e, 1.0, {"a": a}))
+                    assert outcome(lambda: float_kernel(e, {"a": a})(1.0)) == walk
+                assert float(evaluate(node, 1.0, {"a": a})) == expected[type(a)]
+
+    def test_a_bound_that_raises_under_one_binding(self):
+        # ln(a) has no value at a = 0: every solve raises, under the walk
+        # and under a kernel, before and after a binding where it has one
+        node = ImplicitInverse(parse_expr("x + exp(x)"), parse_expr("ln(a)"), math.inf)
+        for a in (Fraction(0), Fraction(1), 0.0, 1.0, Fraction(0)):
+            for e in (node, NumericIntegral(node, ZERO), Add(X, node)):
+                kernel = float_kernel(e, {"a": a})
+                walk = outcome(lambda: evaluate(e, 2.0, {"a": a}))
+                assert outcome(lambda: kernel(2.0)) == walk
+                assert (walk == "DomainError") == (a == 0)
 
 
 class TestParseDepth:
