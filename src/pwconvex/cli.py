@@ -29,7 +29,7 @@ from .monop import (
     subdifferential,
 )
 from .penalty import recover_penalty, verify_penalty
-from .pwf import eval_pwf, parse_pwf
+from .pwf import build_function, eval_pwf, parse_piecewise_map, parse_pwf
 from .render import (
     function_to_json,
     operator_to_json,
@@ -190,7 +190,9 @@ def _cmd_penalty(args):
 def _cmd_verify(args):
     env = _env(args)
     T = parse_operator(args.operator, env)
-    f = parse_pwf(args.function, env)
+    # weakly convex, as recover_penalty returns a penalty: verify_penalty
+    # checks that f + x^2/2 is convex
+    f = build_function(*parse_piecewise_map(args.function, env), env, weakly_convex=True)
     r = verify_penalty(T, f)
     payload = {
         "kind": "report",

@@ -3,8 +3,13 @@
 integ rebuilds a convex function from a derivative-like operator:
 symbolic antiderivatives piece by piece, constants stitched left to
 right for continuity, affine connectors across interior gaps of the
-domain, and quadrature-backed pieces when no elementary antiderivative
-exists.  conjugate composes subdifferential -> invert -> integ and
+domain, and numeric pieces when no elementary antiderivative exists.
+A piece that is an implicit inverse g^-1 (the usual case in conjugate)
+keeps an antiderivative G of g when one exists, and its values come
+from the inverse-function rule [y*g^-1(y) - G(g^-1(y))] with one solve
+each (Borwein & Hamilton, *Symbolic Fenchel conjugation*, Math.
+Program. 116, 2009); any other piece is integrated by quadrature.
+conjugate composes subdifferential -> invert -> integ and
 fixes the additive constant with the Fenchel-Young equality at a
 single graph point; the pointwise sup formula never enters (only the
 brute-force cross-check in ``tests/oracles.py`` takes that route).
@@ -30,6 +35,7 @@ from .expr import (
     Div,
     Exp,
     Expr,
+    ImplicitInverse,
     Ln,
     Mul,
     Neg,
@@ -168,6 +174,15 @@ def _fix_log_branch(e: Expr, env: AssumptionEnv, lo, hi) -> Expr:
     return go(e)
 
 
+def _inverse_primitive(body: Expr, env: AssumptionEnv) -> Expr | None:
+    """An antiderivative of the forward map of an implicit inverse body,
+    in the forward's variable and on its (lo, hi), or None."""
+    if not isinstance(body, ImplicitInverse):
+        return None
+    G = antiderivative(body.forward, env, body.lo, body.hi)
+    return None if G is None else _fix_log_branch(simplify(G), env, body.lo, body.hi)
+
+
 # ---------------------------------------------------------------------------
 # integ
 # ---------------------------------------------------------------------------
@@ -292,7 +307,7 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
             continue
         A = antiderivative(p.body, env, clo, chi)
         if A is None:
-            A = NumericIntegral(p.body, _interior_point(clo, chi))
+            A = NumericIntegral(p.body, _interior_point(clo, chi), _inverse_primitive(p.body, env))
         else:
             A = _fix_log_branch(simplify(A), env, clo, chi)
         raw.append(A)

@@ -13,7 +13,9 @@ Two extra node types exist only as *outputs* of symbolic pipelines:
   that has no closed form; it evaluates by Newton's method safeguarded
   by bisection.
 * ``NumericIntegral`` -- an antiderivative with no closed form; it
-  evaluates by Gauss-Legendre quadrature from a base point.
+  evaluates by Gauss-Legendre quadrature from a base point, or, for an
+  implicit inverse whose forward map has a known primitive, by the
+  inverse-function rule with one solve per value.
 
 Both can be evaluated and printed but never re-parsed.
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Union
 
@@ -206,6 +208,16 @@ class Ln(Expr):
     arg: Expr
 
 
+def _kept_hash(node: ImplicitInverse | NumericIntegral) -> int:
+    """The hash of a numeric node, computed once: the solver cache hashes
+    it on every lookup, and hashing a tree walks all of it."""
+    h = node._hash
+    if h is None:
+        h = hash(tuple(getattr(node, f.name) for f in fields(node) if f.compare))
+        object.__setattr__(node, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class ImplicitInverse(Expr):
     """Inverse of ``forward`` (strictly monotone on (lo, hi)) at the
@@ -220,16 +232,30 @@ class ImplicitInverse(Expr):
     lo: Expr | float
     hi: Expr | float
     increasing: bool = True
+    _hash: int | None = field(default=None, init=False, compare=False)
+    __hash__ = _kept_hash
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class NumericIntegral(Expr):
-    """integral of ``integrand`` from ``base`` to the variable, by
-    composite Gauss-Legendre quadrature.  Downstream consumers may
-    evaluate this node but not re-symbolize it."""
+    """integral of ``integrand`` from ``base`` to the variable.
+
+    ``primitive``, when given, is an antiderivative G of the forward map
+    g of an ImplicitInverse integrand, in g's own variable.  The
+    integral is then [y*g^-1(y) - G(g^-1(y))] from base to the variable
+    (g continuous and strictly monotone on its (lo, hi), increasing or
+    decreasing): one solve per value.  Its y-derivative is
+    g^-1(y) + (y - g(g^-1(y)))*(g^-1)'(y), so the solver's tolerance
+    enters only to second order.  Otherwise, and wherever that closed
+    form raises or is not finite, it evaluates by composite
+    Gauss-Legendre quadrature.  Downstream consumers may evaluate this
+    node but not re-symbolize it."""
 
     integrand: Expr
     base: Expr
+    primitive: Expr | None = None
+    _hash: int | None = field(default=None, init=False, compare=False)
+    __hash__ = _kept_hash
 
 
 ZERO = Const(Fraction(0))
@@ -267,7 +293,7 @@ def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, ImplicitInverse):
         return (e.forward, *(b for b in (e.lo, e.hi) if isinstance(b, Expr)))
     if isinstance(e, NumericIntegral):
-        return (e.integrand, e.base)
+        return (e.integrand, e.base) + (() if e.primitive is None else (e.primitive,))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -276,8 +302,9 @@ def map_children(e: Expr, fn) -> Expr:
     come back as they are.  Tree rewrites handle their special nodes and
     leave every other node to this function, the only code that knows
     each node's fields.  The forward map of an ImplicitInverse and the
-    integrand of a NumericIntegral are in their own bound variable, so
-    a rewrite that moves the variable must handle those nodes itself."""
+    integrand and primitive of a NumericIntegral are in their own bound
+    variable, so a rewrite that moves the variable must handle those
+    nodes itself."""
     if isinstance(e, (Const, Var, Param)):
         return e
     if isinstance(e, (Neg, Abs, Exp, Ln)):
@@ -290,7 +317,7 @@ def map_children(e: Expr, fn) -> Expr:
         lo, hi = (b if isinstance(b, float) else fn(b) for b in (e.lo, e.hi))
         return ImplicitInverse(fn(e.forward), lo, hi, e.increasing)
     if isinstance(e, NumericIntegral):
-        return NumericIntegral(fn(e.integrand), fn(e.base))
+        return NumericIntegral(fn(e.integrand), fn(e.base), None if e.primitive is None else fn(e.primitive))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -796,8 +823,9 @@ def evaluate(
         if isinstance(node, NumericIntegral):
             if x is None:
                 raise DomainError("numeric integral needs an evaluation point")
-            base = evaluate(node.base, None, params)
-            return _eval_quadrature(node.integrand, float(base), float(x), params)
+            base, b = float(evaluate(node.base, None, params)), float(x)
+            # an empty integral is 0.0 without a closed form to build
+            return _eval_integral(node, base, b, params, _integral_form(node, params) if b != base else None)
         raise TypeError(type(node).__name__)
 
     return go(e)
@@ -821,10 +849,11 @@ def _kernel_template(e: Expr):
     by ``slots[i]``: ("fold", path) for a maximal subtree that does not
     read the point, bound as its float; ("node", path) for a numeric
     node, bound as the node; ("solver", path) for an implicit inverse,
-    bound as its ``_Solver`` at the binding; ("const", value) for an
-    exponent.  A path lists ``children`` indices from the root, so the
-    slots of any expression equal to e are read from that expression
-    itself."""
+    bound as its ``_Solver`` at the binding; ("integral", path) for a
+    NumericIntegral, bound as its closed form at the binding or None;
+    ("const", value) for an exponent.  A path lists ``children`` indices
+    from the root, so the slots of any expression equal to e are read
+    from that expression itself."""
     lines: list[str] = []
     slots: list[tuple[str, object]] = []
 
@@ -871,7 +900,7 @@ def _kernel_template(e: Expr):
             value = f"_eval_implicit({bind('node', path)}, x, params, {bind('solver', path)})"
         else:
             base = bind("fold", path + (1,))
-            value = f"_eval_quadrature({bind('node', path)}.integrand, {base}, x, params)"
+            value = f"_eval_integral({bind('node', path)}, {base}, x, params, {bind('integral', path)})"
         out = f"t{len(lines)}"
         lines.append(f"{out} = {value}")
         return out
@@ -898,7 +927,8 @@ def float_kernel(e: Expr, params: Mapping[str, Number | int] | None = None) -> C
     nonzero value (a divisor), and a point where exp or ln is exact.
     Each implicit inverse enters with its solver, the one the walk takes
     from the solver cache; where building it raises, every solve looks
-    it up again and raises as the walk's does."""
+    it up again and raises as the walk's does.  Each NumericIntegral
+    enters with its closed form from the same cache, or None."""
     factory, slots = _kernel_template(e)
 
     def walk(x: float) -> float:
@@ -914,6 +944,9 @@ def float_kernel(e: Expr, params: Mapping[str, Number | int] | None = None) -> C
             node = children(node)[i]
         if kind == "node":
             bound.append(node)
+            continue
+        if kind == "integral":
+            bound.append(_integral_form(node, params))
             continue
         if kind == "solver":
             try:
@@ -938,21 +971,31 @@ def _eval_implicit(node: ImplicitInverse, target: float, params, solver: "_Solve
     return (_solver(node, params) if solver is None else solver).solve(target)
 
 
-#: (node, binding) pairs whose solver is kept, least recently used first out
+#: (node, binding) pairs whose solver or closed-form integral is kept,
+#: least recently used first out
 SOLVER_CACHE_SIZE = 64
 
 
-def _solver(node: ImplicitInverse, params) -> "_Solver":
-    """The solver of node under params.  The key tells apart bindings
-    that compare equal but evaluate differently: Fraction(1, 2) and 0.5,
-    0.0 and -0.0."""
-    key = tuple(sorted((k, type(v), repr(v), v) for k, v in params.items())) if params else ()
-    return _cached_solver(node, key)
+def _cached(node: Expr, params, build: Callable):
+    """build(node, params), kept per node and binding.  The key holds the
+    node by value, so an equal copy, such as the fresh one a substitution
+    builds, finds the same entry; the node keeps its hash, and a lookup
+    tests identity before equality, so a node read again walks no tree.
+    The binding part of the key tells apart bindings that compare equal
+    but evaluate differently: Fraction(1, 2) and 0.5, 0.0 and -0.0.  A
+    build that raises is not kept."""
+    binding = tuple(sorted((k, type(v), repr(v), v) for k, v in params.items())) if params else ()
+    return _cached_build(node, binding, build)
 
 
 @functools.lru_cache(maxsize=SOLVER_CACHE_SIZE)
-def _cached_solver(node: ImplicitInverse, key: tuple) -> "_Solver":
-    return _Solver(node, {k: v for k, _, _, v in key})
+def _cached_build(node: Expr, binding: tuple, build: Callable):
+    return build(node, {k: v for k, _, _, v in binding})
+
+
+def _solver(node: ImplicitInverse, params) -> "_Solver":
+    """The solver of node under params."""
+    return _cached(node, params, _Solver)
 
 
 def _no_slope(t: float) -> float:
@@ -1153,6 +1196,54 @@ def _composite(f: Callable[[float], float], a: float, b: float, panels: int, spl
         for w, v in zip(_GL_WEIGHTS, vals):
             total += w * v
     return sum(halved, total * (width / 2.0))
+
+
+class _InverseIntegral:
+    """The closed form of a NumericIntegral of g^-1 with a primitive G of
+    g under one binding: the solver of g^-1 and the float kernel of G,
+    and the base term a*g^-1(a) - G(g^-1(a)), all built once."""
+
+    __slots__ = ("inverse", "solver", "primitive", "start")
+
+    def __init__(self, node: NumericIntegral, params):
+        self.inverse = node.integrand
+        self.solver = _solver(node.integrand, params)
+        self.primitive = float_kernel(node.primitive, params)
+        self.start = self.term(float(evaluate(node.base, None, params)))
+
+    def term(self, y: float) -> float:
+        """y*g^-1(y) - G(g^-1(y)): one solve, through ``_eval_implicit``."""
+        t = _eval_implicit(self.inverse, y, None, self.solver)
+        return y * t - self.primitive(t)
+
+
+def _integral_form(node: NumericIntegral, params) -> _InverseIntegral | None:
+    """The closed form of node under params, from the solver cache; None
+    without a primitive, or where the base term raises or is not finite."""
+    return None if node.primitive is None else _cached(node, params, _build_integral)
+
+
+def _build_integral(node: NumericIntegral, params) -> _InverseIntegral | None:
+    try:
+        form = _InverseIntegral(node, params)
+    except (ToolkitError, ArithmeticError, ValueError):
+        return None
+    return form if math.isfinite(form.start) else None
+
+
+def _eval_integral(node: NumericIntegral, a: float, b: float, params, form: _InverseIntegral | None) -> float:
+    """The value of node at b from its base a: by its closed form ``form``
+    (``_integral_form``), or by quadrature where there is none, where it
+    raises or is not finite, and for a == b (0.0).  The walk and the
+    kernel both read the node here."""
+    if form is not None and a != b:
+        try:
+            v = form.term(b) - form.start
+        except (ToolkitError, ArithmeticError, ValueError):
+            v = math.nan
+        if math.isfinite(v):
+            return v
+    return _eval_quadrature(node.integrand, a, b, params)
 
 
 def _eval_quadrature(integrand: Expr, a: float, b: float, params) -> float:

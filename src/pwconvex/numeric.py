@@ -50,9 +50,13 @@ The float decisions that remain, by caller:
   (``monop.eval_op``).
 
 Implicit inverses (``expr._eval_implicit``: Newton's method safeguarded
-by bisection, one solver per node and binding) and quadrature
-(``expr._eval_quadrature``) run at whatever parameters they are given,
-through ``expr.float_kernel`` as well.
+by bisection, one solver per node and binding) and integrals run at
+whatever parameters they are given, through ``expr.float_kernel`` as
+well.  An integral of an implicit inverse whose forward map has a
+primitive (``conv.integ`` keeps one) is read in closed form, one solve
+per value (``expr._eval_integral``); any other, and any point where the
+closed form has no finite value, by quadrature
+(``expr._eval_quadrature``).
 """
 
 from __future__ import annotations
@@ -108,7 +112,9 @@ def body_at(body: Expr, x: Expr, env: AssumptionEnv, params: Mapping | None = No
         return simplify(substitute(body, var=x, params=params))
     if params is None:
         return as_expr(value(body, binding(env), x))
-    return as_expr(value(substitute(body, params=params), {}, x))
+    # no substitution without parameters: the body's own numeric nodes
+    # keep their solvers (``expr._cached``)
+    return as_expr(value(substitute(body, params=params) if params else body, {}, x))
 
 
 def at(v, params: Mapping, x=None) -> float | None:

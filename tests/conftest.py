@@ -22,6 +22,7 @@ CORPUS_TEXTS = {
     "relu": "pw{ x < 0 -> 0 ; x >= 0 -> x }",
     "huber": "pw{ x < -1 -> -x - 1/2 ; -1 <= x & x <= 1 -> x^2/2 ; x > 1 -> x - 1/2 }",
     "exp_affine_tail": "pw{ x < 0 -> 1 - x ; x >= 0 -> exp(x) - 2*x }",
+    "unpeelable": "x^4 + 3/2*x^2",
 }
 
 

@@ -121,6 +121,23 @@ def test_quantile_through_an_implicit_inverse_is_a_number(capsys):
     assert float(out) == pytest.approx(1.6783469900, abs=1e-9)
 
 
+HARD_THRESHOLD_PENALTY = (
+    "pw{ x < -1 -> 0 ; -1 <= x & x < 0 -> -1/2 - x - x^2/2 ;"
+    " 0 <= x & x <= 1 -> -1/2 + x - x^2/2 ; x > 1 -> 0 }"
+)
+
+
+def test_verify_takes_a_weakly_convex_penalty(capsys):
+    # the penalty the hard threshold recovers is only weakly convex
+    # (f + x^2/2 is convex); verify takes it as verify_penalty does
+    code, out, err = run(capsys, ["verify", HARD_THRESHOLD, HARD_THRESHOLD_PENALTY])
+    assert code == 0, err
+    assert out.startswith("verification passed")
+    # a candidate that stays nonconvex after adding x^2/2 still fails
+    code, out, err = run(capsys, ["verify", HARD_THRESHOLD, "0 - x^2"])
+    assert code == 2 and "not convex" in out
+
+
 SMOOTH_ABS = "(1 + x^2)^(1/2)"
 
 

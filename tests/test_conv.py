@@ -1,6 +1,7 @@
 """Integration of operators and Fenchel conjugation."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,20 @@ class TestConjugatePairs:
                 x = (lo + hi) / 2
                 lo, hi = (x, hi) if x**3 + 3 * x**2 < y else (lo, x)
             assert abs(f_at(g, y) - (x * y - x**4 / 4 - x**3)) < 1e-10
+
+    def test_constant_from_a_square_root_end(self):
+        # the same conjugate, integrated in closed form: its constant is the
+        # value at the base 1, sup_x (x - x^4/4 - x^3) = 0.3614056018219284704...
+        # at the root of x^3 + 3x^2 = 1, to 40 digits by decimal bisection
+        g = conjugate(parse_pwf("pw{ x < 0 -> inf ; x >= 0 -> x^4/4 + x^3 }", ENV))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lo, hi = Decimal(0), Decimal(1)
+            for _ in range(140):
+                x = (lo + hi) / 2
+                lo, hi = (x, hi) if x**3 + 3 * x**2 < 1 else (lo, x)
+            exact = float(x - x**4 / 4 - x**3)
+        assert abs(f_at(g, 1) - exact) <= 1e-15 * exact
 
     def test_affine_to_shifted_point_indicator(self):
         g = conjugate(parse_pwf("2*x + 3", ENV))

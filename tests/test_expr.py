@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_root
+from pwconvex import expr
 from pwconvex.assumptions import AssumptionEnv
-from pwconvex.conv import antiderivative
+from pwconvex.conv import _inverse_primitive, antiderivative
 from pwconvex.errors import DomainError, MaxIterations, ParseError, UnboundParameter
 from pwconvex import parse_pwf
 from pwconvex.expr import (
@@ -30,6 +31,9 @@ from pwconvex.expr import (
     Pow,
     Sub,
     X,
+    _eval_integral,
+    _eval_quadrature,
+    _integral_form,
     as_expr,
     children,
     differentiate,
@@ -166,6 +170,16 @@ class TestNumericNodes:
             exact = primitive(s) - primitive(0.0)
             assert evaluate(NumericIntegral(inv, ZERO), s) == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
+    def test_the_primitive_is_a_child(self):
+        # it is in the forward's variable, like the integrand: rewrites and
+        # parameter substitution reach it, substitution of the variable not
+        q = NumericIntegral(self.NODE, ZERO, parse_expr("x^4/4 + x^2/2 + l"))
+        assert children(q)[2] is q.primitive and param_names(q) == {"l"}
+        out = substitute(q, var=parse_expr("5"), params={"l": 2})
+        assert out.primitive == parse_expr("x^4/4 + x^2/2 + 2")
+        assert simplify(q).primitive is not None
+        assert to_text(q) == to_text(NumericIntegral(self.NODE, ZERO))
+
     def test_quadrature_gives_a_python_float(self):
         q = NumericIntegral(parse_expr("exp(0 - x^2)"), ZERO)
         assert type(evaluate(q, 1.0)) is float
@@ -213,6 +227,100 @@ class TestSolver:
         if got - tol > lo:
             assert fn(got - tol) <= target
         assert fn(got + tol) >= target
+
+
+@st.composite
+def inverse_integrals(draw):
+    """(NumericIntegral of g^-1 with the primitive G of g, binding, base,
+    point): g a polynomial with positive coefficients, one of them the
+    parameter a, increasing on the whole line (odd) or on a bounded
+    (0, h), or the decreasing mirror of either; base and point in its
+    range."""
+    c = [draw(st.builds(Fraction, st.integers(1, 16), st.just(4))) for _ in range(3)]
+    a = draw(st.sampled_from([Fraction, float]))(draw(st.builds(Fraction, st.integers(1, 16), st.just(4))))
+    if draw(st.booleans()):
+        lo, hi, powers = -math.inf, math.inf, (1, 3, 5)
+        ts = st.floats(-1.5, 1.5)
+    else:
+        h = draw(st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(2)]))
+        lo, hi, powers = ZERO, as_expr(h), (1, 2, 3)
+        ts = st.floats(0.0, float(h))
+    sign = draw(st.sampled_from([1, -1]))
+    g = " + ".join(f"{q(sign * ci)}*x^{k}" for ci, k in zip(c, powers)) + f" + {sign}*a*x"
+    G = " + ".join(f"{q(sign * ci / (k + 1))}*x^{k + 1}" for ci, k in zip(c, powers)) + f" + {sign}*a*x^2/2"
+
+    def forward(t):
+        return sign * (sum(float(ci) * t**k for ci, k in zip(c, powers)) + float(a) * t)
+
+    base = forward(draw(ts))
+    node = NumericIntegral(ImplicitInverse(parse_expr(g), lo, hi, sign > 0), as_expr(base), parse_expr(G))
+    return node, {"a": a}, base, forward(draw(ts))
+
+
+@st.composite
+def transcendental_inverse_integrals(draw):
+    """(NumericIntegral of g^-1 with the primitive G of g that conv
+    builds, binding, base, point): g is exp(a*t) + b*t with the parameter
+    a > 0, t + c*ln(t) on (0, inf), or t - c*ln(-t) or t - c/t on
+    (-inf, 0), where G must hold ln(-t) in place of the ln(t) of the
+    plain antiderivative to have a value; base and point in its range."""
+    b, c = (draw(COEFFS) for _ in range(2))
+    a = draw(st.sampled_from([Fraction, float]))(draw(COEFFS))
+    kind = draw(st.sampled_from(["exp", "log", "mirrored_log", "reciprocal"]))
+    if kind == "exp":
+        text, lo, hi, ts = f"exp(a*x) + {q(b)}*x", -math.inf, math.inf, st.floats(-3.0, 2.0)
+    elif kind == "log":
+        text, lo, hi, ts = f"x + {q(c)}*ln(x)", 0.0, math.inf, st.floats(0.05, 5.0)
+    else:
+        term = "ln(0 - x)" if kind == "mirrored_log" else "1/x"
+        text, lo, hi, ts = f"x - {q(c)}*{term}", -math.inf, 0.0, st.floats(-5.0, -0.05)
+    inverse = ImplicitInverse(parse_expr(text), lo, hi)
+    primitive = _inverse_primitive(inverse, AssumptionEnv.parse(["0 < a"]))
+    params = {"a": a}
+
+    def forward(t):
+        return float(evaluate(inverse.forward, t, params))
+
+    base = forward(draw(ts))
+    return NumericIntegral(inverse, as_expr(base), primitive), params, base, forward(draw(ts))
+
+
+class TestInverseIntegral:
+    """The closed form of an integral of an implicit inverse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(inverse_integrals(), transcendental_inverse_integrals()))
+    def test_closed_form_is_the_quadrature(self, example):
+        node, params, base, y = example
+        form = _integral_form(node, params)
+        assert form is not None
+        got = _eval_integral(node, base, y, params, form)
+        want = _eval_quadrature(node.integrand, base, y, params)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_one_solve_per_kernel_value(self, monkeypatch):
+        node = NumericIntegral(ImplicitInverse(parse_expr("3*x + 4*x^3"), -math.inf, math.inf), ZERO,
+                               parse_expr("3*x^2/2 + x^4"))
+        kernel = float_kernel(node)
+        first = kernel(0.5)
+        calls = []
+        solve = expr._eval_implicit
+        monkeypatch.setattr(expr, "_eval_implicit", lambda *args: calls.append(args) or solve(*args))
+        for y in (0.5, -2.0, 7.0):
+            kernel(y)
+        assert len(calls) == 3
+        assert evaluate(node, 0.5) == first and len(calls) == 4
+
+    def test_quadrature_where_the_closed_form_has_no_value(self):
+        # G has no value where the inverse is negative: at the base -1 there
+        # is no closed form, from the base 1 it has none at the point -1
+        inverse = ImplicitInverse(parse_expr("x^3 + x"), -math.inf, math.inf)
+        assert _integral_form(NumericIntegral(inverse, ZERO), None) is None
+        primitive = parse_expr("x^4/4 + x^2/2 + ln(x)")
+        for base, y in ((-1.0, 3.0), (1.0, -1.0)):
+            node = NumericIntegral(inverse, as_expr(base), primitive)
+            assert (_integral_form(node, None) is None) == (base < 0)
+            assert evaluate(node, y) == float_kernel(node)(y) == _eval_quadrature(inverse, base, y, None)
 
 
 # expressions of every node kind the grammar admits, with float constants
@@ -307,6 +415,7 @@ class TestFloatKernel:
         ImplicitInverse(parse_expr("0 - exp(a*x)"), -math.inf, math.inf, False),
         NumericIntegral(CUBIC, ZERO),
         NumericIntegral(ImplicitInverse(parse_expr("x + exp(x)"), -math.inf, math.inf), parse_expr("a - 1")),
+        NumericIntegral(CUBIC, parse_expr("a"), parse_expr("x^4/4 + a*x^2/2")),
     )
 
     @pytest.mark.parametrize("e", NUMERIC, ids=to_text)
@@ -340,6 +449,19 @@ class TestFloatKernel:
                 walk = outcome(lambda: evaluate(e, 2.0, {"a": a}))
                 assert outcome(lambda: kernel(2.0)) == walk
                 assert (walk == "DomainError") == (a == 0)
+
+    def test_walk_solves_do_not_hash_the_tree(self, monkeypatch):
+        # the node keeps its hash, so a solve reads no node below it
+        node = ImplicitInverse(parse_expr("x^3 + x"), -math.inf, math.inf)
+        assert evaluate(node, 2.0) == 1.0
+        monkeypatch.setattr(type(node.forward), "__hash__", lambda self: pytest.fail("hashed"))
+        assert evaluate(node, 2.0) == 1.0
+
+    def test_an_equal_copy_shares_the_solver(self):
+        # a substitution rebuilds the tree: the copy finds the solver by value
+        node = ImplicitInverse(parse_expr("x^3 + x"), -math.inf, math.inf)
+        copy = substitute(node, params={"a": 1})
+        assert copy is not node and expr._solver(copy, None) is expr._solver(node, None)
 
 
 class TestParseDepth:
