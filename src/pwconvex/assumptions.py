@@ -6,6 +6,12 @@ coefficients.  Comparisons are decided soundly by Fourier-Motzkin
 elimination: the answer Less/Equal/Greater is returned only when the
 facts *prove* it; anything else is Undecidable.  An environment whose
 closure derives a < a raises InconsistentEnv at construction.
+
+Each environment keeps a memo of its decisions: ``compare`` by the
+simplified difference, and ``limits._limit_core`` by its key.  Both are
+pure functions of the environment and their key, float decisions at
+``numeric.binding`` included, so each is taken once per environment
+and expression.  A decision that raises is not kept.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ from fractions import Fraction
 from .errors import InconsistentEnv, InputError, UndecidableComparison
 from .expr import Const, Expr, Number, Sub, contains_var, parse_expr, to_text
 from .simplify import as_param_affine, simplify
+
+#: decisions an environment keeps before its memo is cleared
+ENV_MEMO_SIZE = 4096
+_MISSING = object()
 
 
 class Ordering(enum.Enum):
@@ -93,12 +103,18 @@ def _parse_fact(text: str) -> tuple[Expr, str, Expr]:
 
 @dataclass(frozen=True)
 class AssumptionEnv:
-    """An immutable set of parameter facts."""
+    """An immutable set of parameter facts.
+
+    The environment keeps the decisions taken under it (``memo``), so a
+    comparison or a one-sided limit asked again is not decided again.
+    """
 
     facts: tuple[tuple[str, str, str], ...] = ()  # printable (lhs, rel, rhs)
     _constraints: tuple[_Constraint, ...] = field(default=(), repr=False)
     # the feasible point, cached by numeric.binding
     _binding: Mapping[str, Fraction] | None = field(default=None, init=False, repr=False, compare=False)
+    # decisions taken under these facts, read and kept through ``memo``
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def empty() -> "AssumptionEnv":
@@ -134,14 +150,34 @@ class AssumptionEnv:
         return new
 
     def merge(self, other: "AssumptionEnv") -> "AssumptionEnv":
+        """self with the facts of other it lacks; self itself (and its
+        memo) when other adds none."""
         env = self
         for (lhs, rel, rhs), cons in zip(other.facts, other._constraints):
             if cons in env._constraints:
                 continue
             env = AssumptionEnv(env.facts + ((lhs, rel, rhs),), env._constraints + (cons,))
+        if env is self:
+            return self
         if _infeasible(list(env._constraints)):
             raise InconsistentEnv("merged assumption sets are contradictory")
         return env
+
+    # -- the memo ---------------------------------------------------------
+
+    def memo(self, key, decide):
+        """decide(), kept under key: a key asked again is answered from
+        the memo.  A decision that raises is not kept; the memo is
+        cleared when it holds ENV_MEMO_SIZE decisions."""
+        memo = self._memo
+        out = memo.get(key, _MISSING)
+        if out is not _MISSING:
+            return out
+        out = decide()
+        if len(memo) >= ENV_MEMO_SIZE:
+            memo.clear()
+        memo[key] = out
+        return out
 
     # -- comparisons ------------------------------------------------------
 
@@ -149,7 +185,8 @@ class AssumptionEnv:
         """Three-way comparison of variable-free expressions, sound except
         for a parameter-free irrational difference, which is decided in
         floats and is UNDECIDABLE when it lies within the float tolerance
-        of 0 (``numeric.difference_order``)."""
+        of 0 (``numeric.difference_order``).  A rational difference is
+        read at once; any other is decided once per environment."""
         from .expr import as_expr
 
         ea, eb = as_expr(a), as_expr(b)
@@ -159,6 +196,11 @@ class AssumptionEnv:
             if v == 0:
                 return Ordering.EQUAL
             return Ordering.LESS if v > 0 else Ordering.GREATER
+        return self.memo(diff, lambda: self._decide(diff))
+
+    def _decide(self, diff: Expr) -> Ordering:
+        """The order of a and b from their simplified, non-constant
+        difference b - a."""
         aff = as_param_affine(diff)
         if aff is not None:
             coeffs, const = aff

@@ -306,10 +306,17 @@ def _group_shared_factors(terms):
 
 def _limit_core(e: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | None,
                 direction: int | None):
-    """Structural limit; Expr for finite symbolic, +-inf, or None when unknown."""
+    """Structural limit; Expr for finite symbolic, +-inf, or None when
+    unknown.  Taken once per environment (``AssumptionEnv.memo``)."""
     s = simplify(e)
     if not contains_var(s):
         return s
+    return env.memo(("limit", s, x0, side, direction), lambda: _structural_limit(s, env, x0, side, direction))
+
+
+def _structural_limit(s: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | None,
+                      direction: int | None):
+    """``_limit_core`` of a simplified s that contains the variable."""
     # plain substitution first at finite points
     if x0 is not None:
         try:

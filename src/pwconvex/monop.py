@@ -340,11 +340,15 @@ def identity_operator(varname: str = "x", env: AssumptionEnv = EMPTY_ENV) -> Mon
 
 
 def _as_scalar(lam) -> Expr:
+    """lam as a simplified expression; it must not contain the variable."""
     if isinstance(lam, str):
         from .expr import parse_expr
 
-        return simplify(parse_expr(lam))
-    return simplify(as_expr(lam))
+        lam = parse_expr(lam)
+    lam_e = simplify(as_expr(lam))
+    if contains_var(lam_e):
+        raise InputError(f"scalar {to_text(lam_e)} must not contain the variable")
+    return lam_e
 
 
 def scale(T: MonotoneOperator, lam) -> MonotoneOperator:
@@ -352,8 +356,6 @@ def scale(T: MonotoneOperator, lam) -> MonotoneOperator:
     every point of the domain to {0}."""
     env = T.env
     lam_e = _as_scalar(lam)
-    if contains_var(lam_e):
-        raise InputError("scale factor must not contain the variable")
     sgn = env.sign_of(lam_e)
     if sgn is None:
         raise UndecidableComparison(to_text(lam_e), "0")
@@ -475,7 +477,8 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
 
 def resolvent(T: MonotoneOperator, lam) -> MonotoneOperator:
     """(identity + lam*T)^(-1) for lam > 0; single-valued on its
-    domain whenever the input is monotone (checked)."""
+    domain whenever the input is monotone (checked).  identity + lam*T
+    is built in one pass on T's grid, and validated, before the flip."""
     env = T.env
     lam_e = _as_scalar(lam)
     sgn = env.sign_of(lam_e)
@@ -483,7 +486,9 @@ def resolvent(T: MonotoneOperator, lam) -> MonotoneOperator:
         raise UndecidableComparison(to_text(lam_e), "0")
     if sgn <= 0:
         raise NegativeScalar(f"resolvent step must be positive, got {to_text(lam_e)}")
-    R = invert(add(identity_operator(T.varname, env), scale(T, lam_e)))
+    pieces = [None if p.empty else Add(X, Mul(lam_e, p.body)) for p in T.pieces]
+    values = [sv_add(point(b), sv_scale(v, lam_e, env), env) for b, v in zip(T.breakpoints, T.values)]
+    R = invert(build_operator(T.varname, list(T.breakpoints), pieces, values, env))
     for j, v in enumerate(R.values):
         if v.tag in ("interval", "all"):
             raise InternalInconsistency(f"resolvent is multivalued at {to_text(R.breakpoints[j])}")

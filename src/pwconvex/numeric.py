@@ -10,6 +10,9 @@ once per environment) and holds the one float coercion (``value``,
 the one extended-real order (``order``, ``less``, ``equal``,
 ``difference_order``, ``sort_key``), the one clip and Chebyshev
 sampler (``clip``, ``sample``) and the one sign probe (``sign``).
+A float decision in ``AssumptionEnv.compare`` or in
+``limits._limit_core`` is taken once per (environment, expression): the
+environment keeps it (``AssumptionEnv.memo``), as it keeps its binding.
 
 The float decisions that remain, by caller:
 

@@ -112,6 +112,21 @@ def test_prox_of_a_wall_honours_the_bound_parameter(capsys):
     assert float(out.strip().strip("{}")) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_prox_of_a_wall_with_a_parametric_step(capsys):
+    argv = ["prox", "pw{ x < a -> inf ; x >= a -> x^2/2 }", "--assume", "0 < a", "--assume", "0 < l",
+            "--lambda", "l", "--param", "a=1", "--param", "l=2", "--at", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert out.strip() == "{1}"
+
+
+def test_a_step_with_the_variable_is_bad_input(capsys):
+    # rejected as such, not as a comparison of x against 0
+    code, out, err = run(capsys, ["prox", "x^2", "--lambda", "x"])
+    assert code == 2 and not out
+    assert err.strip() == "error[InputError]: scalar x must not contain the variable"
+
+
 def test_quantile_through_an_implicit_inverse_is_a_number(capsys):
     # the CDF 1 - exp(-x)*(1 + x) has no closed-form inverse; the quantile
     # reads the bisection-backed inverse at p instead of returning it unread
