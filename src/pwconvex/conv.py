@@ -51,11 +51,11 @@ from .expr import (
     parse_expr,
     to_text,
 )
-from .inverse import _sign_on_interval, poly_coeffs
+from .inverse import _sign_on_interval
 from .limits import limit_at
 from .monop import MonotoneOperator, eval_op, invert, subdifferential
 from .pwf import PiecewiseFunction, build_function, domain
-from .simplify import is_zero, simplify
+from .simplify import affine_parts, is_zero, poly_coeffs, simplify
 
 INF = math.inf
 
@@ -63,14 +63,6 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 # Elementary antiderivatives
 # ---------------------------------------------------------------------------
-
-
-def _affine_parts(e: Expr) -> tuple[Expr, Expr] | None:
-    """(a, b) with e = a*x + b variable-free in a, b and a nonzero."""
-    p = poly_coeffs(e)
-    if p is None or any(d > 1 for d in p) or 1 not in p:
-        return None
-    return p[1], p.get(0, ZERO)
 
 
 def antiderivative(e: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
@@ -114,13 +106,13 @@ def antiderivative(e: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
             r = antiderivative(e.left, env, lo, hi)
             return None if r is None else Div(r, e.right)
         if not contains_var(e.left):
-            ab = _affine_parts(e.right)
+            ab = affine_parts(e.right)
             if ab is not None:
                 return Div(Mul(e.left, Ln(e.right)), ab[0])
             if isinstance(e.right, Pow):
                 # c / u^q inline: recursing via Pow(u, -q) would just
                 # re-canonicalize back into this Div
-                ab = _affine_parts(e.right.base)
+                ab = affine_parts(e.right.base)
                 if ab is None:
                     return None
                 q1 = 1 - e.right.exponent
@@ -129,7 +121,7 @@ def antiderivative(e: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
                 return Div(Mul(e.left, Pow(e.right.base, q1)), Mul(ab[0], as_expr(q1)))
         return None
     if isinstance(e, Pow):
-        ab = _affine_parts(e.base)
+        ab = affine_parts(e.base)
         if ab is None:
             return None
         a = ab[0]
@@ -138,12 +130,12 @@ def antiderivative(e: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
         q1 = e.exponent + 1
         return Div(Pow(e.base, q1), Mul(a, as_expr(q1)))
     if isinstance(e, Exp):
-        ab = _affine_parts(e.arg)
+        ab = affine_parts(e.arg)
         if ab is None:
             return None
         return Div(e, ab[0])
     if isinstance(e, Ln):
-        ab = _affine_parts(e.arg)
+        ab = affine_parts(e.arg)
         if ab is None:
             return None
         u = e.arg

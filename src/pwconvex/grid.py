@@ -38,7 +38,6 @@ from .expr import (
     Neg,
     TokenStream,
     X,
-    ZERO,
     contains_var,
     float_kernel,
     substitute,
@@ -46,8 +45,7 @@ from .expr import (
     tokenize,
     _parse_expr,
 )
-from .inverse import poly_coeffs
-from .simplify import simplify, structurally_equal
+from .simplify import affine_parts, simplify, structurally_equal
 
 INF = math.inf
 
@@ -304,12 +302,10 @@ def _solve_rel(lhs: Expr, op: str, rhs: Expr, env: AssumptionEnv) -> tuple[str, 
     Returns (side, bound, strict) with side in {lo, hi, pt}: lo means
     x > / >= bound, hi means x < / <= bound.
     """
-    diff = simplify(lhs - rhs)
-    coeffs = poly_coeffs(diff)
-    if coeffs is None or max(coeffs, default=0) != 1:
+    ab = affine_parts(simplify(lhs - rhs))
+    if ab is None:
         raise InputError("guard must be affine in the variable with one occurrence of it")
-    a = coeffs[1]
-    b = coeffs.get(0, ZERO)
+    a, b = ab
     sign = env.sign_of(a)
     if sign is None or sign == 0:
         raise UndecidableComparison(to_text(a), "0")

@@ -2,9 +2,12 @@
 
 The peeling pass handles every composition of affine maps, integer and
 rational powers (including shifted powers like c*(x - r)^n + d), exp,
-ln, and abs around a single occurrence of the variable.  Everything
-else falls back to an implicit inverse, solved numerically, after a
-numeric strict-monotonicity guardrail.
+ln, and abs around a single occurrence of the variable.  Polynomials
+are read by ``simplify.poly_coeffs``.  A power of a power is peeled one
+layer at a time, each layer with the root branch of its own base, so
+(x^2)^(1/2) inverts as |x| does.  Everything else falls back to an
+implicit inverse, solved numerically, after a numeric
+strict-monotonicity guardrail.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .expr import (
     ImplicitInverse,
     Ln,
     Mul,
-    Number,
     Pow,
     Sub,
     Var,
@@ -34,48 +36,12 @@ from .expr import (
     contains_var,
     to_text,
 )
-from .simplify import as_terms, is_zero, simplify, structurally_equal
+from .simplify import as_terms, poly_coeffs, simplify, structurally_equal
 
 GUARD_CLIP = 1e10
 # sampled values this many units in the last place apart count as equal:
 # far out, a slope that flattens to +-1 wobbles in its last digit
 TIE_ULPS = 4
-
-
-def poly_coeffs(e: Expr) -> dict[int, Expr] | None:
-    """Coefficients by degree when e is a polynomial in the variable
-    with variable-free coefficients; None otherwise."""
-    try:
-        terms = as_terms(e)
-    except DomainError:
-        return None
-    coeffs: dict[int, Expr] = {}
-    for c, factors in terms:
-        deg = 0
-        parts: list[Expr] = [Const(c)]
-        ok = True
-        for f, q in factors:
-            base, exp = f, q
-            while isinstance(base, Pow):
-                exp = exp * base.exponent
-                base = base.base
-            if isinstance(base, Var):
-                if exp.denominator != 1 or exp < 0:
-                    ok = False
-                    break
-                deg += int(exp)
-            elif contains_var(base):
-                ok = False
-                break
-            else:
-                parts.append(Pow(f, q) if q != 1 else f)
-        if not ok:
-            return None
-        coeff = parts[0]
-        for p in parts[1:]:
-            coeff = Mul(coeff, p)
-        coeffs[deg] = simplify(Add(coeffs[deg], coeff)) if deg in coeffs else simplify(coeff)
-    return {d: c for d, c in coeffs.items() if not is_zero(c)}
 
 
 def _sign_on_interval(f: Expr, env: AssumptionEnv, lo, hi) -> int | None:
@@ -145,11 +111,13 @@ def _peel(e: Expr, target: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
         if contains_var(f):
             if shell is not None:
                 return None
-            base, exp = f, q
-            while isinstance(base, Pow):
-                exp = exp * base.exponent
-                base = base.base
-            shell, shell_q = base, exp
+            # one Pow layer per call, each with its own root branch:
+            # (u^r)^q = u^(r*q) for every real u only when r has an odd
+            # numerator, and (x^2)^(1/2) is |x|, not x
+            if isinstance(f, Pow) and (q == 1 or f.exponent.numerator % 2):
+                shell, shell_q = f.base, f.exponent * q
+            else:
+                shell, shell_q = f, q
         else:
             mult = Mul(mult, Pow(f, q) if q != 1 else f)
     if shell is None:

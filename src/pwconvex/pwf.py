@@ -27,12 +27,10 @@ from .errors import (
 from .expr import (
     Abs,
     Add,
-    Const,
     Expr,
     Neg,
     Sub,
     TokenStream,
-    ZERO,
     as_expr,
     contains_var,
     differentiate,
@@ -56,9 +54,8 @@ from .grid import (
     piece_body,
     rebind_var,
 )
-from .inverse import poly_coeffs
 from .limits import one_sided_limit
-from .simplify import simplify, structurally_equal
+from .simplify import affine_parts, simplify, structurally_equal
 
 INF = math.inf
 
@@ -294,12 +291,11 @@ def _abs_nodes(body: Expr) -> list[Expr]:
 
 def _abs_root(node: Abs, env: AssumptionEnv) -> tuple[Expr, Expr]:
     """(root, slope) of the affine argument of an absolute value."""
-    coeffs = poly_coeffs(simplify(node.arg))
-    if coeffs is None or max(coeffs, default=0) != 1:
+    ab = affine_parts(simplify(node.arg))
+    if ab is None:
         raise InputError(f"absolute value argument must be affine in the variable: {to_text(node.arg)}")
-    a = coeffs[1]
-    r = simplify(Neg(coeffs.get(0, ZERO)) / a)
-    return r, a
+    a, b = ab
+    return simplify(Neg(b) / a), a
 
 
 def _strip_abs(body: Expr, signs: dict[Abs, int]) -> Expr:

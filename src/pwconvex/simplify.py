@@ -8,6 +8,12 @@ when that is sound for real arguments (integer exponents, or an odd
 inner exponent), so abs-like identities such as (x^2)^(1/2) = |x| are
 never silently broken.
 
+This module is also the one reader of polynomials in x: ``poly_coeffs``
+and ``affine_parts`` read a canonical sum, and ``_cancel_rational`` its
+denominators and numerators, through ``_split_degree``, which takes the
+degree of a term from its x^n factor only.  A power of a power of x is
+another factor and is never flattened, so (x^2)^(1/2) is not read as x.
+
 Equality of outputs is pointwise, not canonical-form: two expressions
 that print differently may still denote the same function, and tests
 compare by evaluation where the algebra does not collapse them.
@@ -40,6 +46,7 @@ from .expr import (
     X,
     ZERO,
     _pow_number,
+    contains_var,
     map_children,
     pow_sign,
     to_text,
@@ -352,21 +359,20 @@ def _rebuild(m: SumMap) -> Expr:
     return acc if acc is not None else ZERO
 
 
-def _poly_coeffs_of_map(m: SumMap) -> dict[int, Fraction] | None:
-    """Degree->coefficient when the map is a polynomial in the variable
-    with exact rational coefficients; None otherwise."""
-    out: dict[int, Fraction] = {}
-    for factors, coeff in m.items():
-        if not isinstance(coeff, Fraction):
-            return None
-        deg = 0
-        for f, q in factors:
-            if isinstance(f, Var) and q.denominator == 1 and q > 0:
-                deg = int(q)
-            else:
+def _split_degree(factors: Factors) -> tuple[int, Factors] | None:
+    """(n, rest) for the term x^n * prod(rest), or None when the
+    exponent of x is not a nonnegative integer.  A power of a power of
+    x is one more factor of rest, never flattened: (x^2)^(1/2) is |x|."""
+    n = 0
+    rest: list[tuple[Expr, Fraction]] = []
+    for f, q in factors:
+        if isinstance(f, Var):
+            if q.denominator != 1 or q < 0:
                 return None
-        out[deg] = out.get(deg, Fraction(0)) + coeff
-    return {d: c for d, c in out.items() if c != 0}
+            n = int(q)
+        else:
+            rest.append((f, q))
+    return n, tuple(rest)
 
 
 def _poly_divide_exact(num: dict[int, Fraction], den: dict[int, Fraction]) -> dict[int, Fraction] | None:
@@ -408,31 +414,29 @@ def _cancel_rational(m: SumMap) -> SumMap:
                     dens.append(f)
         progressed = False
         for P in dens:
-            den = _poly_coeffs_of_map(_snf(P.base))
-            if den is None or not den or max(den) < 1:
+            den: dict[int, Fraction] = {}
+            for factors, coeff in _snf(P.base).items():
+                split = _split_degree(factors)
+                if split is None or split[1] or not isinstance(coeff, Fraction):
+                    den = {}
+                    break
+                den[split[0]] = coeff
+            if not den or max(den) < 1:
                 continue
+            # terms c * x^n * rest * P, grouped by rest: one numerator
+            # polynomial per group
             groups: dict[Factors, dict[int, Fraction]] = {}
             members: dict[Factors, list[Factors]] = {}
             for factors, coeff in m.items():
                 if (P, Fraction(1)) not in factors or not isinstance(coeff, Fraction):
                     continue
-                deg = 0
-                rest: list[tuple[Expr, Fraction]] = []
-                for f, q in factors:
-                    if f == P and q == 1:
-                        continue
-                    if isinstance(f, Var) and q.denominator == 1 and q > 0:
-                        deg = int(q)
-                    else:
-                        rest.append((f, q))
-                key = tuple(rest)
-                g = groups.setdefault(key, {})
-                g[deg] = g.get(deg, Fraction(0)) + coeff
+                split = _split_degree(tuple(p for p in factors if p != (P, Fraction(1))))
+                if split is None:
+                    continue
+                deg, key = split
+                groups.setdefault(key, {})[deg] = coeff
                 members.setdefault(key, []).append(factors)
             for key, num in groups.items():
-                num = {d: c for d, c in num.items() if c != 0}
-                if not num:
-                    continue
                 quot = _poly_divide_exact(num, den)
                 if quot is None:
                     continue
@@ -471,6 +475,31 @@ def as_terms(e: Expr) -> list[tuple[Number, Factors]]:
     """
     m = _cancel_rational(_snf(e))
     return [(c, fs) for fs, c in m.items() if c != 0]
+
+
+def poly_coeffs(e: Expr) -> dict[int, Expr] | None:
+    """Coefficients by degree when e is a polynomial in the variable
+    with variable-free coefficients; None otherwise."""
+    try:
+        m = _cancel_rational(_snf(e))
+    except DomainError:
+        return None
+    by_degree: dict[int, SumMap] = {}
+    for factors, c in m.items():
+        split = _split_degree(factors)
+        if split is None or any(contains_var(f) for f, _ in split[1]):
+            return None
+        by_degree.setdefault(split[0], {})[split[1]] = c
+    return {n: _rebuild(terms) for n, terms in by_degree.items()}
+
+
+def affine_parts(e: Expr) -> tuple[Expr, Expr] | None:
+    """(a, b) with e = a*x + b, a and b variable-free and a nonzero;
+    None otherwise."""
+    p = poly_coeffs(e)
+    if p is None or max(p, default=0) != 1:
+        return None
+    return p[1], p.get(0, ZERO)
 
 
 def as_param_affine(e: Expr) -> tuple[dict[str, Fraction], Fraction] | None:

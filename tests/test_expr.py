@@ -46,8 +46,9 @@ from pwconvex.expr import (
     pow_sign,
     substitute,
     to_text,
+    walk,
 )
-from pwconvex.simplify import is_zero, simplify
+from pwconvex.simplify import affine_parts, is_zero, poly_coeffs, simplify
 
 
 def ev(text, x=None, **params):
@@ -462,6 +463,35 @@ class TestFloatKernel:
         node = ImplicitInverse(parse_expr("x^3 + x"), -math.inf, math.inf)
         copy = substitute(node, params={"a": 1})
         assert copy is not node and expr._solver(copy, None) is expr._solver(node, None)
+
+
+# polynomials in x with powers of powers of x mixed in: (x^2)^(1/2) is
+# |x|, not x.  Points and constants are dyadic and degrees small, so
+# the float square roots the walk takes of the nested powers are exact.
+NESTED = st.sampled_from(["(x^2)^(1/2)", "(x^4)^(1/2)", "(x^2)^(3/2)"]).map(parse_expr)
+DYADIC = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 4]))
+POLY_BODIES = st.recursive(
+    st.one_of(st.just(X), NESTED, st.builds(Const, DYADIC)),
+    lambda sub: st.one_of(st.builds(Add, sub, sub), st.builds(Sub, sub, sub), st.builds(Mul, sub, sub)),
+    max_leaves=5,
+)
+
+
+class TestPolynomialReader:
+    @settings(max_examples=200, deadline=None)
+    @given(POLY_BODIES, st.sampled_from([Fraction(-3), Fraction(-3, 2), Fraction(-1, 2)]),
+           st.sampled_from([Fraction(1, 2), Fraction(5, 4), Fraction(3)]))
+    def test_coefficients_are_the_body(self, e, neg, pos):
+        p = poly_coeffs(e)
+        if not any(isinstance(n, Pow) for n in walk(e)):
+            assert p is not None, to_text(e)
+        ab = affine_parts(e)
+        assert (ab is not None) == (p is not None and max(p, default=0) == 1)
+        for x in (neg, pos):
+            if p is not None:
+                assert sum(evaluate(c) * x**d for d, c in p.items()) == evaluate(e, x), (to_text(e), x)
+            if ab is not None:
+                assert evaluate(ab[0]) * x + evaluate(ab[1]) == evaluate(e, x), (to_text(e), x)
 
 
 class TestParseDepth:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from pwconvex import (
     AssumptionEnv,
+    cli,
     eval_op,
     invert,
     numeric,
@@ -186,3 +187,11 @@ def test_verify_matches_the_exact_loop(kind, t, penalty):
     assert rep.max_violation == pytest.approx(worst, rel=1e-12, abs=0.0)
     if penalty == "recovered":
         assert rep.passed
+
+
+def test_a_power_of_a_power_in_a_guard_is_not_affine(capsys):
+    # (x^2)^(1/2) is |x|: the guard reads |x| < 1, which is not x < 1
+    code = cli.main(["subdiff", "pw{ (x^2)^(1/2) < 1 -> 0 ; (x^2)^(1/2) >= 1 -> x - 1 }"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "InputError" in err and "guard must be affine" in err

@@ -8,6 +8,7 @@ import pytest
 from pwconvex import (
     AssumptionEnv,
     add,
+    cli,
     eval_op,
     identity_operator,
     invert,
@@ -25,7 +26,7 @@ from pwconvex.errors import (
     NegativeScalar,
     NotMonotone,
 )
-from pwconvex.expr import contains_var, evaluate, to_text
+from pwconvex.expr import contains_var, evaluate, is_numeric_node, to_text
 
 ENV = AssumptionEnv.empty()
 
@@ -108,6 +109,28 @@ class TestInvert:
             assert a.tag == b.tag
             if a.tag == "point":
                 assert fval(a.lo) == fval(b.lo)
+
+    @pytest.mark.parametrize("text, values", [
+        # -(x^2)^(1/2) = -|x| is x on x < 0, so the inverse there is y
+        ("sd{ x < 0 -> {0 - (x^2)^(1/2)} ; x >= 0 -> {0} }",
+         {-2: -2, Fraction(-1, 3): Fraction(-1, 3)}),
+        # -((x + 1)^6)^(1/2) = -|x + 1|^3 is (x + 1)^3 on x < -1
+        ("sd{ x < -1 -> {0 - ((x + 1)^6)^(1/2)} ; x >= -1 -> {0} }",
+         {-8: -3, Fraction(-1, 27): Fraction(-4, 3)}),
+    ])
+    def test_each_power_layer_takes_its_own_root_branch(self, capsys, text, values):
+        assert cli.main(["invert", text]) == 0
+        capsys.readouterr()
+        P = invert(parse_operator(text, ENV))
+        for y, x in values.items():
+            v = eval_op(P, y)
+            assert v.tag == "point" and evaluate(v.lo) == x, (y, str(v))
+
+    def test_power_of_a_power_inverts_in_closed_form(self):
+        P = invert(parse_operator("sd{ x < 0 -> empty ; x >= 0 -> {(x^4)^(1/2)} }", ENV))
+        bodies = [p.body for p in P.pieces if not p.empty]
+        assert not any(is_numeric_node(b) for b in bodies)
+        assert [to_text(b, P.varname) for b in bodies] == ["(y^2)^(1/4)"]
 
 
 class TestAlgebra:
