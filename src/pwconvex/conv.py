@@ -9,10 +9,11 @@ keeps an antiderivative G of g when one exists, and its values come
 from the inverse-function rule [y*g^-1(y) - G(g^-1(y))] with one solve
 each (Borwein & Hamilton, *Symbolic Fenchel conjugation*, Math.
 Program. 116, 2009); any other piece is integrated by quadrature.
-conjugate composes subdifferential -> invert -> integ and
-fixes the additive constant with the Fenchel-Young equality at a
-single graph point; the pointwise sup formula never enters (only the
-brute-force cross-check in ``tests/oracles.py`` takes that route).
+conjugate composes subdifferential -> invert -> integ, and integ fixes
+the additive constant before it builds the result, from the
+Fenchel-Young equality at a single graph point; the pointwise sup
+formula never enters (only the brute-force cross-check in
+``tests/oracles.py`` takes that route).
 """
 
 from __future__ import annotations
@@ -252,8 +253,8 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
     dom T, +inf outside its closure, subdifferential extending T.
 
     With anchor=None the leftmost finite piece keeps its raw
-    antiderivative (no constant added); otherwise the whole function is
-    shifted so f(anchor) = anchor_value.
+    antiderivative (no constant added); otherwise the constant is chosen
+    so f(anchor) = anchor_value.
     """
     env = T.env
     live = T.live_slices()
@@ -261,12 +262,6 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
         raise EmptyOperator("cannot antidifferentiate an operator with empty graph")
     s0, s1 = live[0], live[-1]
     n = len(T.breakpoints)
-
-    if s0 == s1 and s0 % 2 == 1:
-        # graph lives at a single breakpoint: an indicator of one point
-        b = T.breakpoints[(s0 - 1) // 2]
-        f = build_function(T.varname, [b], [None, None], [ZERO], env)
-        return _shift_to_anchor(f, anchor, anchor_value)
 
     # index range of breakpoints kept in f, and hull boundedness
     if s0 % 2 == 1:
@@ -306,16 +301,13 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
 
     # stitch constants left to right; the first inside piece keeps raw
     pieces: list[Expr | None] = [None] * m_count
-    values: list = [None] * len(bps)
-    shift: Expr = ZERO
-    started = False
+    values: list = [INF] * len(bps)
+    last_inside = None
     for m in range(m_count):
         A = raw[m]
         if A is None:
             continue
-        clo, chi = T.interval(j_lo + m)
-        if not started:
-            started = True
+        if last_inside is None:
             pieces[m] = A
             if m > 0:
                 values[m - 1] = _edge_value(_end_value(A, bps[m - 1], "right", env))
@@ -331,42 +323,49 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
             pieces[m] = simplify(Add(A, shift)) if not is_numeric_node(A) else Add(A, shift)
             values[m - 1] = left_total
         last_inside = m
-    # value at the right hull edge, if f ends before +inf
-    if raw[last_inside] is not None and last_inside < m_count - 1:
-        values[last_inside] = _edge_value(
-            _end_value(pieces[last_inside], bps[last_inside], "left", env)
-        )
+    if last_inside is None:
+        # graph lives at a single breakpoint: an indicator of one point
+        values = [ZERO]
+    elif last_inside < m_count - 1:
+        # value at the right hull edge, as f ends before +inf
+        values[last_inside] = _edge_value(_end_value(pieces[last_inside], bps[last_inside], "left", env))
 
-    out_pieces = [p if p is not None else None for p in pieces]
-    out_values = [v if v is not None else INF for v in values]
-    f = build_function(T.varname, bps, out_pieces, out_values, env)
-    return _shift_to_anchor(f, anchor, anchor_value)
+    if anchor is not None:
+        c = _anchor_shift(T, j_lo, pieces, values, anchor, anchor_value)
+        if not is_zero(c):
+            pieces = [None if p is None else Add(p, c) for p in pieces]
+            values = [v if isinstance(v, float) else Add(v, c) for v in values]
+    return build_function(T.varname, bps, pieces, values, env)
 
 
-def _shift_to_anchor(f: PiecewiseFunction, anchor, anchor_value) -> PiecewiseFunction:
-    if anchor is None:
-        return f
+def _anchor_shift(T: MonotoneOperator, j_lo: int, pieces: list, values: list, anchor, anchor_value) -> Expr:
+    """The constant that makes integ's parts, laid on T's breakpoints
+    from j_lo on, take anchor_value at anchor."""
     if isinstance(anchor_value, float) and math.isinf(anchor_value):
         raise InputError("the anchor value must be finite")
     xe = simplify(parse_expr(anchor) if isinstance(anchor, str) else as_expr(anchor))
-    cur = f.at(xe)
+    where, i = T.locate(xe)
+    k = i - j_lo
+    if where == "breakpoint":
+        cur = values[k] if 0 <= k < len(values) else INF
+    else:
+        body = pieces[k] if 0 <= k < len(pieces) else None
+        cur = INF if body is None else numeric.body_at(body, xe, T.env)
     if isinstance(cur, float):
         raise InputError(f"anchor {to_text(xe)} lies outside the domain")
     target = parse_expr(anchor_value) if isinstance(anchor_value, str) else as_expr(anchor_value)
-    return _shift_by(f, simplify(Sub(target, cur)))
+    return simplify(Sub(target, cur))
 
 
-def _shift_by(f: PiecewiseFunction, g: Expr, weakly_convex: bool | None = None) -> PiecewiseFunction:
+def _shift_by(f: PiecewiseFunction, g: Expr, weakly_convex: bool = False) -> PiecewiseFunction:
     """f + g pointwise, for a g defined on the whole line (a constant or
-    a polynomial); the result is weakly convex as f is, unless
-    ``weakly_convex`` says otherwise."""
+    a polynomial), built weakly convex when ``weakly_convex``."""
     if is_zero(g):
         return f
     pieces = [None if p.empty else Add(p.body, g) for p in f.pieces]
     values = [v if isinstance(v, float) else simplify(Add(v, numeric.body_at(g, b, f.env)))
               for b, v in zip(f.breakpoints, f.values)]
-    weakly = f.weakly_convex if weakly_convex is None else weakly_convex
-    return build_function(f.varname, list(f.breakpoints), pieces, values, f.env, weakly)
+    return build_function(f.varname, list(f.breakpoints), pieces, values, f.env, weakly_convex)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +392,12 @@ def _representative(v) -> Expr | None:
     return None
 
 
-def _pin_candidates(Sinv: MonotoneOperator, g: PiecewiseFunction) -> list[Expr]:
+def _pin_candidates(Sinv: MonotoneOperator) -> list[Expr]:
     out: list[Expr] = []
     bps = list(Sinv.breakpoints)
     if bps:
         out.append(bps[len(bps) // 2])
-    d = domain(g)
+    d = domain(Sinv)
     out.append(_interior_point(d.lo, d.hi))
     out.extend(b for b in bps if b not in out)
     for b in bps:
@@ -418,14 +417,13 @@ def _check_no_interior_gap(Sinv: MonotoneOperator) -> None:
 
 
 def conjugate(f: PiecewiseFunction) -> PiecewiseFunction:
-    """Fenchel conjugate, computed as the pinned antiderivative of the
-    inverse of the subdifferential."""
+    """Fenchel conjugate, computed as the antiderivative of the inverse
+    of the subdifferential, anchored at a graph point (y0, x0) of that
+    inverse to the Fenchel-Young value y0*x0 - f(x0)."""
     S = subdifferential(f)
     Sinv = invert(S)
     _check_no_interior_gap(Sinv)
-    g = integ(Sinv)
-    env = f.env
-    for y0 in _pin_candidates(Sinv, g):
+    for y0 in _pin_candidates(Sinv):
         try:
             xs = eval_op(Sinv, y0)
         except Exception:
@@ -435,13 +433,11 @@ def conjugate(f: PiecewiseFunction) -> PiecewiseFunction:
             continue
         try:
             fx = f.at(simplify(x0))
-            gy = g.at(simplify(y0))
         except Exception:
             continue
-        if isinstance(fx, float) or isinstance(gy, float):
+        if isinstance(fx, float):
             continue
-        target = simplify(Sub(Mul(y0, x0), fx))
-        return _shift_by(g, simplify(Sub(target, gy)))
+        return integ(Sinv, y0, simplify(Sub(Mul(y0, x0), fx)))
     raise ConstantPinFailure("no finite graph point found to pin the conjugate")
 
 

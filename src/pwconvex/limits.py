@@ -380,9 +380,7 @@ def limit_at_infinity(e: Expr, direction: int, env: AssumptionEnv) -> Expr | flo
 
 
 def limit_at(e: Expr, point: Expr | float, side: Side, env: AssumptionEnv) -> Expr | float:
-    """Dispatch on finite point vs infinity."""
+    """Dispatch on a finite point (an Expr) vs a float infinity."""
     if isinstance(point, Expr):
         return one_sided_limit(e, point, side, env)
-    if math.isinf(point):
-        return limit_at_infinity(e, 1 if point > 0 else -1, env)
-    return one_sided_limit(e, Const(Fraction(point).limit_denominator(10**12)), side, env)
+    return limit_at_infinity(e, 1 if point > 0 else -1, env)

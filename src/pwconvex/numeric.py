@@ -38,12 +38,11 @@ The float decisions that remain, by caller:
   cannot order (``order``, ``less``, ``equal``).
 * ``body_at``: a body with an implicit inverse or quadrature node read
   at a point.  Its callers: ``grid.Grid.at``, the grid reader
-  (``monop.add``, ``conv.conjugate``, ``conv._shift_to_anchor``,
-  ``risk.superquantile``), ``grid.merge_seamless``, ``conv._end_value``
-  and ``inverse.solve_monotone`` (``risk.quantile``).
+  (``monop.add``, ``conv.conjugate``, ``risk.superquantile``),
+  ``grid.merge_seamless``, ``conv._end_value``, ``conv._anchor_shift``
+  (the anchor of ``conv.integ``) and ``inverse.solve_monotone``
+  (``risk.quantile``).
 * ``conv._body_limit``: limits the limits module cannot take (``value``).
-* ``risk.superexpectation``: the tail constant of a CDF whose drift has
-  no limit, read one unit right of the last breakpoint (``value``).
 * ``penalty.verify_penalty`` and its graph sampler
   ``oracle.sample_graph``: graph samples and distances (``value``,
   ``clip``, ``defined``).  Both read a grid at many float points

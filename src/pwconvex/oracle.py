@@ -18,16 +18,11 @@ DEFAULT_SEED = 0xC0FFEE
 SAMPLE_WINDOW = 30.0
 
 
-def sample_graph(
-    T: MonotoneOperator,
-    n: int,
-    rng: random.Random | None = None,
-    window: float = SAMPLE_WINDOW,
-) -> list[tuple[float, float]]:
+def sample_graph(T: MonotoneOperator, n: int, rng: random.Random | None = None) -> list[tuple[float, float]]:
     """n points (x, u) with u in T(x), numeric under a feasible binding.
 
     Breakpoint values contribute endpoints and midpoints (half-lines are
-    clipped to the window); pieces contribute uniform random interior
+    clipped to SAMPLE_WINDOW); pieces contribute uniform random interior
     points, read through the pieces' kernels (``Grid.float_view``), which
     give bit for bit the floats of ``numeric.at``.
     """
@@ -42,10 +37,10 @@ def sample_graph(
         if v.tag == "point":
             us = [numeric.value(v.lo, binding)]
         elif v.tag == "all":
-            us = [-window, 0.0, window]
+            us = [-SAMPLE_WINDOW, 0.0, SAMPLE_WINDOW]
         else:
-            lo = -window if isinstance(v.lo, float) else numeric.value(v.lo, binding)
-            hi = window if isinstance(v.hi, float) else numeric.value(v.hi, binding)
+            lo = -SAMPLE_WINDOW if isinstance(v.lo, float) else numeric.value(v.lo, binding)
+            hi = SAMPLE_WINDOW if isinstance(v.hi, float) else numeric.value(v.hi, binding)
             us = [lo, 0.5 * (lo + hi), hi]
         pts.extend((xb, u) for u in us)
     live = [i for i, p in enumerate(T.pieces) if not p.empty]
@@ -53,7 +48,7 @@ def sample_graph(
         per = max(1, (n - len(pts)) // len(live) + 1)
         for i in live:
             lo, hi = T.interval(i)
-            clipped = numeric.clip(env, lo, hi, window)
+            clipped = numeric.clip(env, lo, hi, SAMPLE_WINDOW)
             if clipped is None:
                 continue
             clo, chi = clipped

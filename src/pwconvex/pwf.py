@@ -262,8 +262,9 @@ def eval_pwf(f: PiecewiseFunction, x, params: dict | None = None):
     return evaluate(body, x=evaluate(xe))
 
 
-def domain(f: PiecewiseFunction) -> Interval:
-    """The interval on which f is finite (with an empty flag)."""
+def domain(f: Grid) -> Interval:
+    """The interval on which f is finite (with an empty flag); for an
+    operator, the hull of its domain."""
     live = f.live_slices()
     if not live:
         return Interval(-INF, INF, False, False, empty=True)

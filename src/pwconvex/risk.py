@@ -147,15 +147,7 @@ def superexpectation(d: DistributionSpec) -> PiecewiseFunction:
     try:
         m = limit_at_infinity(drift, 1, d.env)
     except UnsupportedOperation as exc:
-        last = d.cdf_op.pieces[-1]
-        if not last.empty and not contains_var(last.body) and d.cdf_op.breakpoints:
-            binding = numeric.binding(d.env)
-            edge = numeric.value(d.cdf_op.breakpoints[-1], binding)
-            m = as_expr(Fraction(numeric.value(drift, binding, edge + 1.0)))
-        else:
-            raise UnsupportedTail(
-                f"cannot pin the superexpectation constant: {exc}"
-            ) from exc
+        raise UnsupportedTail(f"cannot pin the superexpectation constant: {exc}") from exc
     if isinstance(m, float):
         if math.isinf(m):
             if m < 0:

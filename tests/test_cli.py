@@ -136,6 +136,47 @@ def test_quantile_through_an_implicit_inverse_is_a_number(capsys):
     assert float(out) == pytest.approx(1.6783469900, abs=1e-9)
 
 
+def rows(text):
+    """The rows of a rendered function or operator, spacing collapsed."""
+    return [" ".join(line.split()) for line in text.strip().splitlines()]
+
+
+def test_superexpectation_and_superdistribution_of_the_uniform(capsys):
+    # E(x) = E[max(x, X)] for X uniform on [0, 1], and its derivative, the CDF
+    code, out, err = run(capsys, ["risk", "--cdf", UNIFORM, "superexp"])
+    assert code == 0, err
+    assert rows(out) == ["x < 0 -> 1/2", "x = 0 -> 1/2", "0 < x < 1 -> 1/2 + x^2/2", "x = 1 -> 1", "x > 1 -> x"]
+    code, out, err = run(capsys, ["risk", "--cdf", UNIFORM, "superdist"])
+    assert code == 0, err
+    assert rows(out) == ["x < 0 -> {0}", "x = 0 -> {0}", "0 < x < 1 -> {x}", "x = 1 -> {1}", "x > 1 -> {1}"]
+
+
+SEPARABLE = "abs(x) ;; x^2/2"
+
+
+def test_separable_input(capsys):
+    code, out, err = run(capsys, ["conj", SEPARABLE])
+    assert code == 0, err
+    box, half_square = out.split("\n;;\n")
+    assert rows(box) == ["y < -1 -> inf", "y = -1 -> 0", "-1 < y < 1 -> 0", "y = 1 -> 0", "y > 1 -> inf"]
+    assert rows(half_square) == ["y -> y^2/2"]
+    assert run(capsys, ["prox", SEPARABLE, "--at", "3, 1"])[1].strip() == "({2}, {1/2})"
+    assert run(capsys, ["eval", SEPARABLE, "--at", "-2, 1"])[1].strip() == "5/2"
+    code, out, err = run(capsys, ["eval", SEPARABLE, "--at", "-2"])
+    assert code == 2 and not out
+    assert err.startswith("error[InputError]: point has 1 coordinates")
+
+
+@pytest.mark.parametrize("op, want", [("sd{ x < 0 -> {x - 1} ; x > 0 -> {x + 1} }", "[-1, 1]"),
+                                      ("sd{ x < 0 -> empty ; x > 0 -> {x} }", "{0}")])
+def test_operator_closure_at_an_omitted_breakpoint(capsys, op, want):
+    # no guard covers 0: the value there closes the graph between the
+    # one-sided limits of the pieces beside it
+    code, out, err = run(capsys, ["eval", op, "--at", "0"])
+    assert code == 0, err
+    assert out.strip() == want
+
+
 HARD_THRESHOLD_PENALTY = (
     "pw{ x < -1 -> 0 ; -1 <= x & x < 0 -> -1/2 - x - x^2/2 ;"
     " 0 <= x & x <= 1 -> -1/2 + x - x^2/2 ; x > 1 -> 0 }"

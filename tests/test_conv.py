@@ -15,7 +15,7 @@ from pwconvex import (
     parse_pwf,
     subdifferential,
 )
-from pwconvex.errors import InternalInconsistency
+from pwconvex.errors import InputError
 from pwconvex.pwf import eval_pwf
 
 ENV = AssumptionEnv.empty()
@@ -39,6 +39,11 @@ class TestInteg:
         f = integ(S, anchor=2, anchor_value=7)
         assert eval_pwf(f, 2) == 7
         assert eval_pwf(f, 0) == 5  # 7 - 2^2/2
+
+    def test_anchor_outside_the_domain_is_bad_input(self):
+        S = subdifferential(parse_pwf("pw{ x < 0 -> inf ; x >= 0 -> x^2 }", ENV))
+        with pytest.raises(InputError, match="outside the domain"):
+            integ(S, anchor=-1, anchor_value=0)
 
     def test_domain_gap_bridged_by_secant(self):
         # 0 left of -1, 1 right of +1, nothing in between: the potential

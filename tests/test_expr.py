@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_root
@@ -16,6 +16,7 @@ from pwconvex import parse_pwf
 from pwconvex.expr import (
     BISECT_REL_TOL,
     MAX_PARSE_DEPTH,
+    QUAD_MAX_SPLITS,
     ZERO,
     Abs,
     Add,
@@ -31,6 +32,7 @@ from pwconvex.expr import (
     Pow,
     Sub,
     X,
+    _composite,
     _eval_integral,
     _eval_quadrature,
     _integral_form,
@@ -286,17 +288,33 @@ def transcendental_inverse_integrals(draw):
     return NumericIntegral(inverse, as_expr(base), primitive), params, base, forward(draw(ts))
 
 
+# g(t) = exp(27/4*t) + t/4 from g(2) to g(-1): the plain quadrature of
+# g^-1 over this range is off by 1e-11 relative
+WIDE_EXP = ImplicitInverse(parse_expr("exp(a*x) + (1/4)*x"), -math.inf, math.inf)
+WIDE_EXP_INTEGRAL = (
+    NumericIntegral(WIDE_EXP, as_expr(729416.8698477013),
+                    _inverse_primitive(WIDE_EXP, AssumptionEnv.parse(["0 < a"]))),
+    {"a": Fraction(27, 4)}, 729416.8698477013, -0.24882912037920882,
+)
+
+
 class TestInverseIntegral:
     """The closed form of an integral of an implicit inverse."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(inverse_integrals(), transcendental_inverse_integrals()))
-    def test_closed_form_is_the_quadrature(self, example):
-        node, params, base, y = example
+    @example(WIDE_EXP_INTEGRAL)
+    def test_closed_form_is_the_quadrature(self, case):
+        node, params, base, y = case
         form = _integral_form(node, params)
         assert form is not None
         got = _eval_integral(node, base, y, params, form)
-        want = _eval_quadrature(node.integrand, base, y, params)
+        # the reference integrates t*g'(t) over [g^-1(base), g^-1(y)]
+        # (s = g(t)): smooth where g^-1 is steep, and free of the primitive
+        inverse = node.integrand
+        t0, t1 = (evaluate(inverse, s, params) for s in (base, y))
+        integrand = float_kernel(Mul(X, differentiate(inverse.forward)), params)
+        want = _composite(integrand, t0, t1, max(1, min(64, int(abs(t1 - t0)) + 1)), QUAD_MAX_SPLITS)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_one_solve_per_kernel_value(self, monkeypatch):
