@@ -8,7 +8,8 @@ facts *prove* it; anything else is Undecidable.  An environment whose
 closure derives a < a raises InconsistentEnv at construction.
 
 Each environment keeps a memo of its decisions: ``compare`` by the
-simplified difference, and ``limits._limit_core`` by its key.  Both are
+simplified difference (two exact constants are ordered directly and
+leave no entry), and ``limits._limit_core`` by its key.  Both are
 pure functions of the environment and their key, float decisions at
 ``numeric.binding`` included, so each is taken once per environment
 and expression.  A decision that raises is not kept.
@@ -22,7 +23,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InconsistentEnv, InputError, UndecidableComparison
-from .expr import Const, Expr, Number, Sub, contains_var, parse_expr, to_text
+from .expr import (
+    Abs,
+    Const,
+    Exp,
+    Expr,
+    Mul,
+    Neg,
+    Number,
+    Pow,
+    Sub,
+    as_expr,
+    contains_var,
+    param_names,
+    parse_expr,
+    pow_sign,
+    to_text,
+)
 from .simplify import as_param_affine, simplify
 
 #: decisions an environment keeps before its memo is cleared
@@ -181,15 +198,23 @@ class AssumptionEnv:
 
     # -- comparisons ------------------------------------------------------
 
-    def compare(self, a: "Expr | Number | int", b: "Expr | Number | int") -> Ordering:
+    def compare(self, a: "Expr | Number", b: "Expr | Number") -> Ordering:
         """Three-way comparison of variable-free expressions, sound except
         for a parameter-free irrational difference, which is decided in
         floats and is UNDECIDABLE when it lies within the float tolerance
-        of 0 (``numeric.difference_order``).  A rational difference is
-        read at once; any other is decided once per environment."""
-        from .expr import as_expr
-
+        of 0 (``numeric.difference_order``).  Two exact constants are
+        ordered directly, with no simplification and no memo entry.
+        Otherwise the difference b - a is simplified (a float constant
+        on either side makes it a float subtraction, so 0.1 and 1/10 are
+        EQUAL): a constant difference is read at once, and any other is
+        decided once per environment."""
         ea, eb = as_expr(a), as_expr(b)
+        if type(ea) is Const and type(eb) is Const:
+            va, vb = ea.value, eb.value
+            if not isinstance(va, float) and not isinstance(vb, float):
+                if va == vb:
+                    return Ordering.EQUAL
+                return Ordering.LESS if va < vb else Ordering.GREATER
         diff = simplify(Sub(eb, ea))
         if isinstance(diff, Const):
             v = diff.value
@@ -234,8 +259,6 @@ class AssumptionEnv:
 
     def sign_of(self, e: Expr) -> int | None:
         """Structural sign of a variable-free expression: 1, -1, 0 or None."""
-        from .expr import Abs, Exp, Mul, Neg, Pow, pow_sign
-
         s = simplify(e)
         if isinstance(s, Const):
             return 0 if s.value == 0 else (1 if s.value > 0 else -1)
@@ -334,8 +357,6 @@ def _substitute_param(c: _Constraint, p: str, val: Fraction) -> _Constraint:
 
 
 def diff_has_params(e: Expr) -> bool:
-    from .expr import param_names
-
     return bool(param_names(e))
 
 

@@ -51,7 +51,10 @@ from .errors import (
     UnsupportedOperation,
 )
 
-Number = Union[Fraction, float]
+#: a number: exact as an int or a Fraction, or a float approximation.
+#: Constants and exponents keep an integral value as int, which hashes
+#: and compares like the equal Fraction, and faster.
+Number = Union[int, Fraction, float]
 
 #: an implicit inverse is solved to relative tolerance BISECT_REL_TOL
 #: (of max(1, |root|)); BISECT_MAX_ITER caps each push of the bracket
@@ -115,9 +118,10 @@ class Expr:
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Const(Expr):
-    """A rational or decimal constant.  Rationals are preferred.
+    """A rational or decimal constant.  Rationals are preferred; an
+    integral one is stored as int, so Const(Fraction(3)) is Const(3).
 
-    Equality is type-aware: a float and a Fraction of equal value are
+    Equality is type-aware: a float and an exact value of equal value are
     different nodes, because the float is an approximation and folds
     approximately under simplification.  Python would otherwise hash
     Fraction(1, 2) and 0.5 identically and let caches mix them up.
@@ -126,8 +130,9 @@ class Const(Expr):
     value: Number
 
     def __post_init__(self):
-        if isinstance(self.value, int):
-            object.__setattr__(self, "value", Fraction(self.value))
+        v = self.value
+        if type(v) is Fraction and v.denominator == 1:
+            object.__setattr__(self, "value", v.numerator)
 
     def __eq__(self, other):
         return (
@@ -188,14 +193,15 @@ class Div(Expr):
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Pow(Expr):
-    """Power with a fixed rational exponent."""
+    """Power with a fixed rational exponent, stored as int when integral."""
 
     base: Expr
-    exponent: Fraction
+    exponent: int | Fraction
 
     def __post_init__(self):
-        if isinstance(self.exponent, int):
-            object.__setattr__(self, "exponent", Fraction(self.exponent))
+        q = self.exponent
+        if type(q) is Fraction and q.denominator == 1:
+            object.__setattr__(self, "exponent", q.numerator)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -269,9 +275,7 @@ def as_expr(v: "Expr | int | float | Fraction") -> Expr:
         return v
     if isinstance(v, bool):
         raise TypeError("booleans are not expressions")
-    if isinstance(v, int):
-        return Const(Fraction(v))
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return Const(v)
     if isinstance(v, float):
         if math.isinf(v) or math.isnan(v):
@@ -614,7 +618,7 @@ _PREC_ATOM = 4
 
 def format_number(v: Number) -> str:
     """Render a number: rationals as p/q, floats with 17 significant digits."""
-    if isinstance(v, Fraction):
+    if not isinstance(v, float):
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
@@ -732,13 +736,13 @@ def _pow_number(base: Number, q: Fraction) -> Number:
         p = q.numerator
         if base == 0 and p < 0:
             raise DomainError("zero raised to a negative power")
-        if isinstance(base, Fraction):
-            return base**p
-        return float(base) ** p
+        if p < 0 and isinstance(base, int):
+            return Fraction(1, base**-p)  # int ** -p is a float
+        return base**p
     if base == 0:
         if q < 0:
             raise DomainError("zero raised to a negative power")
-        return Fraction(0) if isinstance(base, Fraction) else 0.0
+        return 0.0 if isinstance(base, float) else Fraction(0)
     if base < 0:
         sign = pow_sign(-1, q)
         if sign is None:
@@ -775,10 +779,11 @@ def _ln_number(v: Number) -> Number:
 
 def evaluate(
     e: Expr,
-    x: Number | int | None = None,
-    params: Mapping[str, Number | int] | None = None,
+    x: Number | None = None,
+    params: Mapping[str, Number] | None = None,
 ) -> Number:
-    """Evaluate to a rational (when arithmetic stays closed) or a float.
+    """Evaluate to a Fraction (when arithmetic stays closed) or a float;
+    an integral value is a Fraction too, though constants hold it as int.
 
     Raises DomainError for log of a nonpositive value, division by zero
     and even-root powers of negative values; UnboundParameter when a
@@ -791,12 +796,11 @@ def evaluate(
         if isinstance(node, Var):
             if x is None:
                 raise DomainError("expression contains the variable but no point was given")
-            return Fraction(x) if isinstance(x, int) else x
+            return x
         if isinstance(node, Param):
             if params is None or node.name not in params:
                 raise UnboundParameter(node.name)
-            v = params[node.name]
-            return Fraction(v) if isinstance(v, int) else v
+            return params[node.name]
         if isinstance(node, Neg):
             return -go(node.arg)
         if isinstance(node, Abs):
@@ -809,7 +813,10 @@ def evaluate(
             return go(node.left) * go(node.right)
         if isinstance(node, Div):
             den = _nonzero(go(node.right))
-            return go(node.left) / den
+            num = go(node.left)
+            if isinstance(num, int) and isinstance(den, int):
+                return Fraction(num, den)  # int / int is a float
+            return num / den
         if isinstance(node, Pow):
             return _pow_number(go(node.base), node.exponent)
         if isinstance(node, Exp):
@@ -828,7 +835,8 @@ def evaluate(
             return _eval_integral(node, base, b, params, _integral_form(node, params) if b != base else None)
         raise TypeError(type(node).__name__)
 
-    return go(e)
+    out = go(e)
+    return Fraction(out) if isinstance(out, int) else out
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +923,7 @@ def _kernel_template(e: Expr):
     return namespace["factory"], tuple(slots)
 
 
-def float_kernel(e: Expr, params: Mapping[str, Number | int] | None = None) -> Callable[[float], float]:
+def float_kernel(e: Expr, params: Mapping[str, Number] | None = None) -> Callable[[float], float]:
     """e as a float function of a float point x under params, equal bit
     for bit to ``float(evaluate(e, x, params))``, errors included.
 

@@ -262,7 +262,7 @@ def _term_limit(coeff: Number, factors, env: AssumptionEnv, x0: Expr | None, sid
                 return None
             sign *= s
         return POS_INF if sign > 0 else NEG_INF
-    out: Expr = Const(coeff if isinstance(coeff, Fraction) else coeff)
+    out: Expr = Const(coeff)
     for part in finite_parts:
         out = Mul(out, part)
     return simplify(out)
@@ -294,7 +294,7 @@ def _group_shared_factors(terms):
             continue
         total: Expr = ZERO
         for coeff, mono in members:
-            t: Expr = Const(coeff if isinstance(coeff, Fraction) else coeff)
+            t: Expr = Const(coeff)
             for f, q in mono:
                 t = Mul(t, f if q == 1 else Pow(f, q))
             total = Add(total, t)

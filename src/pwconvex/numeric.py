@@ -188,13 +188,14 @@ def less(env: AssumptionEnv, a, b) -> bool:
 
 
 def equal(env: AssumptionEnv, a, b) -> bool:
-    """a = b in the extended reals: exactly for rational constants, then
-    structurally, then in floats at the binding; never ``env.compare``."""
+    """a = b in the extended reals: exactly for two exact constants (int
+    or Fraction, an integral value being either), then structurally,
+    then in floats at the binding; never ``env.compare``."""
     if is_inf(a) or is_inf(b):
         return a == b
     ea, eb = as_expr(a), as_expr(b)
     if isinstance(ea, Const) and isinstance(eb, Const):
-        if isinstance(ea.value, Fraction) and isinstance(eb.value, Fraction):
+        if not isinstance(ea.value, float) and not isinstance(eb.value, float):
             return ea.value == eb.value
     if structurally_equal(ea, eb):
         return True

@@ -158,7 +158,7 @@ def _iroot(n: int, k: int) -> int | None:
     return None
 
 
-def _exact_pow_frac(c: Fraction, q: Fraction) -> Fraction | None:
+def _exact_pow_frac(c: int | Fraction, q: Fraction) -> Fraction | None:
     """c**q as an exact rational, or None when the root is irrational."""
     if c == 0:
         return Fraction(0) if q > 0 else None
@@ -166,7 +166,7 @@ def _exact_pow_frac(c: Fraction, q: Fraction) -> Fraction | None:
         sign = pow_sign(-1, q)
         sub = None if sign is None else _exact_pow_frac(-c, q)
         return None if sub is None else sign * sub
-    p = c**q.numerator
+    p = Fraction(c) ** q.numerator  # an int to a negative power is a float
     rn = _iroot(p.numerator, q.denominator)
     rd = _iroot(p.denominator, q.denominator)
     if rn is None or rd is None:
@@ -181,7 +181,7 @@ def _pow_map(base: SumMap, q: Fraction) -> SumMap:
         return base
     c = _is_const_map(base)
     if c is not None:
-        if isinstance(c, Fraction) and q.denominator != 1:
+        if not isinstance(c, float) and q.denominator != 1:
             exact = _exact_pow_frac(c, q)
             if exact is None:
                 return _single(Pow(Const(c), q))
@@ -198,7 +198,7 @@ def _pow_map(base: SumMap, q: Fraction) -> SumMap:
         # and the coefficient has an exact rational root
         safe = all(e.denominator == 1 and e.numerator % 2 == 1 for _, e in factors)
         if safe:
-            if isinstance(coeff, Fraction):
+            if not isinstance(coeff, float):
                 cc = _exact_pow_frac(coeff, q)
             else:
                 try:
@@ -222,7 +222,7 @@ def _pow_map(base: SumMap, q: Fraction) -> SumMap:
             new = [(f, -e) for f, e in factors]
             factors2, mult = _canon_factors(new)
             try:
-                inv = Fraction(1) / coeff if isinstance(coeff, Fraction) else 1.0 / coeff
+                inv = 1.0 / coeff if isinstance(coeff, float) else Fraction(1) / coeff
             except ZeroDivisionError:
                 raise DomainError("division by zero in simplification") from None
             cc = inv * mult
@@ -318,18 +318,18 @@ def _build_product(factors: Factors, coeff: Number) -> Expr:
         target.append(f if qq == 1 else Pow(f, qq))
 
     coeff = abs(coeff)
-    if isinstance(coeff, Fraction):
-        p, qden = coeff.numerator, coeff.denominator
-    else:
+    if isinstance(coeff, float):
         p, qden = coeff, 1
+    else:
+        p, qden = coeff.numerator, coeff.denominator
 
     if p != 1 or not num_parts:
-        num_parts.insert(0, Const(Fraction(p) if isinstance(p, int) else p))
+        num_parts.insert(0, Const(p))
     num = num_parts[0]
     for part in num_parts[1:]:
         num = Mul(num, part)
     if qden != 1:
-        den_parts.insert(0, Const(Fraction(qden)))
+        den_parts.insert(0, Const(qden))
     if not den_parts:
         return num
     den = den_parts[0]
@@ -386,7 +386,7 @@ def _poly_divide_exact(num: dict[int, Fraction], den: dict[int, Fraction]) -> di
         if nd < dd:
             return None
         k = nd - dd
-        c = num[nd] / dc
+        c = Fraction(num[nd]) / dc  # int / int is a float
         quot[k] = c
         for d2, c2 in den.items():
             nv = num.get(d2 + k, Fraction(0)) - c * c2
@@ -417,7 +417,7 @@ def _cancel_rational(m: SumMap) -> SumMap:
             den: dict[int, Fraction] = {}
             for factors, coeff in _snf(P.base).items():
                 split = _split_degree(factors)
-                if split is None or split[1] or not isinstance(coeff, Fraction):
+                if split is None or split[1] or isinstance(coeff, float):
                     den = {}
                     break
                 den[split[0]] = coeff
@@ -428,7 +428,7 @@ def _cancel_rational(m: SumMap) -> SumMap:
             groups: dict[Factors, dict[int, Fraction]] = {}
             members: dict[Factors, list[Factors]] = {}
             for factors, coeff in m.items():
-                if (P, Fraction(1)) not in factors or not isinstance(coeff, Fraction):
+                if (P, Fraction(1)) not in factors or isinstance(coeff, float):
                     continue
                 split = _split_degree(tuple(p for p in factors if p != (P, Fraction(1))))
                 if split is None:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from pwconvex import assumptions, limits
 from pwconvex.assumptions import EMPTY_ENV, AssumptionEnv, Ordering
 from pwconvex.errors import InconsistentEnv
-from pwconvex.expr import Const, contains_var, parse_expr
+from pwconvex.expr import Const, Sub, contains_var, parse_expr
 from pwconvex.simplify import simplify
 
 PARAMS = ("a", "b", "c")
@@ -130,6 +130,54 @@ def test_verdicts_never_cross_envs():
     assert pos.compare(zero, a) == Ordering.LESS and neg.compare(zero, a) == Ordering.GREATER
     assert limits.one_sided_limit(pole, zero, "right", pos) == math.inf
     assert limits.one_sided_limit(pole, zero, "right", neg) == -math.inf
+
+
+# integral values of both types, numerators past 2**64, and fractions
+EXACT = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(2**80), 2**80),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+    RATIONALS,
+)
+
+
+@st.composite
+def exact_pairs(draw):
+    a = draw(EXACT)
+    b = draw(st.one_of(st.just(a), st.just(Fraction(a)), st.just(a + Fraction(1, 2**70)), EXACT))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_pairs())
+def test_two_exact_constants_are_ordered_as_their_difference(pair):
+    a, b = pair
+    diff = simplify(Sub(Const(b), Const(a))).value
+    want = Ordering.EQUAL if diff == 0 else Ordering.LESS if diff > 0 else Ordering.GREATER
+    env = AssumptionEnv()
+    assert env.compare(Const(a), Const(b)) == want
+    assert env.compare(a, b) == want
+    assert env._memo == {}
+
+
+def test_exact_constants_are_compared_without_simplification(monkeypatch):
+    def unused(e):
+        raise AssertionError(f"simplify({e}) called")
+
+    monkeypatch.setattr(assumptions, "simplify", unused)
+    env = AssumptionEnv()
+    assert env.compare(Const(Fraction(3)), Const(3)) == Ordering.EQUAL
+    assert env.compare(Const(Fraction(1, 3)), Const(Fraction(1, 2))) == Ordering.LESS
+    assert env.compare(10**20 + 1, Fraction(10**20)) == Ordering.GREATER
+    assert env._memo == {}
+
+
+def test_a_float_constant_is_compared_through_the_float_difference():
+    env = AssumptionEnv()
+    assert env.compare(Const(0.1), Const(Fraction(1, 10))) == Ordering.EQUAL
+    assert env.compare(Const(Fraction(1, 3)), Const(0.3333333333333333)) == Ordering.EQUAL
+    assert env.compare(Const(0.5), Const(Fraction(2, 3))) == Ordering.LESS
+    assert env._memo == {}
 
 
 def count_fm(monkeypatch) -> list:

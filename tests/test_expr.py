@@ -50,7 +50,7 @@ from pwconvex.expr import (
     to_text,
     walk,
 )
-from pwconvex.simplify import affine_parts, is_zero, poly_coeffs, simplify
+from pwconvex.simplify import _poly_divide_exact, affine_parts, is_zero, poly_coeffs, simplify
 
 
 def ev(text, x=None, **params):
@@ -550,6 +550,72 @@ class TestConstIdentity:
         simplify(substitute(exact, var=as_expr(0.5)))
         kept = simplify(substitute(exact, var=as_expr(Fraction(1, 2))))
         assert "ln" in to_text(kept)
+
+
+# integral values (d = 1) are drawn often; numerators reach past 2**64
+NUMERATORS = st.one_of(st.integers(-20, 20), st.integers(-(2**80), 2**80))
+EXACT = st.builds(Fraction, NUMERATORS, st.one_of(st.just(1), st.integers(1, 12), st.integers(2**64, 2**70)))
+
+
+class TestExactNumbers:
+    """Constants and exponents hold an integral value as int.  Nodes,
+    hashes, printed text and evaluated values are those of the Fraction,
+    and no exact arithmetic turns into float arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(EXACT)
+    @example(Fraction(10**20))
+    @example(Fraction(-(2**64) - 1))
+    @example(Fraction(0))
+    def test_an_integral_value_is_the_fraction(self, v):
+        c = Const(v)
+        assert c == Const(Fraction(v.numerator, v.denominator))
+        if v.denominator == 1:
+            assert type(c.value) is int
+            assert c == Const(v.numerator) and hash(c) == hash(Const(v.numerator))
+            assert Pow(X, v) == Pow(X, v.numerator) and type(Pow(X, v).exponent) is int
+        for e in (c, Mul(c, X), Pow(X, v)):
+            back = parse_expr(to_text(e))
+            assert back == e and to_text(back) == to_text(e)
+        assert type(evaluate(c)) is Fraction and evaluate(c) == v
+
+    @settings(max_examples=200, deadline=None)
+    @given(EXACT, NUMERATORS.filter(bool))
+    @example(Fraction(2), 2)  # x^(-2) at 2 is 1/4
+    def test_exact_evaluation_stays_exact(self, v, n):
+        for e, at, want in (
+            (parse_expr("1/3"), None, Fraction(1, 3)),
+            (Div(Const(v.numerator), Const(n)), None, Fraction(v.numerator, n)),
+            (parse_expr("x^(-2)"), n, Fraction(1, n * n)),
+            (Div(X, Const(n)), v.numerator, Fraction(v.numerator, n)),
+        ):
+            got = evaluate(e, at)
+            assert type(got) is Fraction and got == want, (to_text(e), at)
+
+    @pytest.mark.parametrize("text, want", [("4^(-1/2)", "1/2"), ("(9/4)^(-3/2)", "8/27"), ("8^(-2/3)", "1/4")])
+    def test_an_exact_root_of_an_integral_base_folds(self, text, want):
+        assert simplify(parse_expr(text)) == parse_expr(want)
+
+    def test_an_irrational_power_stays_a_power(self):
+        s = simplify(parse_expr("2^(-5/3)"))
+        assert isinstance(s, Pow) and s.base == Const(2) and s.exponent == Fraction(-5, 3)
+        assert math.isclose(evaluate(s), 2 ** (-5 / 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(NUMERATORS, min_size=1, max_size=3).filter(lambda d: d[-1] != 0),
+           st.lists(EXACT, min_size=1, max_size=3))
+    def test_exact_division_of_integral_polynomials(self, den, quot):
+        den = dict(enumerate(den))
+        want = {k: c for k, c in enumerate(quot) if c != 0}
+        num: dict[int, Fraction] = {}
+        for i, a in den.items():
+            for k, c in want.items():
+                num[i + k] = num.get(i + k, Fraction(0)) + a * c
+        # integral coefficients as int, as constants hold them
+        num = {d: c.numerator if c.denominator == 1 else c for d, c in num.items()}
+        got = _poly_divide_exact(num, den)
+        assert got == want
+        assert not any(isinstance(c, float) for c in got.values())
 
 
 class TestCalculus:
