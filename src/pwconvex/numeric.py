@@ -95,11 +95,15 @@ def binding(env: AssumptionEnv) -> Mapping[str, Fraction]:
 def value(v, params: Mapping, x=None) -> float:
     """v as a float under params, with the variable at x.  v is an Expr,
     a number, or a +-inf float (returned as is); x is a float, an Expr
-    (coerced the same way first), or None.  Evaluation errors propagate."""
+    (coerced the same way first), or None.  Evaluation errors propagate.
+    A constant is read without the tree walk, to the same float."""
     if isinstance(v, float):
         return v
     if isinstance(x, Expr):
         x = value(x, params)
+    c = v.value if isinstance(v, Const) else v
+    if type(c) in (int, Fraction, float):
+        return float(c)
     return float(evaluate(as_expr(v), x=x, params=params))
 
 

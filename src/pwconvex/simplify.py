@@ -2,6 +2,9 @@
 
 Expressions normalize to a sum of products: each term is an exact
 coefficient times a sorted tuple of (factor, rational exponent) pairs.
+Exact coefficients and exponents are int or Fraction, an integral one
+always int (``_canon_number``), so most of the arithmetic is on machine
+ints; a float coefficient is an approximation and folds in floats.
 Rational constants fold exactly; exp factors merge (exp(u)*exp(v) ->
 exp(u+v)); like terms combine.  Powers distribute over products only
 when that is sound for real arguments (integer exponents, or an odd
@@ -22,6 +25,7 @@ compare by evaluation where the algebra does not collapse them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -52,8 +56,10 @@ from .expr import (
     to_text,
 )
 
-# A term maps a canonical factor tuple to its coefficient.
-Factors = tuple[tuple[Expr, Fraction], ...]
+# A term maps a canonical factor tuple to its coefficient.  Exponents
+# are int or Fraction, coefficients int or Fraction (or float); an
+# integral one is int.
+Factors = tuple[tuple[Expr, int | Fraction], ...]
 SumMap = dict[Factors, Number]
 
 _MAX_EXPAND_POWER = 4
@@ -64,19 +70,19 @@ def _factor_key(f: Expr) -> tuple:
     return (order, to_text(f))
 
 
-def _canon_factors(pairs: list[tuple[Expr, Fraction]]) -> tuple[Factors, Number]:
-    """Merge duplicate factors, fold exp factors together, sort.
+def _canon_number(v: Number) -> Number:
+    """v, with a Fraction of denominator 1 as the equal int."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
-    Returns the canonical tuple plus a numeric multiplier picked up when
-    factors collapse to constants.
-    """
-    merged: dict[Expr, Fraction] = {}
+
+def _canon_factors(pairs: Iterable[tuple[Expr, int | Fraction]]) -> Factors:
+    """Merge duplicate factors, fold exp factors together, sort."""
+    merged: dict[Expr, int | Fraction] = {}
     for f, q in pairs:
-        merged[f] = merged.get(f, Fraction(0)) + q
+        merged[f] = merged[f] + q if f in merged else q
 
-    mult: Number = Fraction(1)
     exp_arg: SumMap | None = None
-    out: list[tuple[Expr, Fraction]] = []
+    out: list[tuple[Expr, int | Fraction]] = []
     for f, q in merged.items():
         if q == 0:
             continue
@@ -84,84 +90,90 @@ def _canon_factors(pairs: list[tuple[Expr, Fraction]]) -> tuple[Factors, Number]
             contrib = _scale(_snf(f.arg), q)
             exp_arg = contrib if exp_arg is None else _add_maps(exp_arg, contrib)
         else:
-            out.append((f, q))
+            out.append((f, _canon_number(q)))
     if exp_arg is not None:
         arg = _rebuild(exp_arg)
         if isinstance(arg, Const) and arg.value == 0:
             pass  # exp(0) = 1
         else:
-            out.append((Exp(arg), Fraction(1)))
+            out.append((Exp(arg), 1))
     out.sort(key=lambda p: _factor_key(p[0]))
-    return tuple(out), mult
+    return tuple(out)
+
+
+def _add_term(m: SumMap, k: Factors, c: Number) -> None:
+    """m[k] += c in place; a zero result leaves no entry."""
+    c = _canon_number(m[k] + c if k in m else c)
+    if c == 0:
+        m.pop(k, None)
+    else:
+        m[k] = c
 
 
 def _add_maps(a: SumMap, b: SumMap) -> SumMap:
     out = dict(a)
     for k, v in b.items():
-        nv = out.get(k, Fraction(0)) + v
-        if nv == 0:
-            out.pop(k, None)
-        else:
-            out[k] = nv
+        _add_term(out, k, v)
     return out
 
 
 def _scale(a: SumMap, c: Number) -> SumMap:
     if c == 0:
         return {}
-    return {k: v * c for k, v in a.items()}
+    return {k: _canon_number(v * c) for k, v in a.items()}
 
 
 def _mul_maps(a: SumMap, b: SumMap) -> SumMap:
     out: SumMap = {}
     for fa, ca in a.items():
         for fb, cb in b.items():
-            factors, mult = _canon_factors(list(fa) + list(fb))
-            coeff = ca * cb * mult
-            if coeff == 0:
-                continue
-            prev = out.get(factors, Fraction(0)) + coeff
-            if prev == 0:
-                out.pop(factors, None)
-            else:
-                out[factors] = prev
+            factors = _canon_factors(fa + fb)
+            coeff = ca * cb
+            if coeff != 0:
+                _add_term(out, factors, coeff)
     return out
 
 
 def _const_map(c: Number) -> SumMap:
-    return {} if c == 0 else {(): c}
+    return {} if c == 0 else {(): _canon_number(c)}
 
 
-def _single(f: Expr, q: Fraction = Fraction(1)) -> SumMap:
-    factors, mult = _canon_factors([(f, q)])
+def _single(f: Expr, q: int | Fraction = 1) -> SumMap:
+    factors = _canon_factors([(f, q)])
     if not factors:
-        return _const_map(mult)
-    return {factors: mult}
+        return _const_map(1)
+    return {factors: 1}
 
 
 def _is_const_map(m: SumMap) -> Number | None:
     if not m:
-        return Fraction(0)
+        return 0
     if len(m) == 1 and () in m:
         return m[()]
     return None
 
 
 def _iroot(n: int, k: int) -> int | None:
-    """Exact nonnegative integer k-th root, or None."""
-    if n in (0, 1):
+    """Exact nonnegative integer k-th root, or None: math.isqrt for a
+    square root, integer Newton's method from above otherwise."""
+    if n < 2:
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > the root
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r**k == n else None
 
 
-def _exact_pow_frac(c: int | Fraction, q: Fraction) -> Fraction | None:
+def _exact_pow_frac(c: int | Fraction, q: Fraction) -> int | Fraction | None:
     """c**q as an exact rational, or None when the root is irrational."""
     if c == 0:
-        return Fraction(0) if q > 0 else None
+        return 0 if q > 0 else None
     if c < 0:
         sign = pow_sign(-1, q)
         sub = None if sign is None else _exact_pow_frac(-c, q)
@@ -171,12 +183,12 @@ def _exact_pow_frac(c: int | Fraction, q: Fraction) -> Fraction | None:
     rd = _iroot(p.denominator, q.denominator)
     if rn is None or rd is None:
         return None
-    return Fraction(rn, rd)
+    return rn if rd == 1 else Fraction(rn, rd)
 
 
-def _pow_map(base: SumMap, q: Fraction) -> SumMap:
+def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
     if q == 0:
-        return _const_map(Fraction(1))
+        return _const_map(1)
     if q == 1:
         return base
     c = _is_const_map(base)
@@ -191,9 +203,9 @@ def _pow_map(base: SumMap, q: Fraction) -> SumMap:
         (factors, coeff), = base.items()
         if q.denominator == 1:
             # integer exponents distribute over any product
-            new = [(f, e * q) for f, e in factors]
-            factors2, mult = _canon_factors(new)
-            return {factors2: _pow_number(coeff, q) * mult} if factors2 else _const_map(_pow_number(coeff, q) * mult)
+            factors2 = _canon_factors([(f, e * q) for f, e in factors])
+            cc = _canon_number(_pow_number(coeff, q))
+            return {factors2: cc} if factors2 else _const_map(cc)
         # fractional exponent: distribute only when sound for real roots
         # and the coefficient has an exact rational root
         safe = all(e.denominator == 1 and e.numerator % 2 == 1 for _, e in factors)
@@ -206,9 +218,7 @@ def _pow_map(base: SumMap, q: Fraction) -> SumMap:
                 except DomainError:
                     cc = None
             if cc is not None:
-                new = [(f, e * q) for f, e in factors]
-                factors2, mult = _canon_factors(new)
-                cc = cc * mult
+                factors2 = _canon_factors([(f, e * q) for f, e in factors])
                 return {factors2: cc} if factors2 else _const_map(cc)
     if q.denominator == 1 and 1 < q <= _MAX_EXPAND_POWER:
         out = base
@@ -219,20 +229,18 @@ def _pow_map(base: SumMap, q: Fraction) -> SumMap:
         expanded = _pow_map(base, -q)
         if len(expanded) == 1:
             (factors, coeff), = expanded.items()
-            new = [(f, -e) for f, e in factors]
-            factors2, mult = _canon_factors(new)
+            factors2 = _canon_factors([(f, -e) for f, e in factors])
             try:
-                inv = 1.0 / coeff if isinstance(coeff, float) else Fraction(1) / coeff
+                cc = 1.0 / coeff if isinstance(coeff, float) else _canon_number(Fraction(1) / coeff)
             except ZeroDivisionError:
                 raise DomainError("division by zero in simplification") from None
-            cc = inv * mult
             return {factors2: cc} if factors2 else _const_map(cc)
-        return _single(Pow(_rebuild(expanded), Fraction(-1)))
+        return _single(Pow(_rebuild(expanded), -1))
     return _single(Pow(_rebuild(base), q))
 
 
 def _inv_map(m: SumMap) -> SumMap:
-    return _pow_map(m, Fraction(-1))
+    return _pow_map(m, -1)
 
 
 def _leading_sign(m: SumMap) -> int:
@@ -250,11 +258,11 @@ def _snf(e: Expr) -> SumMap:
     if isinstance(e, Param):
         return _single(e)
     if isinstance(e, Neg):
-        return _scale(_snf(e.arg), Fraction(-1))
+        return _scale(_snf(e.arg), -1)
     if isinstance(e, Add):
         return _add_maps(_snf(e.left), _snf(e.right))
     if isinstance(e, Sub):
-        return _add_maps(_snf(e.left), _scale(_snf(e.right), Fraction(-1)))
+        return _add_maps(_snf(e.left), _scale(_snf(e.right), -1))
     if isinstance(e, Mul):
         return _mul_maps(_snf(e.left), _snf(e.right))
     if isinstance(e, Div):
@@ -287,13 +295,13 @@ def _snf(e: Expr) -> SumMap:
         if c is not None:
             return _const_map(abs(c))
         if _leading_sign(arg_map) < 0:
-            arg_map = _scale(arg_map, Fraction(-1))
+            arg_map = _scale(arg_map, -1)
         if len(arg_map) == 1:
             (factors, coeff), = arg_map.items()
             if all(q.denominator == 1 and q.numerator % 2 == 0 for _, q in factors):
                 return {factors: abs(coeff)}  # even powers are already nonnegative
             # |c * f| = |c| * |f|
-            inner = _rebuild({factors: Fraction(1)})
+            inner = _rebuild({factors: 1})
             return _scale(_single(Abs(inner)), abs(coeff))
         return _single(Abs(_rebuild(arg_map)))
     if isinstance(e, (ImplicitInverse, NumericIntegral)):
@@ -428,9 +436,9 @@ def _cancel_rational(m: SumMap) -> SumMap:
             groups: dict[Factors, dict[int, Fraction]] = {}
             members: dict[Factors, list[Factors]] = {}
             for factors, coeff in m.items():
-                if (P, Fraction(1)) not in factors or isinstance(coeff, float):
+                if (P, 1) not in factors or isinstance(coeff, float):
                     continue
-                split = _split_degree(tuple(p for p in factors if p != (P, Fraction(1))))
+                split = _split_degree(tuple(p for p in factors if p != (P, 1)))
                 if split is None:
                     continue
                 deg, key = split
@@ -443,13 +451,7 @@ def _cancel_rational(m: SumMap) -> SumMap:
                 for factors in members[key]:
                     m.pop(factors, None)
                 for d, c in quot.items():
-                    new = list(key) + ([(X, Fraction(d))] if d > 0 else [])
-                    factors2, mult = _canon_factors(new)
-                    prev = m.get(factors2, Fraction(0)) + c * mult
-                    if prev == 0:
-                        m.pop(factors2, None)
-                    else:
-                        m[factors2] = prev
+                    _add_term(m, _canon_factors(key + (((X, d),) if d > 0 else ())), c)
                 progressed = True
         if not progressed:
             break

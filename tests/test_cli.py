@@ -58,6 +58,15 @@ def test_eval_and_prox_values(capsys):
 
 
 @pytest.mark.parametrize(
+    "text, want", [("(3^80)^(1/2)", 3**40), ("(10^400)^(1/2)", 10**200), ("(2^300)^(1/3)", 2**100)]
+)
+def test_eval_takes_exact_roots_of_huge_integers(capsys, text, want):
+    code, out, err = run(capsys, ["eval", text, "--at", "1"])
+    assert code == 0, err
+    assert out.strip() == str(want)
+
+
+@pytest.mark.parametrize(
     "argv, kind, var", [(["subdiff", "abs(x)", "--json"], "op", "x"), (["conj", "abs(x)", "--json"], "pwf", "y")]
 )
 def test_json_schema(capsys, argv, kind, var):

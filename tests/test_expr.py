@@ -50,7 +50,16 @@ from pwconvex.expr import (
     to_text,
     walk,
 )
-from pwconvex.simplify import _poly_divide_exact, affine_parts, is_zero, poly_coeffs, simplify
+from pwconvex.simplify import (
+    _cancel_rational,
+    _iroot,
+    _poly_divide_exact,
+    _snf,
+    affine_parts,
+    is_zero,
+    poly_coeffs,
+    simplify,
+)
 
 
 def ev(text, x=None, **params):
@@ -555,6 +564,28 @@ class TestConstIdentity:
 # integral values (d = 1) are drawn often; numerators reach past 2**64
 NUMERATORS = st.one_of(st.integers(-20, 20), st.integers(-(2**80), 2**80))
 EXACT = st.builds(Fraction, NUMERATORS, st.one_of(st.just(1), st.integers(1, 12), st.integers(2**64, 2**70)))
+# polynomial and rational expressions in x with exact coefficients
+RATIONAL_IN_X = st.recursive(
+    st.one_of(st.just(X), EXACT.map(Const)),
+    lambda sub: st.one_of(
+        st.builds(Add, sub, sub),
+        st.builds(Sub, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(Div, sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.integers(-2, 3)),
+    ),
+    max_leaves=6,
+)
+
+
+def assert_integral_is_int(m):
+    """No coefficient or factor exponent of a sum map is a Fraction with
+    denominator 1."""
+    for factors, c in m.items():
+        assert not (type(c) is Fraction and c.denominator == 1), (m, c)
+        for f, q in factors:
+            assert not (type(q) is Fraction and q.denominator == 1), (m, to_text(f), q)
 
 
 class TestExactNumbers:
@@ -616,6 +647,47 @@ class TestExactNumbers:
         got = _poly_divide_exact(num, den)
         assert got == want
         assert not any(isinstance(c, float) for c in got.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(RATIONAL_IN_X)
+    @example(parse_expr("x/(2 + x) + 2/(2 + x)"))  # cancels to 1
+    @example(parse_expr("(x^2 - 1/4)/(x + 1/2) + x/3"))
+    @example(parse_expr("(x/2 + 1/2)*(2*x - 2) - (1/2)*(2*x)^2"))
+    def test_integral_coefficients_and_exponents_are_int(self, e):
+        try:
+            m = _snf(e)
+        except DomainError:
+            return
+        assert_integral_is_int(m)
+        assert_integral_is_int(_cancel_rational(m))
+        s = simplify(e)
+        for at in (Fraction(-3, 2), 0, Fraction(1, 3), 2, 7):
+            try:
+                want = evaluate(e, at)
+                got = evaluate(s, at)
+            except DomainError:
+                continue
+            assert type(got) is Fraction and got == want, (to_text(e), to_text(s), at)
+
+    @pytest.mark.parametrize("text", ["x^(1/2)*x^(1/2)", "(x^(1/3))^3", "exp(x/2)*exp(x/2)", "(2*x)^(1/3)*x^(2/3)"])
+    def test_exponents_that_add_up_to_an_integer_are_int(self, text):
+        assert_integral_is_int(_cancel_rational(_snf(parse_expr(text))))
+
+    @pytest.mark.parametrize(
+        "text, want", [("(3^80)^(1/2)", 3**40), ("(10^400)^(1/2)", 10**200), ("(2^300)^(1/3)", 2**100)]
+    )
+    def test_an_exact_root_of_a_huge_integer_folds(self, text, want):
+        assert simplify(parse_expr(text)) == Const(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**200), st.integers(2, 5))
+    @example(3**40, 2)
+    @example(2**100, 3)
+    @example(10**200, 2)
+    def test_integer_roots_are_exact(self, r, k):
+        assert _iroot(r**k, k) == r
+        if r >= 1:
+            assert _iroot(r**k + 1, k) is None
 
 
 class TestCalculus:

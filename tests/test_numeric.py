@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwconvex import numeric
@@ -164,3 +164,42 @@ def test_binding_satisfies_every_fact(facts):
         lhs, rhs = (parse_expr(side) for side in fact.split(rel))
         lv, rv = evaluate(lhs, params=point), evaluate(rhs, params=point)
         assert lv < rv if rel == "<" else lv <= rv, (fact, dict(point))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+))
+@example(10**400)
+@example(-(10**400))
+@example(Fraction(10**400, 3))
+@example(2**53 + 1)
+@example(-0.0)
+def test_a_constant_reads_as_the_float_of_its_value(v):
+    """``value`` and ``at`` read a constant without the tree walk, to the
+    float (or the overflow) of ``evaluate``'s exact value."""
+    try:
+        want = float(evaluate(as_expr(v))).hex()
+    except OverflowError:
+        want = None
+    for c in (v, as_expr(v)):
+        for x in (None, 1.5, parse_expr("1/2")):
+            if want is None:
+                with pytest.raises(OverflowError):
+                    numeric.value(c, {}, x)
+            else:
+                assert numeric.value(c, {}, x).hex() == want
+            got = numeric.at(c, {}, x)
+            assert (None if got is None else got.hex()) == want
+
+
+def test_a_constant_is_read_without_evaluate(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("evaluate called for a constant")
+
+    monkeypatch.setattr(numeric, "evaluate", no_walk)
+    for v in (3, Fraction(1, 3), 0.25, 10**400):
+        want = None if v == 10**400 else float(v)
+        assert numeric.at(v, {}) == want and numeric.at(as_expr(v), {}) == want
