@@ -252,83 +252,51 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
     """The convex function with derivative T: continuous on the hull of
     dom T, +inf outside its closure, subdifferential extending T.
 
-    With anchor=None the leftmost finite piece keeps its raw
-    antiderivative (no constant added); otherwise the constant is chosen
-    so f(anchor) = anchor_value.
+    One loop over the cells inside the hull, left to right, makes each
+    cell's antiderivative (an affine connector across an empty cell) and
+    stitches it onto its left neighbour at once.  With anchor=None the
+    leftmost finite piece keeps its raw antiderivative (no constant
+    added); otherwise the constant is chosen so f(anchor) = anchor_value.
     """
     env = T.env
     live = T.live_slices()
     if not live:
         raise EmptyOperator("cannot antidifferentiate an operator with empty graph")
-    s0, s1 = live[0], live[-1]
-    n = len(T.breakpoints)
-
-    # index range of breakpoints kept in f, and hull boundedness
-    if s0 % 2 == 1:
-        j_lo, left_unbounded = (s0 - 1) // 2, False
-    else:
-        k = s0 // 2
-        left_unbounded = k == 0
-        j_lo = 0 if k == 0 else k - 1
-    if s1 % 2 == 1:
-        j_hi, right_unbounded = (s1 - 1) // 2, False
-    else:
-        k = s1 // 2
-        right_unbounded = k == n
-        j_hi = n - 1 if k == n else k
-
-    bps = list(T.breakpoints[j_lo : j_hi + 1])
-    m_count = len(bps) + 1
-
-    raw: list[Expr | None] = []  # None marks a piece outside the hull
-    for m in range(m_count):
-        c = j_lo + m
-        inside = (m > 0 or left_unbounded) and (m < m_count - 1 or right_unbounded)
-        if not inside:
-            raw.append(None)
-            continue
+    c0, c1 = (live[0] + 1) // 2, live[-1] // 2  # the cells inside the hull of dom T
+    j_lo = max(c0 - 1, 0)  # f keeps T's breakpoints from j_lo to c1
+    bps = list(T.breakpoints[j_lo : c1 + 1])
+    pieces: list[Expr | None] = [None] * (len(bps) + 1)
+    # no cell inside: the graph lives at one breakpoint, and f is its indicator
+    values: list = [INF] * len(bps) if c0 <= c1 else [ZERO]
+    for c in range(c0, c1 + 1):
+        m = c - j_lo
         clo, chi = T.interval(c)
         p = T.pieces[c]
         if p.empty:
-            raw.append(Mul(_gap_slope(T, c, live), X))
-            continue
-        A = antiderivative(p.body, env, clo, chi)
-        if A is None:
+            A = Mul(_gap_slope(T, c, live), X)
+        elif (A := antiderivative(p.body, env, clo, chi)) is None:
             A = NumericIntegral(p.body, _interior_point(clo, chi), _inverse_primitive(p.body, env))
         else:
             A = _fix_log_branch(simplify(A), env, clo, chi)
-        raw.append(A)
-
-    # stitch constants left to right; the first inside piece keeps raw
-    pieces: list[Expr | None] = [None] * m_count
-    values: list = [INF] * len(bps)
-    last_inside = None
-    for m in range(m_count):
-        A = raw[m]
-        if A is None:
-            continue
-        if last_inside is None:
-            pieces[m] = A
+        if c == c0:
+            # the first inside piece keeps its raw constant
             if m > 0:
-                values[m - 1] = _edge_value(_end_value(A, bps[m - 1], "right", env))
+                values[m - 1] = _edge_value(_end_value(A, clo, "right", env))
         else:
-            b = bps[m - 1]
-            left_total = _end_value(pieces[m - 1], b, "left", env)
-            right_raw = _end_value(A, b, "right", env)
+            # stitch onto the left neighbour for continuity at clo
+            left_total = _end_value(pieces[m - 1], clo, "left", env)
+            right_raw = _end_value(A, clo, "right", env)
             if isinstance(left_total, float) or isinstance(right_raw, float):
                 raise InternalInconsistency(
-                    f"cannot stitch the antiderivative across {to_text(as_expr(b))}"
+                    f"cannot stitch the antiderivative across {to_text(as_expr(clo))}"
                 )
             shift = simplify(Sub(left_total, right_raw))
-            pieces[m] = simplify(Add(A, shift)) if not is_numeric_node(A) else Add(A, shift)
+            A = simplify(Add(A, shift)) if not is_numeric_node(A) else Add(A, shift)
             values[m - 1] = left_total
-        last_inside = m
-    if last_inside is None:
-        # graph lives at a single breakpoint: an indicator of one point
-        values = [ZERO]
-    elif last_inside < m_count - 1:
+        pieces[m] = A
+    if c0 <= c1 < len(T.breakpoints):
         # value at the right hull edge, as f ends before +inf
-        values[last_inside] = _edge_value(_end_value(pieces[last_inside], bps[last_inside], "left", env))
+        values[-1] = _edge_value(_end_value(pieces[-2], bps[-1], "left", env))
 
     if anchor is not None:
         c = _anchor_shift(T, j_lo, pieces, values, anchor, anchor_value)

@@ -85,15 +85,9 @@ class SetValue:
         return self.lo, self.hi
 
     def __str__(self) -> str:
-        if self.tag == "empty":
-            return "empty"
-        if self.tag == "all":
-            return "all"
-        if self.tag == "point":
-            return "{" + to_text(self.lo) + "}"
-        lo = "-inf" if isinstance(self.lo, float) else to_text(self.lo)
-        hi = "inf" if isinstance(self.hi, float) else to_text(self.hi)
-        return f"[{lo}, {hi}]"
+        from .render import render_set
+
+        return render_set(self)
 
 
 EMPTY_SET = SetValue("empty")
@@ -404,75 +398,68 @@ def _as_endpoint(v):
 
 
 def invert(T: MonotoneOperator) -> MonotoneOperator:
-    """Graph flip.  Constant pieces become breakpoints whose value is
-    the closed hull of the piece interval, interval values become
-    constant pieces, and strictly monotone bodies are inverted on their
-    image interval; colliding breakpoints merge by hull."""
+    """Graph flip, built in one pass over the live slices of T from left
+    to right, the order in which their images rise.  A constant piece
+    adds the closed hull of its interval at its value; a strictly
+    monotone body is inverted on its image interval; a value at the
+    breakpoint b adds {b} at each finite end and, unless it is a point,
+    is the constant piece b between its ends.  Each new image point is
+    compared with the last one only: equal points merge by hull."""
     env = T.env
-    images: list[Expr] = []  # image points that become breakpoints
-    fragments: list[tuple] = []  # (image lo, image hi, inverse body)
-    point_contribs: list[tuple[Expr, Expr]] = []  # (image point, x point)
-    hull_contribs: list[tuple[Expr, object, object]] = []  # (image point, x lo, x hi)
+    bps: list[Expr] = []  # image points, increasing
+    values: list[SetValue] = []
+    pieces: list[Expr | None] = [None]  # the last cell is open
 
-    for i, p in enumerate(T.pieces):
-        if p.empty:
+    def overlap() -> InternalInconsistency:
+        return InternalInconsistency("inverse pieces overlap; the input graph was not monotone")
+
+    def add(y: Expr, part: SetValue) -> None:
+        """Add part to the value at the image point y."""
+        order = env.require_comparable(bps[-1], y) if bps else Ordering.LESS
+        if order == Ordering.GREATER:
+            raise overlap()
+        if order == Ordering.LESS:
+            bps.append(y)
+            values.append(part)
+            pieces.append(None)
+        elif values[-1].tag == "empty":
+            values[-1] = part
+        elif part.tag != "empty":
+            values[-1] = sv_hull([values[-1], part], env)
+
+    def span(lo, hi, body: Expr, part: SetValue) -> None:
+        """The inverse is body on the image interval (lo, hi); part is
+        added at each finite end."""
+        if isinstance(lo, Expr):
+            add(lo, part)
+        elif bps:
+            raise overlap()
+        if pieces[-1] is not None:
+            raise overlap()
+        pieces[-1] = body
+        if isinstance(hi, Expr):
+            add(hi, part)
+
+    for s in T.live_slices():
+        if s % 2:
+            b, v = T.breakpoints[s // 2], T.values[s // 2]
+            lo, hi = v.bounds()
+            if v.tag == "point":
+                add(lo, point(b))
+            else:
+                span(lo, hi, b, point(b))
             continue
-        lo, hi = T.interval(i)
+        p = T.pieces[s // 2]
+        lo, hi = T.interval(s // 2)
         if p.kind == KIND_CONSTANT:
-            images.append(p.body)
-            hull_contribs.append((p.body, lo, hi))
+            add(p.body, interval(lo, hi, env))
             continue
         a = _as_endpoint(limit_at(p.body, lo, "right", env))
         b = _as_endpoint(limit_at(p.body, hi, "left", env))
         if numeric.order(env, a, b) != Ordering.LESS:
             raise InternalInconsistency(f"piece {to_text(p.body)} has a degenerate image")
-        if isinstance(a, Expr):
-            images.append(a)
-        if isinstance(b, Expr):
-            images.append(b)
-        fragments.append((a, b, invert_monotone(p.body, env, lo, hi, increasing=True)))
-    for j, v in enumerate(T.values):
-        b = T.breakpoints[j]
-        if v.tag == "empty":
-            continue
-        if v.tag == "all":
-            fragments.append((-INF, INF, b))
-            continue
-        if v.tag == "point":
-            images.append(v.lo)
-            point_contribs.append((v.lo, b))
-            continue
-        if isinstance(v.lo, Expr):
-            images.append(v.lo)
-            point_contribs.append((v.lo, b))
-        if isinstance(v.hi, Expr):
-            images.append(v.hi)
-            point_contribs.append((v.hi, b))
-        fragments.append((v.lo, v.hi, b))
-
-    candidates = sorted_unique(images, env)
-    pieces: list[Expr | None] = []
-    for k in range(len(candidates) + 1):
-        c_lo, c_hi = cell(candidates, k)
-        covering = [
-            body
-            for a, b2, body in fragments
-            if numeric.order(env, a, c_lo) in (Ordering.LESS, Ordering.EQUAL)
-            and numeric.order(env, c_hi, b2) in (Ordering.LESS, Ordering.EQUAL)
-        ]
-        if len(covering) > 1:
-            raise InternalInconsistency("inverse pieces overlap; the input graph was not monotone")
-        pieces.append(covering[0] if covering else None)
-    values = []
-    for c in candidates:
-        parts = [point(xp) for y, xp in point_contribs if env.require_comparable(y, c) == Ordering.EQUAL]
-        parts += [
-            interval(lo2, hi2, env)
-            for y, lo2, hi2 in hull_contribs
-            if env.require_comparable(y, c) == Ordering.EQUAL
-        ]
-        values.append(sv_hull(parts, env))
-    return build_operator(_toggle(T.varname), candidates, pieces, values, env)
+        span(a, b, invert_monotone(p.body, env, lo, hi, increasing=True), EMPTY_SET)
+    return build_operator(_toggle(T.varname), bps, pieces, values, env)
 
 
 def resolvent(T: MonotoneOperator, lam) -> MonotoneOperator:

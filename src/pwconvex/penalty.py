@@ -1,11 +1,12 @@
 """Penalty recovery for proximal-type operators (unit step size).
 
 An operator T whose graph sits inside the graph of a proximal map
-determines the penalty up to an additive constant: extend T to a
-maximal monotone operator, antidifferentiate, conjugate, and subtract
-the quadratic.  The result is in general only weakly convex (adding
-x^2/2 back restores convexity), so the constructor runs with relaxed
-piece classification.
+determines the penalty up to an additive constant: antidifferentiate
+(which fills every gap of T, so the result's subdifferential is the
+maximal extension of T), conjugate, and subtract the quadratic.  The
+penalty is returned in T's variable.  It is in general only weakly
+convex (adding x^2/2 back restores convexity), so the constructor runs
+with relaxed piece classification.
 
 verify_penalty goes the other way and never raises on a bad claim: it
 rebuilds the proximal map of the candidate penalty through the
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import numeric
 from .conv import _shift_by, conjugate, integ
@@ -31,7 +32,6 @@ from .monop import (
     SetValue,
     eval_op,
     invert,
-    maximal_extension,
     subdifferential,
 )
 from .oracle import DEFAULT_SEED, sample_graph
@@ -46,14 +46,14 @@ def recover_penalty(T: MonotoneOperator) -> PiecewiseFunction:
     """Penalty f with the graph of T inside the graph of the proximal
     map of f at unit step.
 
-    Pipeline: maximal extension, antiderivative, conjugate, minus the
-    quadratic.  No anchoring is applied to the antiderivative; the
+    Pipeline: antiderivative, conjugate, minus the quadratic, in T's
+    variable.  The antiderivative integrates the maximal extension of T
+    already, as it fills every gap.  No anchoring is applied to it; the
     left-to-right stitching fixes the additive constant, which the
     proximal map ignores anyway.
     """
-    h = integ(maximal_extension(T))
-    g = conjugate(h)
-    return _shift_by(g, Neg(HALF_SQUARE), weakly_convex=True)
+    g = conjugate(integ(T))
+    return replace(_shift_by(g, Neg(HALF_SQUARE), weakly_convex=True), varname=T.varname)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .expr import (
     to_text,
 )
 from .grid import detect_varname, rebind_var
-from .inverse import check_strictly_monotone, solve_monotone
+from .inverse import solve_monotone
 from .limits import limit_at, limit_at_infinity, one_sided_limit
 from .monop import (
     MonotoneOperator,
@@ -84,9 +84,7 @@ class DistributionSpec:
         from .expr import parse_expr
 
         q = rebind_var(parse_expr(source), detect_varname(source))
-        # nondecreasing on (0,1); constants are fine, decreases are not
-        if contains_var(q):
-            check_strictly_monotone(q, env, ZERO, ONE)
+        # build_operator checks that q is nondecreasing on (0, 1)
         op = _quantile_operator(simplify(q), env)
         return DistributionSpec(invert(maximal_extension(op)), simplify(q), env)
 

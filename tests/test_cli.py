@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import pwconvex
-from pwconvex import cli
+from pwconvex import AssumptionEnv, cli, render_function
 from pwconvex.errors import InternalInconsistency
+from pwconvex.pwf import build_function, parse_piecewise_map
 
 SIGN = "sd{ x < 0 -> {-1} ; x = 0 -> [-1, 1] ; x > 0 -> {1} }"
 HARD_THRESHOLD = (
@@ -145,6 +146,13 @@ def test_quantile_through_an_implicit_inverse_is_a_number(capsys):
     assert float(out) == pytest.approx(1.6783469900, abs=1e-9)
 
 
+@pytest.mark.parametrize("q", ["p^2 - p", "1 - p"])
+def test_a_quantile_that_is_not_monotone_is_bad_input(capsys, q):
+    code, out, err = run(capsys, ["risk", "--quantile", q, "quantile", "1/4"])
+    assert code == 2 and not out
+    assert err.startswith("error[NotMonotone]")
+
+
 def rows(text):
     """The rows of a rendered function or operator, spacing collapsed."""
     return [" ".join(line.split()) for line in text.strip().splitlines()]
@@ -201,6 +209,16 @@ def test_verify_takes_a_weakly_convex_penalty(capsys):
     # a candidate that stays nonconvex after adding x^2/2 still fails
     code, out, err = run(capsys, ["verify", HARD_THRESHOLD, "0 - x^2"])
     assert code == 2 and "not convex" in out
+
+
+def test_the_recovered_penalty_is_in_the_operator_variable(capsys):
+    code, out, err = run(capsys, ["penalty", HARD_THRESHOLD])
+    assert code == 0, err
+    assert rows(out) == ["x < -1 -> 0", "x = -1 -> 0", "-1 < x < 0 -> -1/2 - x - x^2/2", "x = 0 -> -1/2",
+                         "0 < x < 1 -> -1/2 + x - x^2/2", "x = 1 -> 0", "x > 1 -> 0"]
+    env = AssumptionEnv.empty()
+    f = build_function(*parse_piecewise_map(HARD_THRESHOLD_PENALTY, env), env, weakly_convex=True)
+    assert rows(out) == rows(render_function(f))
 
 
 SMOOTH_ABS = "(1 + x^2)^(1/2)"

@@ -25,8 +25,11 @@ from pwconvex.errors import (
     InputError,
     NegativeScalar,
     NotMonotone,
+    ParseError,
 )
 from pwconvex.expr import contains_var, evaluate, is_numeric_node, to_text
+from pwconvex.monop import ALL_REALS, EMPTY_SET, interval, point
+from pwconvex.render import render_operator, render_set
 
 ENV = AssumptionEnv.empty()
 
@@ -69,6 +72,25 @@ class TestParsing:
     def test_jump_down_at_breakpoint_rejected(self):
         with pytest.raises(NotMonotone):
             parse_operator("sd{ x < 0 -> {x} ; x = 0 -> [-1, 1] ; x > 0 -> {x} }", ENV)
+
+    def test_infinite_endpoints(self):
+        T = parse_operator("sd{ x < 0 -> empty ; x = 0 -> [-inf, 1] ; 0 < x & x < 1 -> {x + 1} ;"
+                           " x = 1 -> [2, inf] ; x > 1 -> empty }", ENV)
+        lo, hi = eval_op(T, 0).bounds()
+        assert lo == -math.inf and fval(hi) == 1
+        lo, hi = eval_op(T, 1).bounds()
+        assert fval(lo) == 2 and hi == math.inf
+        assert eval_op(parse_operator("sd{ x < 0 -> empty ; x = 0 -> [-inf, inf] ; x > 0 -> empty }", ENV), 0).tag == "all"
+
+    @pytest.mark.parametrize("value", ["[inf, 1]", "[0, -inf]"])
+    def test_infinite_endpoint_on_the_wrong_side_rejected(self, value):
+        with pytest.raises(ParseError):
+            parse_operator(f"sd{{ x < 0 -> empty ; x = 0 -> {value} ; x > 0 -> empty }}", ENV)
+
+    @pytest.mark.parametrize("v", [EMPTY_SET, point(3), interval(-1, Fraction(1, 2)), interval(0, math.inf),
+                                   interval(-math.inf, 2), ALL_REALS])
+    def test_str_is_the_rendered_set(self, v):
+        assert str(v) == render_set(v)
 
 
 class TestSubdifferential:
@@ -125,6 +147,19 @@ class TestInvert:
         for y, x in values.items():
             v = eval_op(P, y)
             assert v.tag == "point" and evaluate(v.lo) == x, (y, str(v))
+
+    @pytest.mark.parametrize("text, rows", [
+        # a half-line value meets the piece before it and ends the graph
+        ("sd{ x < 0 -> {x} ; x = 0 -> [0, inf] ; x > 0 -> empty }",
+         ["y < 0  ->  {y}", "y = 0  ->  {0}", "y > 0  ->  {0}"]),
+        # three slices meet at -1 and at 1: a constant piece and the ends
+        # of two interval values
+        ("sd{ x < -1 -> {-1} ; x = -1 -> [-1, 1] ; -1 < x & x < 1 -> {1} ; x = 1 -> [1, 2] ; x > 1 -> {x + 1} }",
+         ["y < -1      ->  empty", "y = -1      ->  [-inf, -1]", "-1 < y < 1  ->  {-1}", "y = 1       ->  [-1, 1]",
+          "1 < y < 2   ->  {1}", "y = 2       ->  {1}", "y > 2       ->  {-1 + y}"]),
+    ])
+    def test_slices_that_meet_merge_by_hull(self, text, rows):
+        assert render_operator(invert(parse_operator(text, ENV))).split("\n") == rows
 
     def test_power_of_a_power_inverts_in_closed_form(self):
         P = invert(parse_operator("sd{ x < 0 -> empty ; x >= 0 -> {(x^4)^(1/2)} }", ENV))

@@ -6,14 +6,19 @@ import pytest
 
 from pwconvex import (
     AssumptionEnv,
+    conjugate,
     identity_operator,
+    integ,
+    maximal_extension,
     parse_operator,
     parse_pwf,
     prox,
     recover_penalty,
     verify_penalty,
 )
-from pwconvex.expr import parse_expr
+from pwconvex.conv import _shift_by
+from pwconvex.expr import Neg, parse_expr
+from pwconvex.penalty import HALF_SQUARE
 from pwconvex.pwf import build_function, eval_pwf
 
 ENV = AssumptionEnv.empty()
@@ -64,6 +69,32 @@ class TestRecovery:
         c = eval_pwf(p, 0)
         for u in (-3, -1, Fraction(1, 2), 2):
             assert eval_pwf(p, u) - c == abs(Fraction(u))
+
+
+class TestRecoveryPipeline:
+    @pytest.mark.parametrize("text", [
+        HARD,
+        "sd{ x < -1 -> {x + 1} ; -1 <= x & x <= 1 -> {0} ; x > 1 -> {x - 1} }",
+        "sd{ x < -1 -> {-1} ; -1 <= x & x <= 2 -> {x} ; x > 2 -> {2} }",
+        # a gap between -1 and 1, and a value that is a point
+        "sd{ x < -1 -> {x} ; x = -1 -> {-1} ; -1 < x & x < 1 -> empty ; x = 1 -> {1} ; x > 1 -> {x} }",
+        "sd{ x < 0 -> empty ; x = 0 -> [0, 1] ; x > 0 -> {x/2 + 1} }",
+    ])
+    def test_integ_needs_no_maximal_extension(self, text):
+        # the pipeline through the maximal extension, as reference: the
+        # same penalty up to an additive constant
+        T = parse_operator(text, ENV)
+        p = recover_penalty(T)
+        ref = _shift_by(conjugate(integ(maximal_extension(T))), Neg(HALF_SQUARE), weakly_convex=True)
+        assert p.varname == T.varname
+        shifts = set()
+        for u in (-3, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(3, 2), 4):
+            a, b = eval_pwf(p, u), eval_pwf(ref, u)
+            if a == INF or b == INF:
+                assert a == b, u
+            else:
+                shifts.add(a - b)
+        assert len(shifts) == 1
 
 
 class TestVerification:

@@ -7,7 +7,9 @@ identities below hold exactly at rational points:
 * Moreau decomposition: prox_f(x) + prox_{f*}(x) = x;
 * Fenchel-Moreau: f** = f;
 * Fenchel-Young: f(x) + f*(y) >= x*y, with equality exactly when y is
-  in the subdifferential of f at x.
+  in the subdifferential of f at x;
+* graph inversion: u in T(x) exactly when x is in T^-1(u), for
+  T = subdifferential(f), and T^-1^-1 = T.
 
 The functions are built as the antiderivative of a nondecreasing
 piecewise-affine slope, so every one is convex and continuous.
@@ -18,7 +20,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwconvex import AssumptionEnv, biconjugate, conjugate, eval_op, eval_pwf, parse_pwf, prox, subdifferential
+from pwconvex import (
+    AssumptionEnv,
+    biconjugate,
+    conjugate,
+    eval_op,
+    eval_pwf,
+    invert,
+    parse_pwf,
+    prox,
+    subdifferential,
+)
 from pwconvex.expr import evaluate
 
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
@@ -87,3 +99,23 @@ def test_fenchel_young(case, ys):
         s = eval_op(sd, x)
         for y in {exact(evaluate(s.lo)), exact(evaluate(s.hi))}:
             assert fx + exact(eval_pwf(g, y)) == x * y
+
+
+def ends(v) -> tuple:
+    """The tag and exact ends of a set value (infinite ends as floats)."""
+    return (v.tag,) + tuple(e if isinstance(e, float) else exact(evaluate(e)) for e in v.bounds())
+
+
+@settings(max_examples=40, deadline=None)
+@given(plq_functions())
+def test_inverse_holds_the_flipped_graph(case):
+    text, points = case
+    T = subdifferential(parse_pwf(text, AssumptionEnv.empty()))
+    Tinv = invert(T)
+    TT = invert(Tinv)
+    for x in points:
+        v = eval_op(T, x)
+        for u in {exact(evaluate(e)) for e in v.bounds()}:
+            _, lo, hi = ends(eval_op(Tinv, u))
+            assert lo <= x <= hi, (u, x)
+        assert ends(eval_op(TT, x)) == ends(v)
