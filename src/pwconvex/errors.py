@@ -91,7 +91,7 @@ class NonConvex(InputError):
     def __init__(self, message: str, witness: tuple | None = None):
         self.witness = witness
         if witness is not None:
-            message += f" (witness x-triple {witness[0]}, {witness[1]}, {witness[2]})"
+            message += f" (witness triple {witness[0]}, {witness[1]}, {witness[2]})"
         super().__init__(message)
 
 

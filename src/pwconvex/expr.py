@@ -1050,7 +1050,9 @@ class _Solver:
             if side * g >= 0:
                 return t, g
             if math.isinf(end):
-                t = (t + side) * 2.0
+                # from side * t <= -1, doubling t + side stalls or
+                # moves away from the end: jump to 0 first
+                t = (t + side) * 2.0 if side * t > -1.0 else 0.0
             elif g == g and abs(t - end) <= BISECT_REL_TOL * max(1.0, abs(t)):
                 return end, math.nan
             else:

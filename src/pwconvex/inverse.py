@@ -6,16 +6,17 @@ ln, and abs around a single occurrence of the variable.  Polynomials
 are read by ``simplify.poly_coeffs``.  A power of a power is peeled one
 layer at a time, each layer with the root branch of its own base, so
 (x^2)^(1/2) inverts as |x| does.  Everything else falls back to an
-implicit inverse, solved numerically, after a numeric
-strict-monotonicity guardrail.
+implicit inverse, solved numerically, after a strict-monotonicity
+check: exact for a polynomial (``derivative_signs``), sampled otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from . import numeric
+from . import numeric, poly
 from .assumptions import AssumptionEnv
 from .errors import DomainError, NotMonotone
 from .expr import (
@@ -28,6 +29,8 @@ from .expr import (
     ImplicitInverse,
     Ln,
     Mul,
+    Neg,
+    Param,
     Pow,
     Sub,
     Var,
@@ -36,7 +39,7 @@ from .expr import (
     contains_var,
     to_text,
 )
-from .simplify import as_terms, poly_coeffs, simplify, structurally_equal
+from .simplify import as_terms, exact_poly, poly_coeffs, simplify, structurally_equal
 
 GUARD_CLIP = 1e10
 # sampled values this many units in the last place apart count as equal:
@@ -147,16 +150,93 @@ def _peel_inner(shell: Expr, t: Expr, env: AssumptionEnv, lo, hi) -> Expr | None
     return _peel(shell, t, env, lo, hi)
 
 
-def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi) -> int:
-    """Numeric guardrail: sample on Chebyshev nodes and insist the
-    finite differences never disagree in sign.  Returns +1 or -1.
-    Zeros, and differences within TIE_ULPS units in the last place, are
-    tolerated (flat spots are resolved symbolically upstream); only an
-    actual sign conflict raises NotMonotone.
+def _exact_end(v):
+    """An end as an exact rational or +-inf, or None (parameters, floats,
+    irrationals)."""
+    if isinstance(v, float):
+        return v if math.isinf(v) else None
+    if isinstance(v, Const) and not isinstance(v.value, float):
+        return v.value
+    return None
+
+
+def _polynomial_shape(e: Expr) -> bool:
+    """Whether e has x only under sums, products, natural powers and
+    numerators, never in a denominator, a root, exp, ln, abs or a
+    numeric node.  Only a cheap filter: the sum map decides."""
+    if isinstance(e, (Const, Var, Param)):
+        return True
+    if isinstance(e, (Add, Sub, Mul)):
+        return _polynomial_shape(e.left) and _polynomial_shape(e.right)
+    if isinstance(e, Neg):
+        return _polynomial_shape(e.arg)
+    if isinstance(e, Div):
+        return _polynomial_shape(e.left) and not contains_var(e.right)
+    if isinstance(e, Pow):
+        natural = e.exponent.denominator == 1 and e.exponent >= 0
+        return _polynomial_shape(e.base) if natural else not contains_var(e.base)
+    return not contains_var(e)
+
+
+@lru_cache(maxsize=512)
+def _coefficients(body: Expr) -> tuple | None:
+    """``simplify.exact_poly`` of the canonical body, kept: a piece is
+    checked again each time a grid holding it is built, mostly within
+    one operation, so a few hundred entries hold most repeats.  A body
+    whose tree is not a polynomial's is refused without reading its
+    sum."""
+    if not _polynomial_shape(body):
+        return None
+    q = exact_poly(body)
+    return None if q is None else tuple(q)
+
+
+def derivative_signs(body: Expr, k: int, env: AssumptionEnv, lo, hi) -> dict | None:
+    """The signs the k-th derivative of body takes on the open (lo, hi),
+    each with a rational triple where it has that sign (``poly.signs``),
+    or with None where the sign holds on the whole line; {} when that
+    derivative is 0.  Exact for a polynomial body: over Q from
+    its coefficients of degree k up, or by ``env.sign_of`` when the
+    derivative is one coefficient with parameters.  An end that is not
+    an exact rational counts only when the derivative keeps one sign on
+    the whole line.  None where only sampling can tell."""
+    q = _coefficients(body)
+    if q is None:
+        return None
+    if len(q) <= k:
+        return {}
+    if isinstance(q[-1], Expr):
+        s = env.sign_of(q[-1]) if len(q) == k + 1 else None
+        return {s: None} if s else None
+    if None in q[k:]:
+        return None
+    d = poly.derivative(q, k)
+    ends = _exact_end(lo), _exact_end(hi)
+    if None not in ends:
+        return poly.signs(d, *ends)
+    whole = poly.signs(d)
+    return dict.fromkeys(whole) if len(whole) == 1 else None
+
+
+def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi, varname: str = "x") -> int:
+    """+1 when e increases on (lo, hi), -1 when it decreases.  A
+    polynomial is decided exactly by the signs of its derivative
+    (``derivative_signs``); a constant counts as increasing.  Any other
+    body is sampled on Chebyshev nodes, and the finite differences must
+    never disagree in sign: zeros, and differences within TIE_ULPS units
+    in the last place, are tolerated (flat spots are resolved
+    symbolically upstream).  A sign conflict raises NotMonotone.
     """
+    exact = derivative_signs(e, 1, env, lo, hi)
+    if exact is not None:
+        if len(exact) == 2:
+            raise NotMonotone(f"{to_text(e, varname)} is not monotone on the cell: its slope is positive"
+                              f" at {varname} = {exact[1][1]}"
+                              f" and negative at {varname} = {exact[-1][1]}")
+        return -1 if -1 in exact else 1
     samples = numeric.sample(e, env, lo, hi, GUARD_CLIP)
     if samples is None:
-        raise NotMonotone(f"cannot bound interval for monotonicity check of {to_text(e)}")
+        raise NotMonotone(f"cannot bound interval for monotonicity check of {to_text(e, varname)}")
     pos = neg = 0
     prev = None
     for _, v in samples:
@@ -172,14 +252,14 @@ def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi) -> int:
                     neg += 1
         prev = v
     if pos and neg:
-        raise NotMonotone(f"{to_text(e)} is not monotone on the sampled interval")
+        raise NotMonotone(f"{to_text(e, varname)} is not monotone on the sampled interval")
     if not pos and not neg:
         return 1  # constant samples: treat as weakly increasing
     return 1 if pos else -1
 
 
 def invert_monotone(e: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf,
-                    increasing: bool | None = None) -> Expr:
+                    increasing: bool | None = None, varname: str = "x") -> Expr:
     """Inverse of a strictly monotone expression on the interval.
 
     The result is an expression in the same variable, now standing for
@@ -193,9 +273,9 @@ def invert_monotone(e: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf,
     inv = _peel(s, X, env, lo, hi)
     if inv is not None:
         return simplify(inv)
-    direction = check_strictly_monotone(s, env, lo, hi)
+    direction = check_strictly_monotone(s, env, lo, hi, varname)
     if increasing is not None and (direction > 0) != increasing:
-        raise NotMonotone(f"{to_text(s)} sampled {'decreasing' if direction < 0 else 'increasing'},"
+        raise NotMonotone(f"{to_text(s, varname)} is {'decreasing' if direction < 0 else 'increasing'},"
                           f" expected the opposite")
     return ImplicitInverse(s, lo, hi, direction > 0)
 

@@ -206,11 +206,11 @@ class MonotoneOperator(Grid):
         return render_operator(self)
 
 
-def classify_op_piece(body: Expr, env: AssumptionEnv, lo, hi) -> str:
+def classify_op_piece(body: Expr, env: AssumptionEnv, lo, hi, varname: str = "x") -> str:
     if not contains_var(body):
         return KIND_CONSTANT
-    if check_strictly_monotone(body, env, lo, hi) < 0:
-        raise NotMonotone(f"piece {to_text(body)} is decreasing")
+    if check_strictly_monotone(body, env, lo, hi, varname) < 0:
+        raise NotMonotone(f"piece {to_text(body, varname)} is decreasing")
     return KIND_MONOTONE
 
 
@@ -231,7 +231,7 @@ def build_operator(
             normd.append(Piece(None, KIND_EMPTY))
             continue
         body = simplify(as_expr(body))
-        normd.append(Piece(body, classify_op_piece(body, env, *cell(bps, i))))
+        normd.append(Piece(body, classify_op_piece(body, env, *cell(bps, i), varname)))
     T = MonotoneOperator(varname, *merge_seamless(MonotoneOperator, bps, normd, list(values), env), env)
     validate_operator(T)
     return T
@@ -457,8 +457,8 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
         a = _as_endpoint(limit_at(p.body, lo, "right", env))
         b = _as_endpoint(limit_at(p.body, hi, "left", env))
         if numeric.order(env, a, b) != Ordering.LESS:
-            raise InternalInconsistency(f"piece {to_text(p.body)} has a degenerate image")
-        span(a, b, invert_monotone(p.body, env, lo, hi, increasing=True), EMPTY_SET)
+            raise InternalInconsistency(f"piece {to_text(p.body, T.varname)} has a degenerate image")
+        span(a, b, invert_monotone(p.body, env, lo, hi, increasing=True, varname=T.varname), EMPTY_SET)
     return build_operator(_toggle(T.varname), bps, pieces, values, env)
 
 

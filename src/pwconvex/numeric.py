@@ -20,9 +20,15 @@ The float decisions that remain, by caller:
   (``difference_order``); within the tolerance band it is undecidable.
 * ``pwf.classify_piece``: convexity from derivative samples (``sample``,
   window CLASSIFY_WINDOW); ``inverse.check_strictly_monotone``:
-  monotonicity from samples (``sample``, window GUARD_CLIP).  ``sample``
-  reads its NODES points through ``expr.float_kernel`` bound once at the
-  binding, which gives bit for bit the floats ``at`` gives there.
+  monotonicity from samples (``sample``, window GUARD_CLIP).  Both sample
+  only the bodies that ``inverse.derivative_signs`` cannot decide
+  exactly: bodies that are not polynomials in x, polynomials with a float
+  constant, with parameters in a coefficient of the derivative when
+  that derivative is not one coefficient, or with an end that is not an
+  exact rational (parameters, floats), unless the derivative keeps one
+  sign on the whole line.  ``sample`` reads its NODES points through
+  ``expr.float_kernel`` bound once at the binding, which gives bit for
+  bit the floats ``at`` gives there.
 * ``inverse._sign_on_interval``: the sign at a cell midpoint (``clip``
   with GUARD_CLIP, ``sign``), which picks root branches in
   ``inverse._peel`` and abs and log branches in ``conv.antiderivative``.

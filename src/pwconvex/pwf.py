@@ -5,8 +5,9 @@ strictly convex and differentiable, or identically +inf, and whose
 breakpoint values are extended reals.  Construction always runs
 normalization (redundant breakpoints are merged), classification, and
 validation: lower semicontinuity, continuity relative to the domain, and
-convexity, the latter by exact derivative comparisons where possible and
-Chebyshev sampling otherwise.
+convexity: across breakpoints by exact derivative comparisons where
+possible, inside a polynomial piece by the exact signs of f'' (poly.py),
+and inside any other piece by Chebyshev sampling.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .grid import (
     piece_body,
     rebind_var,
 )
+from .inverse import derivative_signs
 from .limits import one_sided_limit
 from .simplify import affine_parts, simplify, structurally_equal
 
@@ -115,21 +117,28 @@ class PiecewiseFunction(Grid):
 # ---------------------------------------------------------------------------
 
 
-def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, relaxed: bool = False) -> str:
+def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, relaxed: bool = False, varname: str = "x") -> str:
     """Affine vs strictly convex on the open interval (lo, hi).
 
-    Affine is decided symbolically (derivative free of the variable).
-    Strict convexity is certified by sampling the derivative at
-    Chebyshev nodes; a decrease raises NonConvex unless relaxed.
+    Affine is decided symbolically (derivative free of the variable).  A
+    polynomial is certified strictly convex by the signs of its second
+    derivative (``inverse.derivative_signs``); any other body by
+    sampling the derivative at Chebyshev nodes.  A decrease of the
+    derivative raises NonConvex unless relaxed.
     """
-    d = simplify(differentiate(body))
-    if not contains_var(d):
+    exact = derivative_signs(body, 2, env, lo, hi)
+    d = None if exact is not None else simplify(differentiate(body))
+    if exact == {} or d is not None and not contains_var(d):
         return KIND_AFFINE
     if relaxed:
         return KIND_SMOOTH
+    if exact is not None:
+        if -1 in exact:
+            raise NonConvex(f"second derivative of {to_text(body, varname)} is negative", witness=exact[-1])
+        return KIND_STRICT
     samples = numeric.sample(d, env, lo, hi, CLASSIFY_WINDOW)
     if samples is None:
-        raise UndecidableComparison(to_text(body), "interval bounds")
+        raise UndecidableComparison(to_text(body, varname), "interval bounds")
     prev = None
     prev_x = None
     for x, v in samples:
@@ -138,7 +147,7 @@ def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, relaxed: bool = False
             continue
         if prev is not None and v < prev:
             raise NonConvex(
-                f"derivative of {to_text(body)} decreases between sampled points",
+                f"derivative of {to_text(body, varname)} decreases between sampled points",
                 witness=(prev_x, x, 0.5 * (prev_x + x)),
             )
         prev, prev_x = v, x
@@ -168,7 +177,7 @@ def build_function(
             normd.append(Piece(None, KIND_INFINITE))
         else:
             body = simplify(as_expr(body))
-            normd.append(Piece(body, classify_piece(body, env, *cell(bps, i), relaxed=weakly_convex)))
+            normd.append(Piece(body, classify_piece(body, env, *cell(bps, i), weakly_convex, varname)))
     vals = [v if numeric.is_inf(v) else simplify(as_expr(v)) for v in values]
     f = PiecewiseFunction(varname, *merge_seamless(PiecewiseFunction, bps, normd, vals, env), env, weakly_convex)
     validate(f)
@@ -316,9 +325,12 @@ _INF_BODY = object()
 
 def parse_pwf(text: str, env: AssumptionEnv = EMPTY_ENV) -> PiecewiseFunction:
     """Parse the piecewise DSL (or a bare expression meaning one piece
-    covering the whole line) and build the validated function."""
-    varname, bps, pieces, values = parse_piecewise_map(text, env)
-    return build_function(varname, bps, pieces, values, env)
+    covering the whole line) and build the validated function.  A
+    function that is +inf everywhere is not proper: InputError."""
+    f = build_function(*parse_piecewise_map(text, env), env)
+    if not f.live_slices():
+        raise InputError("the function is +inf everywhere; a proper function is finite somewhere")
+    return f
 
 
 def parse_piecewise_map(

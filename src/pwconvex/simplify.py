@@ -11,11 +11,13 @@ when that is sound for real arguments (integer exponents, or an odd
 inner exponent), so abs-like identities such as (x^2)^(1/2) = |x| are
 never silently broken.
 
-This module is also the one reader of polynomials in x: ``poly_coeffs``
-and ``affine_parts`` read a canonical sum, and ``_cancel_rational`` its
-denominators and numerators, through ``_split_degree``, which takes the
-degree of a term from its x^n factor only.  A power of a power of x is
-another factor and is never flattened, so (x^2)^(1/2) is not read as x.
+Polynomials in x are read from a canonical sum: ``poly_coeffs`` and
+``affine_parts`` into Expr coefficients, ``exact_poly`` and
+``_cancel_rational`` (which divides with ``poly.divide``) into exact ones
+by ``poly.coefficients``, all through ``poly.split_degree``, which takes
+the degree of a term from its x^n factor only.  A power of a power of x
+is another factor and is never flattened, so (x^2)^(1/2) is not read as
+x.
 
 Equality of outputs is pointwise, not canonical-form: two expressions
 that print differently may still denote the same function, and tests
@@ -29,6 +31,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
+from . import poly
 from .errors import DomainError
 from .expr import (
     Abs,
@@ -367,44 +370,6 @@ def _rebuild(m: SumMap) -> Expr:
     return acc if acc is not None else ZERO
 
 
-def _split_degree(factors: Factors) -> tuple[int, Factors] | None:
-    """(n, rest) for the term x^n * prod(rest), or None when the
-    exponent of x is not a nonnegative integer.  A power of a power of
-    x is one more factor of rest, never flattened: (x^2)^(1/2) is |x|."""
-    n = 0
-    rest: list[tuple[Expr, Fraction]] = []
-    for f, q in factors:
-        if isinstance(f, Var):
-            if q.denominator != 1 or q < 0:
-                return None
-            n = int(q)
-        else:
-            rest.append((f, q))
-    return n, tuple(rest)
-
-
-def _poly_divide_exact(num: dict[int, Fraction], den: dict[int, Fraction]) -> dict[int, Fraction] | None:
-    """Quotient of an exact polynomial division; None on any remainder."""
-    num = {d: c for d, c in num.items() if c != 0}
-    dd = max(den)
-    dc = den[dd]
-    quot: dict[int, Fraction] = {}
-    while num:
-        nd = max(num)
-        if nd < dd:
-            return None
-        k = nd - dd
-        c = Fraction(num[nd]) / dc  # int / int is a float
-        quot[k] = c
-        for d2, c2 in den.items():
-            nv = num.get(d2 + k, Fraction(0)) - c * c2
-            if nv == 0:
-                num.pop(d2 + k, None)
-            else:
-                num[d2 + k] = nv
-    return quot
-
-
 def _cancel_rational(m: SumMap) -> SumMap:
     """Collapse sums of the shape poly(x) * (den)^-1 * rest when the
     polynomial is exactly divisible by den.
@@ -422,36 +387,33 @@ def _cancel_rational(m: SumMap) -> SumMap:
                     dens.append(f)
         progressed = False
         for P in dens:
-            den: dict[int, Fraction] = {}
-            for factors, coeff in _snf(P.base).items():
-                split = _split_degree(factors)
-                if split is None or split[1] or isinstance(coeff, float):
-                    den = {}
-                    break
-                den[split[0]] = coeff
-            if not den or max(den) < 1:
+            den = poly.coefficients(_snf(P.base))
+            if den is None or None in den or len(den) < 2:
                 continue
             # terms c * x^n * rest * P, grouped by rest: one numerator
             # polynomial per group
-            groups: dict[Factors, dict[int, Fraction]] = {}
+            groups: dict[Factors, list[Number]] = {}
             members: dict[Factors, list[Factors]] = {}
             for factors, coeff in m.items():
                 if (P, 1) not in factors or isinstance(coeff, float):
                     continue
-                split = _split_degree(tuple(p for p in factors if p != (P, 1)))
+                split = poly.split_degree(tuple(p for p in factors if p != (P, 1)))
                 if split is None:
                     continue
                 deg, key = split
-                groups.setdefault(key, {})[deg] = coeff
+                num = groups.setdefault(key, [])
+                num.extend([0] * (deg + 1 - len(num)))
+                num[deg] = coeff
                 members.setdefault(key, []).append(factors)
             for key, num in groups.items():
-                quot = _poly_divide_exact(num, den)
-                if quot is None:
+                quot, rem = poly.divide(num, den)
+                if rem:
                     continue
                 for factors in members[key]:
                     m.pop(factors, None)
-                for d, c in quot.items():
-                    _add_term(m, _canon_factors(key + (((X, d),) if d > 0 else ())), c)
+                for d in range(len(quot) - 1, -1, -1):
+                    if quot[d]:
+                        _add_term(m, _canon_factors(key + (((X, d),) if d > 0 else ())), quot[d])
                 progressed = True
         if not progressed:
             break
@@ -488,11 +450,31 @@ def poly_coeffs(e: Expr) -> dict[int, Expr] | None:
         return None
     by_degree: dict[int, SumMap] = {}
     for factors, c in m.items():
-        split = _split_degree(factors)
+        split = poly.split_degree(factors)
         if split is None or any(contains_var(f) for f, _ in split[1]):
             return None
         by_degree.setdefault(split[0], {})[split[1]] = c
     return {n: _rebuild(terms) for n, terms in by_degree.items()}
+
+
+def exact_poly(e: Expr) -> list | None:
+    """``poly.coefficients`` of e: its exact coefficients by degree, with
+    None for a degree whose coefficient holds parameters, but the top
+    one, which is then its Expr; None when e is not a polynomial in the
+    variable."""
+    try:
+        m = _cancel_rational(_snf(e))
+    except DomainError:
+        return None
+    q = poly.coefficients(m)
+    if q and q[-1] is None:
+        top: SumMap = {}
+        for fs, c in m.items():
+            n, rest = poly.split_degree(fs)
+            if n == len(q) - 1:
+                top[rest] = c
+        q[-1] = _rebuild(top)
+    return q
 
 
 def affine_parts(e: Expr) -> tuple[Expr, Expr] | None:

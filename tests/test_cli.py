@@ -4,6 +4,7 @@ failures, and one error line on stderr instead of a traceback."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,3 +321,57 @@ def test_every_subcommand_runs_without_numpy():
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["codes"] == dict.fromkeys(SUBCOMMANDS, 0)
     assert result["quadrature"] == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["subdiff", "x^4 - x^2"], "NonConvex"),  # f'' = 12x^2 - 2 < 0 near 0
+    (["invert", "x^3 - 3*x"], "NotMonotone"),  # falls on (-1, 1)
+    (["invert", "x^3 - x/1000"], "NotMonotone"),  # falls on (-0.019, 0.019)
+])
+def test_a_polynomial_that_fails_between_samples_is_rejected(capsys, argv, kind):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error[{kind}]")
+
+
+@pytest.mark.parametrize("text", [
+    "x^4",  # f'' = 12x^2 is 0 at 0 only
+    "x^6 + x^2/2",
+    "pw{ x < 0 -> inf ; x >= 0 -> x^4/4 + x^3 }",  # f'' = 3x^2 + 6x, 0 at the closed end
+])
+def test_a_polynomial_convex_but_for_isolated_flat_points_is_accepted(capsys, text):
+    code, out, err = run(capsys, ["subdiff", text])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("q", ["p^2 - p", "1 - p", "exp(4*p - 4*p^2)"])
+def test_a_quantile_message_names_its_own_variable(capsys, q):
+    # exact (p^2 - p), exact decreasing (1 - p) and sampled (exp) tiers
+    code, _, err = run(capsys, ["risk", "--quantile", q, "quantile", "1/4"])
+    assert code == 2 and err.startswith("error[NotMonotone]")
+    assert re.search(r"\bp\b", err) and not re.search(r"\bx\b", err)
+
+
+@pytest.mark.parametrize("text", ["pw{ y < 0 -> inf ; y >= 0 -> y^3 - y^2 }", "pw{ y < 0 -> inf ; y >= 0 -> 0 - exp(y) }"])
+def test_a_convexity_message_names_its_own_variable(capsys, text):
+    code, _, err = run(capsys, ["subdiff", text])
+    assert code == 2 and err.startswith("error[NonConvex]")
+    assert re.search(r"\by\b", err) and not re.search(r"\bx\b", err)
+
+
+@pytest.mark.parametrize("argv", [["subdiff"], ["conj"], ["prox", "--at", "1"]])
+def test_a_function_that_is_inf_everywhere_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, [argv[0], "pw{ x < 0 -> inf ; x >= 0 -> inf }", *argv[1:]])
+    assert code == 2 and not out
+    assert err.startswith("error[InputError]")
+
+
+@pytest.mark.parametrize("text", ["pw{ x <= 5 -> x^4 + x^2 ; x > 5 -> inf }",
+                                  "pw{ x < -5 -> inf ; x >= -5 -> x^4 + x^2 }"])
+def test_an_implicit_inverse_on_a_half_line_is_bracketed(capsys, text):
+    # the solver must step toward an infinite end from the far side of 0;
+    # the first input still meets the inexact value at 510 (NotLsc)
+    code, _, err = run(capsys, ["conj", text])
+    assert code != 3, err
+    if text.startswith("pw{ x < -5"):
+        assert code == 0, err

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_root
-from pwconvex import expr
+from pwconvex import expr, poly
 from pwconvex.assumptions import AssumptionEnv
 from pwconvex.conv import _inverse_primitive, antiderivative
 from pwconvex.errors import DomainError, MaxIterations, ParseError, UnboundParameter
@@ -53,7 +53,6 @@ from pwconvex.expr import (
 from pwconvex.simplify import (
     _cancel_rational,
     _iroot,
-    _poly_divide_exact,
     _snf,
     affine_parts,
     is_zero,
@@ -239,6 +238,13 @@ class TestSolver:
         if got - tol > lo:
             assert fn(got - tol) <= target
         assert fn(got + tol) >= target
+
+    @pytest.mark.parametrize("lo, hi, target, root", [(as_expr(-10), math.inf, 130, 5.0),
+                                                      (-math.inf, as_expr(10), -130, -5.0)])
+    def test_a_half_line_is_bracketed_from_the_far_side_of_zero(self, lo, hi, target, root):
+        # the start bracket sits at -9, -8 (or 8, 9), beyond 0 from the root
+        got = evaluate(ImplicitInverse(parse_expr("x^3 + x"), lo, hi, True), target)
+        assert abs(got - root) <= 2 * BISECT_REL_TOL * abs(root)
 
 
 @st.composite
@@ -636,17 +642,18 @@ class TestExactNumbers:
     @given(st.lists(NUMERATORS, min_size=1, max_size=3).filter(lambda d: d[-1] != 0),
            st.lists(EXACT, min_size=1, max_size=3))
     def test_exact_division_of_integral_polynomials(self, den, quot):
-        den = dict(enumerate(den))
-        want = {k: c for k, c in enumerate(quot) if c != 0}
-        num: dict[int, Fraction] = {}
-        for i, a in den.items():
-            for k, c in want.items():
-                num[i + k] = num.get(i + k, Fraction(0)) + a * c
+        want = list(quot)
+        while want and want[-1] == 0:
+            want.pop()
+        num = [Fraction(0)] * (len(den) + len(quot) - 1)
+        for i, a in enumerate(den):
+            for k, c in enumerate(quot):
+                num[i + k] += a * c
         # integral coefficients as int, as constants hold them
-        num = {d: c.numerator if c.denominator == 1 else c for d, c in num.items()}
-        got = _poly_divide_exact(num, den)
-        assert got == want
-        assert not any(isinstance(c, float) for c in got.values())
+        num = [c.numerator if c.denominator == 1 else c for c in num]
+        got, rem = poly.divide(num, den)
+        assert got == want and rem == []
+        assert not any(isinstance(c, float) for c in got)
 
     @settings(max_examples=200, deadline=None)
     @given(RATIONAL_IN_X)
