@@ -163,7 +163,9 @@ def _exact_end(v):
 def _polynomial_shape(e: Expr) -> bool:
     """Whether e has x only under sums, products, natural powers and
     numerators, never in a denominator, a root, exp, ln, abs or a
-    numeric node.  Only a cheap filter: the sum map decides."""
+    numeric node.  A cheap filter in front of the sum map, which decides:
+    refusing a transcendental body by its sum map costs about as much
+    as sampling it."""
     if isinstance(e, (Const, Var, Param)):
         return True
     if isinstance(e, (Add, Sub, Mul)):
@@ -179,38 +181,38 @@ def _polynomial_shape(e: Expr) -> bool:
 
 
 @lru_cache(maxsize=512)
-def _coefficients(body: Expr) -> tuple | None:
-    """``simplify.exact_poly`` of the canonical body, kept: a piece is
-    checked again each time a grid holding it is built, mostly within
-    one operation, so a few hundred entries hold most repeats.  A body
-    whose tree is not a polynomial's is refused without reading its
-    sum."""
-    if not _polynomial_shape(body):
+def _derivative(body: Expr, k: int) -> tuple | Expr | None:
+    """The k-th derivative of a polynomial body: its exact coefficients
+    (a tuple, () for 0), or, when it is a constant with parameters, the
+    coefficient of x^k in body, which has its sign.  None for any other
+    body.  Kept: a piece is checked again each time a grid holding it is
+    built, mostly within one operation, so a few hundred entries hold
+    most repeats."""
+    q = exact_poly(body) if _polynomial_shape(body) else None
+    if q is None:
         return None
-    q = exact_poly(body)
-    return None if q is None else tuple(q)
+    if q[k:] == [None]:
+        return poly_coeffs(body)[k]
+    return None if None in q[k:] else tuple(poly.derivative(q, k))
 
 
 def derivative_signs(body: Expr, k: int, env: AssumptionEnv, lo, hi) -> dict | None:
     """The signs the k-th derivative of body takes on the open (lo, hi),
     each with a rational triple where it has that sign (``poly.signs``),
     or with None where the sign holds on the whole line; {} when that
-    derivative is 0.  Exact for a polynomial body: over Q from
-    its coefficients of degree k up, or by ``env.sign_of`` when the
-    derivative is one coefficient with parameters.  An end that is not
-    an exact rational counts only when the derivative keeps one sign on
-    the whole line.  None where only sampling can tell."""
-    q = _coefficients(body)
-    if q is None:
+    derivative is 0.  Exact for a polynomial body (``_derivative``):
+    over Q, or by ``env.sign_of`` when the derivative is one coefficient
+    with parameters.  An end that is not an exact rational counts only
+    when the derivative keeps one sign on the whole line.  None where
+    only sampling can tell."""
+    d = _derivative(body, k)
+    if d is None:
         return None
-    if len(q) <= k:
-        return {}
-    if isinstance(q[-1], Expr):
-        s = env.sign_of(q[-1]) if len(q) == k + 1 else None
+    if isinstance(d, Expr):
+        s = env.sign_of(d)
         return {s: None} if s else None
-    if None in q[k:]:
-        return None
-    d = poly.derivative(q, k)
+    if not d:
+        return {}
     ends = _exact_end(lo), _exact_end(hi)
     if None not in ends:
         return poly.signs(d, *ends)

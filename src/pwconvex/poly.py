@@ -7,11 +7,11 @@ through ``split_degree``, the one place that takes the degree of a term.
 On these lists rest the derivative, ``divide`` (quotient and remainder;
 ``simplify._cancel_rational`` divides with it), ``gcd`` and the
 square-free part.  ``signs`` gives the signs q takes on an open interval
-with rational or infinite ends: at once where Descartes' rule of signs
-leaves q no root there but 0, and otherwise from q at one rational point
-inside each gap between its real roots there, the roots isolated by
-Sturm counts on the square-free part (after Collins & Akritas, SYMSAC
-1976), with a Cauchy bound on the roots in place of an infinite end.
+with rational or infinite ends, a Cauchy bound on the roots in place of
+an infinite end: at once where Descartes' rule of signs leaves q no
+root there but 0, and otherwise from q at one rational point inside
+each gap between its real roots there, the roots isolated by Sturm
+counts on the square-free part (after Collins & Akritas, SYMSAC 1976).
 The Sturm sequence holds positive multiples with int coefficients, and
 signs are read by Horner's rule in ints.
 """
@@ -207,21 +207,19 @@ def signs(q: Poly, lo=-math.inf, hi=math.inf) -> dict[int, tuple[Number, Number,
     with rational a < m < b inside it such that q has that sign on all
     of (a, b).  lo < hi are exact rationals or +-inf.  A single key
     means q keeps that sign there but at finitely many zeros."""
+    q = _primitive(q)
+    if type(lo) is float or type(hi) is float:  # an infinite end
+        bound = cauchy_bound(q) + sum(abs(e) for e in (lo, hi) if type(e) is not float)
+        lo = -bound if type(lo) is float else lo
+        hi = bound if type(hi) is float else hi
+    lo, hi = _canon(lo), _canon(hi)
     one = _one_sign(q, lo, hi)
-    if one is not None:  # read beside a finite end, and off a root at 0
-        if lo == -math.inf:
-            lo = -1 if hi == math.inf else hi - 2
-        if hi == math.inf:
-            hi = lo + 2
+    if one is not None:  # no root there but 0: read off it
         if lo < 0 < hi and q[0] == 0:
             lo = 0
         return {one: (lo, _canon(Fraction(lo + hi, 2)), hi)}
-    q = _primitive(q)
     p = squarefree(q)
     seq = sturm(p)
-    bound = cauchy_bound(p) + sum(abs(e) for e in (lo, hi) if not math.isinf(e))
-    lo = _canon(-bound if lo == -math.inf else lo)
-    hi = _canon(bound if hi == math.inf else hi)
 
     def inside(a, b) -> int:
         """The number of roots of p in the open (a, b)."""

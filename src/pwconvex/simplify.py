@@ -459,22 +459,12 @@ def poly_coeffs(e: Expr) -> dict[int, Expr] | None:
 
 def exact_poly(e: Expr) -> list | None:
     """``poly.coefficients`` of e: its exact coefficients by degree, with
-    None for a degree whose coefficient holds parameters, but the top
-    one, which is then its Expr; None when e is not a polynomial in the
-    variable."""
+    None for a degree whose coefficient holds parameters; None when e is
+    not a polynomial in the variable."""
     try:
-        m = _cancel_rational(_snf(e))
+        return poly.coefficients(_cancel_rational(_snf(e)))
     except DomainError:
         return None
-    q = poly.coefficients(m)
-    if q and q[-1] is None:
-        top: SumMap = {}
-        for fs, c in m.items():
-            n, rest = poly.split_degree(fs)
-            if n == len(q) - 1:
-                top[rest] = c
-        q[-1] = _rebuild(top)
-    return q
 
 
 def affine_parts(e: Expr) -> tuple[Expr, Expr] | None:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from pwconvex import AssumptionEnv, numeric, parse_pwf, poly
 from pwconvex.errors import NonConvex, NotMonotone
 from pwconvex.expr import ImplicitInverse, parse_expr
-from pwconvex.inverse import check_strictly_monotone, invert_monotone
+from pwconvex.inverse import check_strictly_monotone, derivative_signs, invert_monotone
 from pwconvex.monop import parse_operator, subdifferential
-from pwconvex.simplify import exact_poly, simplify
+from pwconvex.simplify import exact_poly
 
 RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 NONZERO = RATIONALS.filter(bool)
@@ -146,9 +146,12 @@ def test_signs_on_an_interval_are_the_signs_between_the_roots(example, lo, hi, t
 
 
 def test_signs_of_a_constant():
-    assert poly.signs([3]) == {1: (-1, 0, 1)}
+    # an infinite end is replaced by the Cauchy bound 2 plus the finite end's size
+    assert poly.signs([3]) == {1: (-2, 0, 2)}
     assert poly.signs([-3], 1, math.inf) == {-1: (1, 2, 3)}
-    assert poly.signs([-3], -math.inf, Fraction(1, 2)) == {-1: (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2))}
+    assert poly.signs([-3], -math.inf, Fraction(1, 2)) == {-1: (Fraction(-5, 2), -1, Fraction(1, 2))}
+    # integral ends come back as int
+    assert all(type(v) is int for v in poly.signs([3], Fraction(-2), Fraction(4))[1])
 
 
 def test_coefficients_mark_parametric_degrees_and_refuse_non_polynomials():
@@ -158,8 +161,7 @@ def test_coefficients_mark_parametric_degrees_and_refuse_non_polynomials():
     assert read("x^3/2 - 3*x + 1") == [1, -3, 0, Fraction(1, 2)]
     assert read("a*x + x^2") == [0, None, 1]
     assert read("x^2 + a") == [None, 0, 1]
-    # the top coefficient with parameters is kept as an Expr
-    assert read("x/2 + (a + 1)*x^2") == [0, Fraction(1, 2), simplify(parse_expr("a + 1"))]
+    assert read("x/2 + (a + 1)*x^2") == [0, Fraction(1, 2), None]
     assert read("exp(x) + x") is None
     assert read("(x^2)^(1/2)") is None
     assert exact_poly(0.5 * parse_expr("x^2")) is None  # a float coefficient
@@ -186,6 +188,12 @@ def test_a_polynomial_piece_is_certified_without_sampling(no_sampling, text, fac
     env = AssumptionEnv.parse(facts)
     f = parse_pwf(text, env)
     subdifferential(f)
+
+
+def test_a_parametric_coefficient_in_a_nonconstant_derivative_is_left_to_sampling():
+    env = AssumptionEnv.parse(["0 < a"])
+    for text, k in [("a*x^3 + x^2", 2), ("a*x^2 + x", 1)]:
+        assert derivative_signs(parse_expr(text), k, env, -math.inf, math.inf) is None
 
 
 def test_a_sign_change_on_the_line_leaves_a_parametric_cell_to_sampling():
