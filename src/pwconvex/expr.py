@@ -226,7 +226,7 @@ def _kept_hash(node: ImplicitInverse | NumericIntegral) -> int:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class ImplicitInverse(Expr):
-    """Inverse of ``forward`` (strictly monotone on (lo, hi)) at the
+    """Inverse of ``forward`` (strictly increasing on (lo, hi)) at the
     variable.  ``lo``/``hi`` bound the *forward* argument: variable-free
     expressions, exact in the parameters, or +-inf.  Evaluates by
     Newton's method on ``forward`` and its derivative, safeguarded by a
@@ -237,7 +237,6 @@ class ImplicitInverse(Expr):
     forward: Expr
     lo: Expr | float
     hi: Expr | float
-    increasing: bool = True
     _hash: int | None = field(default=None, init=False, compare=False)
     __hash__ = _kept_hash
 
@@ -249,8 +248,8 @@ class NumericIntegral(Expr):
     ``primitive``, when given, is an antiderivative G of the forward map
     g of an ImplicitInverse integrand, in g's own variable.  The
     integral is then [y*g^-1(y) - G(g^-1(y))] from base to the variable
-    (g continuous and strictly monotone on its (lo, hi), increasing or
-    decreasing): one solve per value.  Its y-derivative is
+    (g continuous and strictly increasing on its (lo, hi)): one solve per
+    value.  Its y-derivative is
     g^-1(y) + (y - g(g^-1(y)))*(g^-1)'(y), so the solver's tolerance
     enters only to second order.  Otherwise, and wherever that closed
     form raises or is not finite, it evaluates by composite
@@ -319,7 +318,7 @@ def map_children(e: Expr, fn) -> Expr:
         return Pow(fn(e.base), e.exponent)
     if isinstance(e, ImplicitInverse):
         lo, hi = (b if isinstance(b, float) else fn(b) for b in (e.lo, e.hi))
-        return ImplicitInverse(fn(e.forward), lo, hi, e.increasing)
+        return ImplicitInverse(fn(e.forward), lo, hi)
     if isinstance(e, NumericIntegral):
         return NumericIntegral(fn(e.integrand), fn(e.base), None if e.primitive is None else fn(e.primitive))
     raise TypeError(f"unknown node {type(e).__name__}")
@@ -1017,7 +1016,7 @@ class _Solver:
     Derivatives*, 1973).  The forward map and its derivative are float
     kernels and the bounds floats, all bound once."""
 
-    __slots__ = ("forward", "slope", "lo", "hi", "sign")
+    __slots__ = ("forward", "slope", "lo", "hi")
 
     def __init__(self, node: ImplicitInverse, params):
         self.forward = float_kernel(node.forward, params)
@@ -1028,12 +1027,11 @@ class _Solver:
         # the bounds are exact in the parameters: evaluate them with the rest
         self.lo, self.hi = (b if isinstance(b, float) else float(evaluate(as_expr(b), None, params))
                             for b in (node.lo, node.hi))
-        self.sign = 1.0 if node.increasing else -1.0
 
     def gap(self, t: float, target: float) -> float:
-        """sign * (forward(t) - target): increasing in t, NaN off the domain."""
+        """forward(t) - target: increasing in t, NaN off the domain."""
         try:
-            return self.sign * (self.forward(t) - target)
+            return self.forward(t) - target
         except DomainError:
             return math.nan
 
@@ -1116,7 +1114,7 @@ class _Solver:
                     t = mid
                 continue
             try:
-                d = self.sign * self.slope(t)
+                d = self.slope(t)
             except (ToolkitError, ArithmeticError, ValueError):
                 d = math.nan
             step = g / d if 0.0 < d < math.inf else math.nan

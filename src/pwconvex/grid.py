@@ -17,8 +17,9 @@ A piecewise function stores an extended-real value at each breakpoint
 (+inf outside the domain) and an infinite piece outside the domain; a
 monotone operator stores a closed SetValue at each breakpoint and an
 empty piece where its graph has no points.  This module holds what the
-two share: the Piece and Grid types, breakpoint checks and merging, the
-point locator and exact reader (``Grid.locate``, ``Grid.at``), the float
+two share: the Piece and Grid types, the one certification pass over
+input pieces (``certify``), breakpoint checks and merging, the point
+locator and exact reader (``Grid.locate``, ``Grid.at``), the float
 reader for loops over many float points (``Grid.float_view``), and the
 guard DSL from branch parsing to cell cover.
 """
@@ -38,6 +39,7 @@ from .expr import (
     Neg,
     TokenStream,
     X,
+    as_expr,
     contains_var,
     float_kernel,
     substitute,
@@ -207,13 +209,21 @@ def checked_breakpoints(breakpoints, pieces, values, env: AssumptionEnv) -> list
 
 
 def piece_body(p) -> Expr | None:
-    """Body of a constructor piece argument: a Piece, an Expr, or None
-    (or a float infinity) for an empty cell."""
+    """Simplified body of a constructor piece argument: a Piece, an Expr,
+    or None (or a float infinity) for an empty cell."""
     if isinstance(p, Piece):
-        return p.body
+        p = p.body
     if p is None or (isinstance(p, float) and math.isinf(p)):
         return None
-    return p
+    return simplify(as_expr(p))
+
+
+def certify(breakpoints, pieces, env: AssumptionEnv, certifier: Callable, varname: str = "x") -> list:
+    """The kind ``certifier(body, env, lo, hi, varname)`` gives each piece
+    on its cell, None for an empty one; it raises on a body the grid type
+    does not admit.  Run once, before the build, on bodies from outside."""
+    return [None if body is None else certifier(body, env, *cell(breakpoints, i), varname)
+            for i, body in enumerate(map(piece_body, pieces))]
 
 
 def merge_seamless(grid_type: type, bps: list, pieces: list, values: list,

@@ -6,8 +6,9 @@ ln, and abs around a single occurrence of the variable.  Polynomials
 are read by ``simplify.poly_coeffs``.  A power of a power is peeled one
 layer at a time, each layer with the root branch of its own base, so
 (x^2)^(1/2) inverts as |x| does.  Everything else falls back to an
-implicit inverse, solved numerically, after a strict-monotonicity
-check: exact for a polynomial (``derivative_signs``), sampled otherwise.
+implicit inverse, solved numerically.  Callers pass strictly increasing
+expressions only: input pieces certified by ``check_strictly_monotone``
+and the pieces the operator calculus builds.
 """
 
 from __future__ import annotations
@@ -185,9 +186,9 @@ def _derivative(body: Expr, k: int) -> tuple | Expr | None:
     """The k-th derivative of a polynomial body: its exact coefficients
     (a tuple, () for 0), or, when it is a constant with parameters, the
     coefficient of x^k in body, which has its sign.  None for any other
-    body.  Kept: a piece is checked again each time a grid holding it is
-    built, mostly within one operation, so a few hundred entries hold
-    most repeats."""
+    body.  Kept: the same input body is certified again each time a text
+    holding it is parsed, and parametric inputs repeat a few body shapes,
+    so a few hundred entries hold most repeats."""
     q = exact_poly(body) if _polynomial_shape(body) else None
     if q is None:
         return None
@@ -260,13 +261,12 @@ def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi, varname: str = 
     return 1 if pos else -1
 
 
-def invert_monotone(e: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf,
-                    increasing: bool | None = None, varname: str = "x") -> Expr:
-    """Inverse of a strictly monotone expression on the interval.
+def invert_monotone(e: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf) -> Expr:
+    """Inverse of a strictly increasing expression on the interval.
 
     The result is an expression in the same variable, now standing for
-    the forward value.  Exact peeling is attempted first; the implicit
-    fallback verifies monotonicity numerically before committing.
+    the forward value.  Exact peeling is attempted first, then the
+    implicit inverse; monotonicity is the caller's to certify.
     """
     s = simplify(e)
     if isinstance(s, ImplicitInverse):
@@ -275,13 +275,9 @@ def invert_monotone(e: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf,
     inv = _peel(s, X, env, lo, hi)
     if inv is not None:
         return simplify(inv)
-    direction = check_strictly_monotone(s, env, lo, hi, varname)
-    if increasing is not None and (direction > 0) != increasing:
-        raise NotMonotone(f"{to_text(s, varname)} is {'decreasing' if direction < 0 else 'increasing'},"
-                          f" expected the opposite")
-    return ImplicitInverse(s, lo, hi, direction > 0)
+    return ImplicitInverse(s, lo, hi)
 
 
 def solve_monotone(e: Expr, value: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf) -> Expr:
-    """x with e(x) = value on the interval where e is strictly monotone."""
+    """x with e(x) = value on the interval where e is strictly increasing."""
     return numeric.body_at(invert_monotone(e, env, lo, hi), value, env)

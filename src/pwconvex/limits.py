@@ -153,8 +153,7 @@ def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | 
         # points the probe handles it
         if direction is None:
             return None
-        toward_hi = (direction > 0) == base.increasing
-        bound = base.hi if toward_hi else base.lo
+        bound = base.hi if direction > 0 else base.lo
         if isinstance(bound, float) and math.isinf(bound):
             kind = _POS_INF if bound > 0 else _NEG_INF
             # growth rate is unknowable here; "opaque" blocks zero-inf races

@@ -2,8 +2,9 @@
 
 An operator is a breakpoint grid (see grid.py) whose pieces are
 single-valued bodies, constant or strictly increasing, or the empty map,
-and whose breakpoint values are closed SetValues.  Construction
-classifies the pieces, merges redundant breakpoints, and checks graph
+and whose breakpoint values are closed SetValues.  Parsing certifies
+each piece (``classify_op_piece``); construction reads each piece's
+kind from its body, merges redundant breakpoints, and checks graph
 monotonicity by chaining slice bounds from left to right.
 """
 
@@ -41,7 +42,7 @@ from .expr import (
 from .grid import (
     Grid,
     Piece,
-    cell,
+    certify,
     checked_breakpoints,
     cover,
     merge_seamless,
@@ -207,6 +208,7 @@ class MonotoneOperator(Grid):
 
 
 def classify_op_piece(body: Expr, env: AssumptionEnv, lo, hi, varname: str = "x") -> str:
+    """Constant vs strictly increasing on (lo, hi); NotMonotone otherwise."""
     if not contains_var(body):
         return KIND_CONSTANT
     if check_strictly_monotone(body, env, lo, hi, varname) < 0:
@@ -221,17 +223,12 @@ def build_operator(
     values: list[SetValue],
     env: AssumptionEnv = EMPTY_ENV,
 ) -> MonotoneOperator:
-    """Normalize, classify, and monotonicity-check; the only
+    """Normalize, read each piece's kind (constant when free of the
+    variable, else strictly monotone), and monotonicity-check; the only
     constructor used by parsing and by the operator calculus."""
     bps = checked_breakpoints(breakpoints, pieces, values, env)
-    normd: list[Piece] = []
-    for i, p in enumerate(pieces):
-        body = piece_body(p)
-        if body is None:
-            normd.append(Piece(None, KIND_EMPTY))
-            continue
-        body = simplify(as_expr(body))
-        normd.append(Piece(body, classify_op_piece(body, env, *cell(bps, i), varname)))
+    normd = [Piece(body, KIND_EMPTY if body is None else KIND_MONOTONE if contains_var(body) else KIND_CONSTANT)
+             for body in map(piece_body, pieces)]
     T = MonotoneOperator(varname, *merge_seamless(MonotoneOperator, bps, normd, list(values), env), env)
     validate_operator(T)
     return T
@@ -262,7 +259,8 @@ def _fmt_end(v) -> str:
 
 def validate_operator(T: MonotoneOperator) -> None:
     """Graph monotonicity: slice bounds (pieces and breakpoint values
-    interleaved) must be nondecreasing from left to right."""
+    interleaved) must be nondecreasing from left to right, and strictly
+    increasing across each non-constant piece."""
     env = T.env
     prev_sup = None
     prev_where = None
@@ -282,8 +280,15 @@ def validate_operator(T: MonotoneOperator) -> None:
             step(lo_v, hi_v, f"the value at {to_text(T.breakpoints[s // 2])}")
         else:
             lo, hi = T.interval(s // 2)
-            a, b = _piece_bounds(T.pieces[s // 2], lo, hi, env)
-            step(a, b, f"the piece on ({_fmt_end(lo)}, {_fmt_end(hi)})")
+            p = T.pieces[s // 2]
+            a, b = _piece_bounds(p, lo, hi, env)
+            cell_text = f"({_fmt_end(lo)}, {_fmt_end(hi)})"
+            if p.kind == KIND_MONOTONE and None not in (a, b):
+                # a certified piece fails here only where its samples missed a fall
+                if numeric.order(env, a, b) in (Ordering.EQUAL, Ordering.GREATER):
+                    raise NotMonotone(f"piece {to_text(p.body, T.varname)} is not strictly increasing on"
+                                      f" {cell_text}: its end limits do not rise")
+            step(a, b, f"the piece on {cell_text}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +461,7 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
             continue
         a = _as_endpoint(limit_at(p.body, lo, "right", env))
         b = _as_endpoint(limit_at(p.body, hi, "left", env))
-        if numeric.order(env, a, b) != Ordering.LESS:
-            raise InternalInconsistency(f"piece {to_text(p.body, T.varname)} has a degenerate image")
-        span(a, b, invert_monotone(p.body, env, lo, hi, increasing=True, varname=T.varname), EMPTY_SET)
+        span(a, b, invert_monotone(p.body, env, lo, hi), EMPTY_SET)
     return build_operator(_toggle(T.varname), bps, pieces, values, env)
 
 
@@ -547,7 +550,7 @@ def _parse_setval(ts: TokenStream, varname: str, bare: bool) -> tuple:
 def parse_operator(text: str, env: AssumptionEnv = EMPTY_ENV) -> MonotoneOperator:
     """Parse the operator DSL sd{ guard -> value ; ... }.  A bare
     expression, or a single {body}, means one piece covering the whole
-    line."""
+    line.  Pieces are certified here, once (``classify_op_piece``)."""
     branches, varname = parse_branches(text, env, "sd", _parse_setval)
     bps, cells, at = cover(branches, env)
     pieces: list[Expr | None] = []
@@ -559,6 +562,7 @@ def parse_operator(text: str, env: AssumptionEnv = EMPTY_ENV) -> MonotoneOperato
         _default_op_value(pieces, bps, j, env) if sv is None else _setval_at(sv, b, env)
         for j, (b, sv) in enumerate(zip(bps, at))
     ]
+    certify(bps, pieces, env, classify_op_piece, varname)
     return build_operator(varname, bps, pieces, values, env)
 
 

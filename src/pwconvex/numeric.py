@@ -20,7 +20,9 @@ The float decisions that remain, by caller:
   (``difference_order``); within the tolerance band it is undecidable.
 * ``pwf.classify_piece``: convexity from derivative samples (``sample``,
   window CLASSIFY_WINDOW); ``inverse.check_strictly_monotone``:
-  monotonicity from samples (``sample``, window GUARD_CLIP).  Both sample
+  monotonicity from samples (``sample``, window GUARD_CLIP).  Both run
+  once, on input only (``grid.certify``: parsed pieces, the distributions
+  of ``risk``, f + x^2/2 in ``penalty.verify_penalty``).  Both sample
   only the bodies that ``inverse.derivative_signs`` cannot decide
   exactly: bodies that are not polynomials in x, polynomials with a float
   constant, with parameters in a coefficient of the derivative when
@@ -39,9 +41,9 @@ The float decisions that remain, by caller:
   points that exact comparison found distinct (``sort_key``).
 * ``pwf.validate``, ``pwf._default_value``, ``grid.merge_seamless``,
   ``monop.interval``, ``monop.validate_operator``, ``monop.sv_hull``,
-  ``monop.invert``, ``risk._cdf_operator``, ``risk._check_p`` and
-  ``risk.quantile``: values, limits and endpoints that ``env.compare``
-  cannot order (``order``, ``less``, ``equal``).
+  ``risk._cdf_operator``, ``risk._check_p`` and ``risk.quantile``:
+  values, limits and endpoints that ``env.compare`` cannot order
+  (``order``, ``less``, ``equal``).
 * ``body_at``: a body with an implicit inverse or quadrature node read
   at a point.  Its callers: ``grid.Grid.at``, the grid reader
   (``monop.add``, ``conv.conjugate``, ``risk.superquantile``),

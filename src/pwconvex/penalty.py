@@ -5,12 +5,12 @@ determines the penalty up to an additive constant: antidifferentiate
 (which fills every gap of T, so the result's subdifferential is the
 maximal extension of T), conjugate, and subtract the quadratic.  The
 penalty is returned in T's variable.  It is in general only weakly
-convex (adding x^2/2 back restores convexity), so the constructor runs
-with relaxed piece classification.
+convex (adding x^2/2 back restores convexity): a weakly convex grid.
 
 verify_penalty goes the other way and never raises on a bad claim: it
+certifies the pieces of f + x^2/2 convex, as parsing would, then
 rebuilds the proximal map of the candidate penalty through the
-subdifferential of f + x^2/2 and measures how far sampled graph points
+subdifferential of that sum and measures how far sampled graph points
 of T fall from it.  It reads that map at the samples through one
 ``Grid.float_view``; a sample the view leaves to the exact reader (one
 near a breakpoint) goes through ``eval_op``, once per distinct point.
@@ -27,6 +27,7 @@ from . import numeric
 from .conv import _shift_by, conjugate, integ
 from .errors import NonConvex
 from .expr import Div, Mul, Neg, X, as_expr
+from .grid import certify
 from .monop import (
     MonotoneOperator,
     SetValue,
@@ -35,7 +36,7 @@ from .monop import (
     subdifferential,
 )
 from .oracle import DEFAULT_SEED, sample_graph
-from .pwf import PiecewiseFunction
+from .pwf import PiecewiseFunction, classify_piece
 
 INF = math.inf
 
@@ -96,6 +97,7 @@ def verify_penalty(
     proximal map of f.  Failures are reported, not raised."""
     try:
         g = _shift_by(f, HALF_SQUARE, weakly_convex=False)
+        certify(g.breakpoints, g.pieces, g.env, classify_piece, g.varname)
     except NonConvex as exc:
         return PenaltyReport(False, INF, 0, reason=f"f plus the quadratic is not convex: {exc}")
     P = invert(subdifferential(g))

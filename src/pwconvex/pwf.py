@@ -2,12 +2,12 @@
 
 A function is a breakpoint grid (see grid.py) whose pieces are affine,
 strictly convex and differentiable, or identically +inf, and whose
-breakpoint values are extended reals.  Construction always runs
-normalization (redundant breakpoints are merged), classification, and
-validation: lower semicontinuity, continuity relative to the domain, and
-convexity: across breakpoints by exact derivative comparisons where
-possible, inside a polynomial piece by the exact signs of f'' (poly.py),
-and inside any other piece by Chebyshev sampling.
+breakpoint values are extended reals.  Parsing certifies each piece
+convex (``classify_piece``): a polynomial by the exact signs of f''
+(poly.py), any other body by Chebyshev sampling.  Construction reads
+each piece's kind from its body and always runs normalization (redundant
+breakpoints are merged) and validation: lower semicontinuity, continuity
+relative to the domain, and convexity across breakpoints.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .grid import (
     Grid,
     Piece,
     Region,
-    cell,
+    certify,
     checked_breakpoints,
     cover,
     index_of,
@@ -64,7 +64,7 @@ INF = math.inf
 KIND_AFFINE = "affine"
 KIND_STRICT = "strictly-convex"
 KIND_INFINITE = "infinite"
-KIND_SMOOTH = "smooth"  # relaxed containers only (penalty recovery)
+KIND_SMOOTH = "smooth"  # weakly convex containers only (penalty recovery)
 
 CLASSIFY_WINDOW = 30.0
 
@@ -117,21 +117,19 @@ class PiecewiseFunction(Grid):
 # ---------------------------------------------------------------------------
 
 
-def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, relaxed: bool = False, varname: str = "x") -> str:
+def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, varname: str = "x") -> str:
     """Affine vs strictly convex on the open interval (lo, hi).
 
     Affine is decided symbolically (derivative free of the variable).  A
     polynomial is certified strictly convex by the signs of its second
     derivative (``inverse.derivative_signs``); any other body by
     sampling the derivative at Chebyshev nodes.  A decrease of the
-    derivative raises NonConvex unless relaxed.
+    derivative raises NonConvex.
     """
     exact = derivative_signs(body, 2, env, lo, hi)
     d = None if exact is not None else simplify(differentiate(body))
     if exact == {} or d is not None and not contains_var(d):
         return KIND_AFFINE
-    if relaxed:
-        return KIND_SMOOTH
     if exact is not None:
         if -1 in exact:
             raise NonConvex(f"second derivative of {to_text(body, varname)} is negative", witness=exact[-1])
@@ -148,10 +146,21 @@ def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, relaxed: bool = False
         if prev is not None and v < prev:
             raise NonConvex(
                 f"derivative of {to_text(body, varname)} decreases between sampled points",
-                witness=(prev_x, x, 0.5 * (prev_x + x)),
+                witness=(prev_x, 0.5 * (prev_x + x), x),
             )
         prev, prev_x = v, x
     return KIND_STRICT
+
+
+def piece_kind(body: Expr | None, weakly_convex: bool = False) -> str:
+    """The kind of a convex piece, read from its body (None for +inf):
+    affine when its derivative is free of the variable, else strictly
+    convex (smooth in a weakly convex grid)."""
+    if body is None:
+        return KIND_INFINITE
+    if not contains_var(simplify(differentiate(body))):
+        return KIND_AFFINE
+    return KIND_SMOOTH if weakly_convex else KIND_STRICT
 
 
 def _derivative_limit(piece: Piece, b: Expr, side: str, env: AssumptionEnv):
@@ -167,17 +176,10 @@ def build_function(
     env: AssumptionEnv = EMPTY_ENV,
     weakly_convex: bool = False,
 ) -> PiecewiseFunction:
-    """Normalize, classify, and validate; the only constructor used by
-    parsing and by every operation."""
+    """Normalize, read each piece's kind (``piece_kind``), and validate;
+    the only constructor used by parsing and by every operation."""
     bps = checked_breakpoints(breakpoints, pieces, values, env)
-    normd: list[Piece] = []
-    for i, p in enumerate(pieces):
-        body = piece_body(p)
-        if body is None:
-            normd.append(Piece(None, KIND_INFINITE))
-        else:
-            body = simplify(as_expr(body))
-            normd.append(Piece(body, classify_piece(body, env, *cell(bps, i), weakly_convex, varname)))
+    normd = [Piece(body, piece_kind(body, weakly_convex)) for body in map(piece_body, pieces)]
     vals = [v if numeric.is_inf(v) else simplify(as_expr(v)) for v in values]
     f = PiecewiseFunction(varname, *merge_seamless(PiecewiseFunction, bps, normd, vals, env), env, weakly_convex)
     validate(f)
@@ -326,8 +328,11 @@ _INF_BODY = object()
 def parse_pwf(text: str, env: AssumptionEnv = EMPTY_ENV) -> PiecewiseFunction:
     """Parse the piecewise DSL (or a bare expression meaning one piece
     covering the whole line) and build the validated function.  A
-    function that is +inf everywhere is not proper: InputError."""
-    f = build_function(*parse_piecewise_map(text, env), env)
+    function that is +inf everywhere is not proper: InputError.  Pieces
+    are certified here, once (``classify_piece``)."""
+    varname, bps, pieces, values = parse_piecewise_map(text, env)
+    certify(bps, pieces, env, classify_piece, varname)
+    f = build_function(varname, bps, pieces, values, env)
     if not f.live_slices():
         raise InputError("the function is +inf everywhere; a proper function is finite somewhere")
     return f

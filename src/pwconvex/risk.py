@@ -40,12 +40,13 @@ from .expr import (
     contains_var,
     to_text,
 )
-from .grid import detect_varname, rebind_var
+from .grid import certify, detect_varname, rebind_var
 from .inverse import solve_monotone
 from .limits import limit_at, limit_at_infinity, one_sided_limit
 from .monop import (
     MonotoneOperator,
     build_operator,
+    classify_op_piece,
     interval,
     invert,
     maximal_extension,
@@ -84,7 +85,7 @@ class DistributionSpec:
         from .expr import parse_expr
 
         q = rebind_var(parse_expr(source), detect_varname(source))
-        # build_operator checks that q is nondecreasing on (0, 1)
+        # _quantile_operator certifies that q is nondecreasing on (0, 1)
         op = _quantile_operator(simplify(q), env)
         return DistributionSpec(invert(maximal_extension(op)), simplify(q), env)
 
@@ -116,6 +117,7 @@ def _cdf_operator(varname, bps, bodies, values, env: AssumptionEnv) -> MonotoneO
         if numeric.less(env, R, L):
             raise InputError(f"the distribution function decreases across {to_text(b)}")
         op_values.append(interval(L, R, env))
+    certify(bps, bodies, env, classify_op_piece, varname)
     return build_operator(varname, list(bps), list(bodies), op_values, env)
 
 
@@ -123,10 +125,12 @@ def _quantile_operator(q: Expr, env: AssumptionEnv) -> MonotoneOperator:
     """q on (0,1) as an operator, closures at the edge breakpoints."""
     lo_v = one_sided_limit(q, ZERO, "right", env) if contains_var(q) else q
     hi_v = one_sided_limit(q, ONE, "left", env) if contains_var(q) else q
+    bps, pieces = [ZERO, ONE], [None, q, None]
+    certify(bps, pieces, env, classify_op_piece, "p")
     return build_operator(
         "p",
-        [ZERO, ONE],
-        [None, q, None],
+        bps,
+        pieces,
         [interval(lo_v, lo_v, env), interval(hi_v, hi_v, env)],
         env,
     )

@@ -274,6 +274,16 @@ def test_a_true_decrease_is_not_a_tie(capsys):
     assert err.startswith("error[NotMonotone]")
 
 
+@pytest.mark.parametrize("command", ["invert", "extend"])
+def test_a_degenerate_image_is_bad_input(capsys, command):
+    # y*exp(-y^2/2) falls on (1, inf), far from the sampled nodes, so its
+    # certificate passes; its equal end limits show it is not strictly increasing
+    code, out, err = run(capsys, [command, "sd{ y < 0 -> {y} ; y = 0 -> {0} ; y > 0 -> {exp(0-y^2/2)*y} }"])
+    assert code == 2 and not out
+    assert err.startswith("error[NotMonotone]")
+    assert re.search(r"\by\b", err) and not re.search(r"\bx\b", err)
+
+
 def test_param_binding_checks_unbound_parameters_too(capsys):
     facts = ["--assume", "0 < l", "--assume", "l < a", "--assume", "a < 2"]
     argv = ["eval", WALL, *facts, "--param", "l=3", "--at", "4"]

@@ -119,14 +119,19 @@ class TestValidation:
             weakly_convex=True,
         )
         assert eval_pwf(f, 0) == Fraction(-1, 2)
+        # parsing certifies each piece; the builder reads kinds only
         with pytest.raises(NonConvex):
-            build_function(
-                "x",
-                [parse_expr("-1"), parse_expr("0"), parse_expr("1")],
-                [None, parse_expr("-1/2 - x - x^2/2"), parse_expr("-1/2 + x - x^2/2"), None],
-                [parse_expr("0"), parse_expr("-1/2"), parse_expr("0")],
-                ENV,
-            )
+            parse_pwf("pw{ x < -1 -> inf ; -1 <= x & x < 0 -> -1/2 - x - x^2/2 ;"
+                      " 0 <= x & x <= 1 -> -1/2 + x - x^2/2 ; x > 1 -> inf }", ENV)
+
+    def test_a_sampled_witness_is_an_ordered_triple(self):
+        # -exp is not convex; the sampled tier names (a, m, b) with m the
+        # midpoint, where f(m) lies above the chord
+        with pytest.raises(NonConvex) as exc:
+            parse_pwf("pw{ y < 0 -> inf ; y >= 0 -> 0 - exp(y) }", ENV)
+        a, m, b = exc.value.witness
+        f = lambda t: -math.exp(t)  # noqa: E731
+        assert a < m < b and f(m) > (f(a) + f(b)) / 2
 
 
 class TestParametric:
