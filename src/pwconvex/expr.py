@@ -125,6 +125,12 @@ class Const(Expr):
     different nodes, because the float is an approximation and folds
     approximately under simplification.  Python would otherwise hash
     Fraction(1, 2) and 0.5 identically and let caches mix them up.
+
+    The hash agrees with that equality, so equal nodes hash alike: an int
+    or a float hashes as itself, a Fraction as its numerator and
+    denominator, which spares ``Fraction.__hash__`` (a modular inverse
+    on every call).  A float and the equal int hash alike but are
+    unequal nodes.
     """
 
     value: Number
@@ -142,7 +148,10 @@ class Const(Expr):
         )
 
     def __hash__(self):
-        return hash((Const, isinstance(self.value, float), self.value))
+        v = self.value
+        if type(v) is Fraction:
+            return hash((v.numerator, v.denominator))
+        return hash(v)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -330,8 +339,20 @@ def walk(e: Expr) -> Iterator[Expr]:
         yield from walk(c)
 
 
+def _has_node(e: Expr, kinds: type | tuple[type, ...]) -> bool:
+    """True when some node of the tree is one of ``kinds``: an iterative
+    walk that stops at the first such node."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kinds):
+            return True
+        stack.extend(children(node))
+    return False
+
+
 def contains_var(e: Expr) -> bool:
-    return any(isinstance(n, Var) for n in walk(e))
+    return _has_node(e, Var)
 
 
 def param_names(e: Expr) -> set[str]:
@@ -340,7 +361,7 @@ def param_names(e: Expr) -> set[str]:
 
 def is_numeric_node(e: Expr) -> bool:
     """True when the tree contains an implicit inverse or a quadrature node."""
-    return any(isinstance(n, (ImplicitInverse, NumericIntegral)) for n in walk(e))
+    return _has_node(e, (ImplicitInverse, NumericIntegral))
 
 
 # ---------------------------------------------------------------------------
@@ -863,14 +884,26 @@ def _kernel_template(e: Expr):
     from that expression itself."""
     lines: list[str] = []
     slots: list[tuple[str, object]] = []
+    reads: dict[int, bool] = {}  # id of a node -> whether its subtree reads the point
+
+    def mark(node: Expr) -> bool:
+        # one bottom-up pass, so that compiling is linear in the tree;
+        # a numeric node reads the point as its argument
+        r = reads.get(id(node))
+        if r is None:
+            r = isinstance(node, (Var, ImplicitInverse, NumericIntegral))
+            if not r:
+                for c in children(node):
+                    r = mark(c) or r
+            reads[id(node)] = r
+        return r
 
     def bind(kind: str, payload) -> str:
         slots.append((kind, payload))
         return f"s{len(slots) - 1}"
 
     def emit(node: Expr, path: tuple[int, ...]) -> str:
-        # a numeric node reads the point as its argument
-        if not (contains_var(node) or is_numeric_node(node)):
+        if not reads[id(node)]:
             return bind("fold", path)
         if isinstance(node, Var):
             return "x"
@@ -912,6 +945,7 @@ def _kernel_template(e: Expr):
         lines.append(f"{out} = {value}")
         return out
 
+    mark(e)
     result = emit(e, ())
     args = "".join(f", s{i}" for i in range(len(slots)))
     body = "".join(f"        {line}\n" for line in lines)

@@ -22,6 +22,13 @@ x.
 Equality of outputs is pointwise, not canonical-form: two expressions
 that print differently may still denote the same function, and tests
 compare by evaluation where the algebra does not collapse them.
+
+Invariant: every key of a sum map is a canonical factor tuple, as
+``_canon_factors`` returns it.  The fast paths rely on it: a product
+with a constant scales the other map and keeps its keys
+(``_scale``), and a single factor other than exp is its own key
+(``_single``).  ``simplify`` returns a tree that is already canonical
+as itself.
 """
 
 from __future__ import annotations
@@ -68,9 +75,38 @@ SumMap = dict[Factors, Number]
 _MAX_EXPAND_POWER = 4
 
 
+_FACTOR_ORDER = {Exp: 2, Ln: 3, Abs: 4}
+
+#: factors whose rendering ``_factor_key`` keeps, least recently used first out
+FACTOR_TEXT_CACHE_SIZE = 2048
+
+_factor_text = lru_cache(maxsize=FACTOR_TEXT_CACHE_SIZE)(to_text)
+
+
 def _factor_key(f: Expr) -> tuple:
-    order = {Var: 0, Param: 1, Exp: 2, Ln: 3, Abs: 4}.get(type(f), 5)
-    return (order, to_text(f))
+    """The sort key of a factor: its kind's rank, then its text.  A
+    factor equal to one rendered before takes that one's text; the two
+    differ only where a float constant is 0.0 in one and -0.0 in the
+    other, which no canonical factor holds."""
+    t = type(f)
+    if t is Var:
+        return (0, "x")
+    if t is Param:
+        return (1, f.name)
+    return (_FACTOR_ORDER.get(t, 5), _factor_text(f))
+
+
+#: one shared node for each integer in [-SHARED_INTS, SHARED_INTS]: the
+#: trees the simplify cache holds are full of small integer constants
+SHARED_INTS = 256
+_INT_NODES = {n: Const(n) for n in range(-SHARED_INTS, SHARED_INTS + 1)}
+
+
+def _const_node(v: Number) -> Const:
+    """Const(v), the shared node for a small integer."""
+    if type(v) is int and -SHARED_INTS <= v <= SHARED_INTS:
+        return _INT_NODES[v]
+    return Const(v)
 
 
 def _canon_number(v: Number) -> Number:
@@ -121,12 +157,20 @@ def _add_maps(a: SumMap, b: SumMap) -> SumMap:
 
 
 def _scale(a: SumMap, c: Number) -> SumMap:
+    """c * a, term by term in a's order, as the pairwise product with
+    {(): c} builds it: a's keys are canonical, so each stays as it is,
+    and a product that is zero (a float that underflows) leaves no
+    entry."""
     if c == 0:
         return {}
-    return {k: _canon_number(v * c) for k, v in a.items()}
+    return {k: _canon_number(p) for k, v in a.items() if (p := v * c) != 0}
 
 
 def _mul_maps(a: SumMap, b: SumMap) -> SumMap:
+    if len(a) == 1 and () in a:
+        return _scale(b, a[()])
+    if len(b) == 1 and () in b:
+        return _scale(a, b[()])
     out: SumMap = {}
     for fa, ca in a.items():
         for fb, cb in b.items():
@@ -141,8 +185,12 @@ def _const_map(c: Number) -> SumMap:
     return {} if c == 0 else {(): _canon_number(c)}
 
 
-def _single(f: Expr, q: int | Fraction = 1) -> SumMap:
-    factors = _canon_factors([(f, q)])
+def _single(f: Expr) -> SumMap:
+    """The map of one factor f to the first power.  A factor other than
+    exp is its own canonical key; exp folds its argument."""
+    if type(f) is not Exp:
+        return {((f, 1),): 1}
+    factors = _canon_factors([(f, 1)])
     if not factors:
         return _const_map(1)
     return {factors: 1}
@@ -254,33 +302,34 @@ def _leading_sign(m: SumMap) -> int:
 
 
 def _snf(e: Expr) -> SumMap:
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return _const_map(e.value)
-    if isinstance(e, Var):
+    if t is Var:
         return _single(X)
-    if isinstance(e, Param):
+    if t is Param:
         return _single(e)
-    if isinstance(e, Neg):
+    if t is Neg:
         return _scale(_snf(e.arg), -1)
-    if isinstance(e, Add):
+    if t is Add:
         return _add_maps(_snf(e.left), _snf(e.right))
-    if isinstance(e, Sub):
+    if t is Sub:
         return _add_maps(_snf(e.left), _scale(_snf(e.right), -1))
-    if isinstance(e, Mul):
+    if t is Mul:
         return _mul_maps(_snf(e.left), _snf(e.right))
-    if isinstance(e, Div):
+    if t is Div:
         den = _snf(e.right)
         if _is_const_map(den) == 0:
             raise DomainError("division by zero in simplification")
         return _mul_maps(_snf(e.left), _inv_map(den))
-    if isinstance(e, Pow):
+    if t is Pow:
         return _pow_map(_snf(e.base), e.exponent)
-    if isinstance(e, Exp):
+    if t is Exp:
         arg = simplify(e.arg)
         if isinstance(arg, Ln):
             return _snf(arg.arg)
         return _single(Exp(arg))
-    if isinstance(e, Ln):
+    if t is Ln:
         arg = simplify(e.arg)
         if isinstance(arg, Const):
             if arg.value == 1:
@@ -292,7 +341,7 @@ def _snf(e: Expr) -> SumMap:
         if isinstance(arg, Exp):
             return _snf(arg.arg)
         return _single(Ln(arg))
-    if isinstance(e, Abs):
+    if t is Abs:
         arg_map = _snf(e.arg)
         c = _is_const_map(arg_map)
         if c is not None:
@@ -307,9 +356,9 @@ def _snf(e: Expr) -> SumMap:
             inner = _rebuild({factors: 1})
             return _scale(_single(Abs(inner)), abs(coeff))
         return _single(Abs(_rebuild(arg_map)))
-    if isinstance(e, (ImplicitInverse, NumericIntegral)):
+    if t is ImplicitInverse or t is NumericIntegral:
         return _single(map_children(e, simplify))
-    raise TypeError(type(e).__name__)
+    raise TypeError(t.__name__)
 
 
 def _term_sort_key(item: tuple[Factors, Number]) -> tuple:
@@ -335,12 +384,12 @@ def _build_product(factors: Factors, coeff: Number) -> Expr:
         p, qden = coeff.numerator, coeff.denominator
 
     if p != 1 or not num_parts:
-        num_parts.insert(0, Const(p))
+        num_parts.insert(0, _const_node(p))
     num = num_parts[0]
     for part in num_parts[1:]:
         num = Mul(num, part)
     if qden != 1:
-        den_parts.insert(0, Const(qden))
+        den_parts.insert(0, _const_node(qden))
     if not den_parts:
         return num
     den = den_parts[0]
@@ -356,14 +405,14 @@ def _rebuild(m: SumMap) -> Expr:
     acc: Expr | None = None
     for factors, coeff in items:
         if not factors:
-            piece = Const(coeff if coeff >= 0 else -coeff)
+            piece = _const_node(coeff if coeff >= 0 else -coeff)
             negative = coeff < 0
         else:
             piece = _build_product(factors, coeff)
             negative = coeff < 0
         if acc is None:
             acc = Neg(piece) if negative and not isinstance(piece, Const) else (
-                Const(-piece.value) if negative and isinstance(piece, Const) else piece
+                _const_node(-piece.value) if negative and isinstance(piece, Const) else piece
             )
         else:
             acc = Sub(acc, piece) if negative else Add(acc, piece)
@@ -420,10 +469,18 @@ def _cancel_rational(m: SumMap) -> SumMap:
     return m
 
 
-@lru_cache(maxsize=16384)
+#: canonical forms ``simplify`` keeps, least recently used first out: a
+#: quarter less memory than 16,384 entries, while 8,192 entries missed so
+#: much more often that smooth penalty recovery slowed by an eighth
+SIMPLIFY_CACHE_SIZE = 12288
+
+
+@lru_cache(maxsize=SIMPLIFY_CACHE_SIZE)
 def simplify(e: Expr) -> Expr:
-    """Canonicalize an expression tree."""
-    return _rebuild(_cancel_rational(_snf(e)))
+    """Canonicalize an expression tree.  A tree already canonical comes
+    back as itself, so the cache holds it once, not as two equal trees."""
+    out = _rebuild(_cancel_rational(_snf(e)))
+    return e if out == e else out
 
 
 def is_zero(e: Expr) -> bool:
