@@ -68,11 +68,10 @@ KIND_EMPTY = "empty"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SetValue:
     """Closed value set at one point: empty, a point, a closed interval
-    with possibly infinite endpoints, or the whole line.  Slotted (no
-    instance dict): a caller may keep one per evaluation."""
+    with possibly infinite endpoints, or the whole line."""
 
     tag: str  # "empty" | "point" | "interval" | "all"
     lo: Expr | float | None = None  # float only for -inf

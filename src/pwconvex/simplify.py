@@ -77,23 +77,16 @@ _MAX_EXPAND_POWER = 4
 
 _FACTOR_ORDER = {Exp: 2, Ln: 3, Abs: 4}
 
-#: factors whose rendering ``_factor_key`` keeps, least recently used first out
-FACTOR_TEXT_CACHE_SIZE = 2048
-
-_factor_text = lru_cache(maxsize=FACTOR_TEXT_CACHE_SIZE)(to_text)
-
 
 def _factor_key(f: Expr) -> tuple:
-    """The sort key of a factor: its kind's rank, then its text.  A
-    factor equal to one rendered before takes that one's text; the two
-    differ only where a float constant is 0.0 in one and -0.0 in the
-    other, which no canonical factor holds."""
+    """The sort key of a factor: its kind's rank, then its text.  Var
+    and Param keys are built without rendering."""
     t = type(f)
     if t is Var:
         return (0, "x")
     if t is Param:
         return (1, f.name)
-    return (_FACTOR_ORDER.get(t, 5), _factor_text(f))
+    return (_FACTOR_ORDER.get(t, 5), to_text(f))
 
 
 #: one shared node for each integer in [-SHARED_INTS, SHARED_INTS]: the

@@ -153,12 +153,9 @@ class TestTreeQueries:
 class TestCanonicalizer:
     @settings(max_examples=200, deadline=None)
     @given(TREES)
-    def test_factor_key_is_the_rendered_key(self, e):
-        # on the factors it sorts, those of canonical sum maps
-        for factors in canonical_map(e):
-            for f, _ in factors:
-                order = {Var: 0, Param: 1, Exp: 2, Ln: 3, Abs: 4}.get(type(f), 5)
-                assert _factor_key(f) == (order, to_text(f))
+    def test_factor_key_is_the_rendered_key(self, f):
+        order = {Var: 0, Param: 1, Exp: 2, Ln: 3, Abs: 4}.get(type(f), 5)
+        assert _factor_key(f) == (order, to_text(f))
 
     @settings(max_examples=200, deadline=None)
     @given(TREES)
