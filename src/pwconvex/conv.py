@@ -53,7 +53,7 @@ from .expr import (
     to_text,
 )
 from .inverse import _sign_on_interval
-from .limits import limit_at
+from .limits import exact_one_sided_limit, limit_at
 from .monop import MonotoneOperator, eval_op, invert, subdifferential
 from .pwf import PiecewiseFunction, build_function, domain
 from .simplify import affine_parts, is_zero, poly_coeffs, simplify
@@ -195,11 +195,24 @@ def _interior_point(lo, hi) -> Expr:
     return simplify(Div(Add(as_expr(lo), as_expr(hi)), as_expr(2)))
 
 
+def _integral_base(body: Expr, lo, hi, env: AssumptionEnv) -> Expr:
+    """The base of a numeric piece on the cell (lo, hi): a finite end
+    where body has a finite one-sided limit, lo before hi, so that the
+    piece is exactly 0 there; else a point inside the cell."""
+    for end, side in ((lo, "right"), (hi, "left")):
+        if isinstance(end, Expr) and isinstance(exact_one_sided_limit(body, end, side, env), Expr):
+            return end
+    return _interior_point(lo, hi)
+
+
 def _end_value(A: Expr, b: Expr, side: str, env: AssumptionEnv):
     """Value of the antiderivative A at the finite cell endpoint b,
-    approached from inside the cell; Expr, or a float infinity."""
+    approached from inside the cell; Expr, or a float infinity.  A
+    numeric A is exact where the structural limit decides it (at its
+    base), else its float at b."""
     if is_numeric_node(A):
-        return numeric.body_at(A, b, env)
+        v = exact_one_sided_limit(A, b, side, env)
+        return numeric.body_at(A, b, env) if v is None else v
     return _body_limit(A, b, side, env)
 
 
@@ -257,6 +270,14 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
     stitches it onto its left neighbour at once.  With anchor=None the
     leftmost finite piece keeps its raw antiderivative (no constant
     added); otherwise the constant is chosen so f(anchor) = anchor_value.
+
+    A piece with no elementary antiderivative is a NumericIntegral based
+    at a finite end of its cell where T's body has a finite one-sided
+    limit, the lower end before the upper (``_integral_base``).  The
+    piece is then exactly 0 there (``limits`` takes an integral at its
+    own base), so the value at that end and the stitch across it are
+    exact; only a cell with no such end is based inside, and read in
+    floats at its ends.
     """
     env = T.env
     live = T.live_slices()
@@ -275,7 +296,7 @@ def integ(T: MonotoneOperator, anchor=None, anchor_value=0) -> PiecewiseFunction
         if p.empty:
             A = Mul(_gap_slope(T, c, live), X)
         elif (A := antiderivative(p.body, env, clo, chi)) is None:
-            A = NumericIntegral(p.body, _interior_point(clo, chi), _inverse_primitive(p.body, env))
+            A = NumericIntegral(p.body, _integral_base(p.body, clo, chi, env), _inverse_primitive(p.body, env))
         else:
             A = _fix_log_branch(simplify(A), env, clo, chi)
         if c == c0:

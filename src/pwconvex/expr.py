@@ -21,12 +21,12 @@ Both can be evaluated and printed but never re-parsed.
 
 ``evaluate`` is the tree walk: exact in rationals while the arithmetic
 stays closed, floats otherwise.  ``float_kernel`` compiles an expression
-once (cached per expression, ``KERNEL_CACHE_SIZE`` entries) to a float
-function of the point, bound to a parameter binding, for the loops that
-evaluate one expression many times: the forward map of an implicit
-inverse and its derivative, the integrand of a quadrature, and the
-Chebyshev sampler
-``numeric.sample``.  Its contract is bit identity with the walk: for
+to a float function of the point, bound to a parameter binding, for
+the loops that evaluate one expression many times: the forward map of
+an implicit inverse and its derivative, the integrand of a quadrature,
+and the Chebyshev sampler ``numeric.sample``.  Its code is generated
+once per expression and compiled once per shape (``KERNEL_CACHE_SIZE``
+entries each).  Its contract is bit identity with the walk: for
 every float point it returns ``float(evaluate(e, x, params))`` or raises
 the walk's exception.  Both read the float meaning of each node from the
 same helpers (``_nonzero``, ``_exp_number``, ``_ln_number``,
@@ -863,7 +863,8 @@ def evaluate(
 # Compiled float kernel
 # ---------------------------------------------------------------------------
 
-#: expressions whose kernel template is kept, least recently used first out
+#: expressions whose kernel template is kept, and kernel sources whose
+#: compiled factory is kept, least recently used first out
 KERNEL_CACHE_SIZE = 256
 
 _BINARY = {Add: "+", Sub: "-", Mul: "*"}
@@ -881,7 +882,9 @@ def _kernel_template(e: Expr):
     NumericIntegral, bound as its closed form at the binding or None;
     ("const", value) for an exponent.  A path lists ``children`` indices
     from the root, so the slots of any expression equal to e are read
-    from that expression itself."""
+    from that expression itself.  The factory is compiled once per
+    source text (``_compiled``): two trees of one shape that differ only
+    in their constants and exponents share it."""
     lines: list[str] = []
     slots: list[tuple[str, object]] = []
     reads: dict[int, bool] = {}  # id of a node -> whether its subtree reads the point
@@ -951,17 +954,25 @@ def _kernel_template(e: Expr):
     body = "".join(f"        {line}\n" for line in lines)
     source = (f"def factory(walk, params{args}):\n    def kernel(x):\n{body}"
               f"        return {result}\n    return kernel\n")
+    return _compiled(source), tuple(slots)
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _compiled(source: str):
+    """The factory that source defines, compiled once per source text.
+    Constants and exponents are slots, so the text depends only on the
+    shape of the tree, and trees of one shape share one factory."""
     namespace: dict = {}
     exec(compile(source, "<float kernel>", "exec"), globals(), namespace)
-    return namespace["factory"], tuple(slots)
+    return namespace["factory"]
 
 
 def float_kernel(e: Expr, params: Mapping[str, Number] | None = None) -> Callable[[float], float]:
     """e as a float function of a float point x under params, equal bit
     for bit to ``float(evaluate(e, x, params))``, errors included.
 
-    The template is compiled once per expression (``KERNEL_CACHE_SIZE``)
-    and bound here: each maximal subtree that does not read the point is
+    The template is built once per expression and compiled once per
+    shape (``KERNEL_CACHE_SIZE`` entries each), and bound here: each maximal subtree that does not read the point is
     evaluated exactly once and enters as its float, which is the operand
     the walk converts it to.  Where the two would part the kernel is the
     walk: a folded subtree that raises, or that rounds to 0.0 from a

@@ -9,10 +9,26 @@ The callers need two things kept separate:
   the sign matters.
 
 The structural pass works on the canonical sum-of-products form and
-applies the usual growth hierarchy (exp beats powers beat logs).  A
-bisecting numeric probe under a feasible parameter binding is the
-fallback; it returns floats and is good enough for guardrails but is
-never used to fabricate an "exact" value.
+applies the usual growth hierarchy (exp beats powers beat logs).  It
+also takes the numeric nodes at the ends they are built to meet:
+
+* an implicit inverse g^-1, g increasing on (lo, hi), at a point x0
+  that g tends to at an end of (lo, hi): from the right where
+  g(lo+) = x0 exactly, g^-1 tends to lo, and from the left where
+  g(hi-) = x0, to hi, because a monotone inverse is continuous on its
+  image (Rockafellar, *Convex Analysis*, 1970, Cor. 7.5.1).  At a
+  finite end 0 it tends to 0 from the side of the cell (+ at lo, - at
+  hi); at an infinite end it diverges at an unknown ("opaque") rate;
+* a NumericIntegral at its own base is 0 (``conv.integ`` bases each
+  one at a cell end where it can).
+
+A numeric probe under a feasible parameter binding (``_probe``,
+sampling the body near the point) is the last resort, for what the
+structural pass cannot decide: an implicit inverse at a point inside
+its image or off its ends, a NumericIntegral away from its base, a
+zero-infinity race that involves either, and a coefficient whose sign
+the facts leave open (ROADMAP 2i).  It returns floats and is good
+enough for guardrails but is never used to fabricate an "exact" value.
 """
 
 from __future__ import annotations
@@ -36,6 +52,7 @@ from .expr import (
     Number,
     NumericIntegral,
     Pow,
+    Sub,
     Var,
     ZERO,
     contains_var,
@@ -149,10 +166,9 @@ def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | 
             return _FactorLimit(_ZERO, sign=1, scale=inner.scale)
         return _FactorLimit(_POS_INF, sign=1, scale=inner.scale)
     if isinstance(base, ImplicitInverse):
-        # a monotone inverse tends to the forward-domain bound; at finite
-        # points the probe handles it
         if direction is None:
-            return None
+            return _inverse_at_end(base, env, x0, side)
+        # a monotone inverse tends to the forward-domain bound
         bound = base.hi if direction > 0 else base.lo
         if isinstance(bound, float) and math.isinf(bound):
             kind = _POS_INF if bound > 0 else _NEG_INF
@@ -160,7 +176,10 @@ def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | 
             return _FactorLimit(kind, sign=1 if bound > 0 else -1, scale="opaque")
         return _FactorLimit(_FINITE, value=bound)
     if isinstance(base, NumericIntegral):
-        # quadrature nodes carry no structure worth mining; probe instead
+        # an integral at its own base is 0; elsewhere a quadrature node
+        # carries no structure worth mining
+        if x0 is not None and is_zero(Sub(base.base, x0)):
+            return _FactorLimit(_ZERO, sign=0, scale="opaque")
         return None
     # composite polynomial-like base: take the limit of the whole subtree
     sub = _limit_core(base, env, x0, side, direction)
@@ -174,6 +193,28 @@ def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | 
             return _FactorLimit(_ZERO, sign=sgn)
         return _FactorLimit(_FINITE, value=sub)
     return _FactorLimit(_POS_INF if sub > 0 else _NEG_INF, sign=1 if sub > 0 else -1)
+
+
+def _inverse_at_end(g: ImplicitInverse, env: AssumptionEnv, x0: Expr, side: Side) -> _FactorLimit | None:
+    """g^-1 at x0 from the right when x0 is the forward map's limit at
+    its lower end a, from the left when it is its limit at the upper end:
+    g^-1 tends to a there.  None at any other point."""
+    up = side == "left"
+    end = g.hi if up else g.lo  # an Expr, or a float infinity
+    if isinstance(end, float):
+        at = _limit_core(g.forward, env, None, None, 1 if up else -1)
+        # growth rate is unknowable here; "opaque" blocks zero-inf races
+        verdict = _FactorLimit(_POS_INF if up else _NEG_INF, sign=1 if up else -1, scale="opaque")
+    else:
+        end = simplify(end)
+        at = _limit_core(g.forward, env, end, side, None)
+        if is_zero(end):
+            verdict = _FactorLimit(_ZERO, sign=-1 if up else 1, scale="opaque")
+        else:
+            verdict = _FactorLimit(_FINITE, value=end)
+    if isinstance(at, Expr) and is_zero(Sub(at, x0)):
+        return verdict
+    return None
 
 
 def _apply_exponent(fl: _FactorLimit, q: Fraction, base: Expr, env: AssumptionEnv,
@@ -383,3 +424,9 @@ def limit_at(e: Expr, point: Expr | float, side: Side, env: AssumptionEnv) -> Ex
     if isinstance(point, Expr):
         return one_sided_limit(e, point, side, env)
     return limit_at_infinity(e, 1 if point > 0 else -1, env)
+
+
+def exact_one_sided_limit(e: Expr, x0: Expr, side: Side, env: AssumptionEnv) -> Expr | float | None:
+    """``one_sided_limit`` by the structural pass alone: an exact
+    expression or +-inf, or None where only the probe could decide."""
+    return _limit_core(e, env, x0, side, None)
