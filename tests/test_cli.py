@@ -426,3 +426,38 @@ def test_a_forward_map_with_a_finite_asymptote_is_not_an_internal_failure(capsys
     code, out, err = run(capsys, ["conj", "pw{ x <= -6 -> -4*x + 1 + (x^2 + 1)^(1/2) ; x > -6 -> inf }"])
     assert code == 2 and not out
     assert err.startswith("error[NotLsc]")
+
+
+# absolute values split their branch at each root inside it; a root at a
+# region end is no cut.  argv -> (exit code, rendered rows or error class)
+ABS_SPLITS = {
+    ("subdiff", "abs(x) + abs(x - 1)"): (0, [
+        "x < 0 -> {-2}", "x = 0 -> [-2, 0]", "0 < x < 1 -> {0}", "x = 1 -> [0, 2]", "x > 1 -> {2}"]),
+    # two nodes with one root, one of them with a negative slope
+    ("subdiff", "abs(2 - x) + abs(2*x - 4)"): (0, ["x < 2 -> {-3}", "x = 2 -> [-3, 3]", "x > 2 -> {3}"]),
+    ("conj", "pw{ x < 0 -> inf ; x >= 0 -> abs(x - 1) + x^2 }"): (0, [
+        "y < -1 -> -1", "y = -1 -> -1", "-1 < y < 1 -> -3/4 + y/2 + y^2/4", "y = 1 -> 0",
+        "1 < y < 3 -> -1 + y", "y = 3 -> 2", "y > 3 -> 5/4 - y/2 + y^2/4"]),
+    ("subdiff", "pw{ x < 1 -> abs(x - 1) ; x >= 1 -> 2*x - 2 }"): (0, [
+        "x < 1 -> {-1}", "x = 1 -> [-1, 2]", "x > 1 -> {2}"]),
+    ("subdiff", "abs(x - a) + abs(x)", "--assume", "0 < a"): (0, [
+        "x < 0 -> {-2}", "x = 0 -> [-2, 0]", "0 < x < a -> {0}", "x = a -> [0, 2]", "x > a -> {2}"]),
+    ("subdiff", "abs(l*x)", "--assume", "0 < l"): (0, ["x < 0 -> {-l}", "x = 0 -> [-l, l]", "x > 0 -> {l}"]),
+    ("subdiff", "abs(l*x - 1)"): (2, "UndecidableComparison"),
+    ("subdiff", "abs(abs(x) - 1)"): (2, "InputError"),
+    ("subdiff", "abs(x^2 - 1)"): (2, "InputError"),
+    ("prox", "abs(x) + abs(x - 1)", "--at", "1/2"): (0, ["{1/2}"]),
+    ("eval", "pw{ x <= 0 -> abs(x + 1) ; x > 0 -> 1 + abs(x - 1) - abs(x - 1) + x }", "--at", "-1"): (0, ["0"]),
+    ("eval", "abs(x) + abs(x - 1)", "--at", "1"): (0, ["1"]),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ABS_SPLITS))
+def test_absolute_values_split_at_their_roots(capsys, argv):
+    want_code, want = ABS_SPLITS[argv]
+    code, out, err = run(capsys, list(argv))
+    assert code == want_code, err
+    if code == 0:
+        assert rows(out) == want
+    else:
+        assert not out and err.startswith(f"error[{want}]")
