@@ -13,15 +13,18 @@ Slices number cells and breakpoints together from left to right: slice
 2i is cell i and slice 2i + 1 is breakpoint i, so a grid with n
 breakpoints has 2n + 1 slices.
 
-A piecewise function stores an extended-real value at each breakpoint
-(+inf outside the domain) and an infinite piece outside the domain; a
-monotone operator stores a closed SetValue at each breakpoint and an
-empty piece where its graph has no points.  This module holds what the
-two share: the Piece and Grid types, the one certification pass over
-input pieces (``certify``), breakpoint checks and merging, the point
-locator and exact reader (``Grid.locate``, ``Grid.at``), the float
-reader for loops over many float points (``Grid.float_view``), and the
-guard DSL from branch parsing to cell cover.
+A Piece is its body and nothing else: what kind of piece it is (affine,
+constant, ...) is read from the body by whoever needs it.  A piecewise
+function stores an extended-real value at each breakpoint (+inf outside
+the domain) and an infinite piece outside the domain; a monotone
+operator stores a closed SetValue at each breakpoint and an empty piece
+where its graph has no points.  This module holds what the two share:
+the Piece and Grid types, the one certification pass over input pieces
+(``certify``), breakpoint checks and merging, the point locator and
+exact reader (``Grid.locate``, ``Grid.at``), the float reader for loops
+over many float points (``Grid.float_view``), the guard DSL from branch
+parsing to cell cover, and the one-sided limits beside an uncovered
+breakpoint (``limits_beside``).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .expr import (
     tokenize,
     _parse_expr,
 )
+from .limits import one_sided_limit
 from .simplify import affine_parts, simplify, structurally_equal
 
 INF = math.inf
@@ -64,7 +68,6 @@ class Piece:
     +inf or an operator is empty."""
 
     body: Expr | None
-    kind: str
 
     @property
     def empty(self) -> bool:
@@ -221,7 +224,8 @@ def piece_body(p) -> Expr | None:
 def certify(breakpoints, pieces, env: AssumptionEnv, certifier: Callable, varname: str = "x") -> list:
     """The kind ``certifier(body, env, lo, hi, varname)`` gives each piece
     on its cell, None for an empty one; it raises on a body the grid type
-    does not admit.  Run once, before the build, on bodies from outside."""
+    does not admit.  Run once, before the build, on bodies from outside;
+    the grid keeps no kind."""
     return [None if body is None else certifier(body, env, *cell(breakpoints, i), varname)
             for i, body in enumerate(map(piece_body, pieces))]
 
@@ -447,3 +451,12 @@ def cover(branches, env: AssumptionEnv, extra_points=()) -> tuple[list[Expr], li
         if len(cov) > 1:
             raise OverlappingGuards(f"breakpoint {to_text(b)} is covered by {len(cov)} guards")
     return bps, [cov[0] for cov in cell_cover], [cov[0] if cov else None for cov in bp_cover]
+
+
+def limits_beside(pieces, bps, j: int, env: AssumptionEnv) -> tuple:
+    """The one-sided limits at breakpoint j of the bodies on either side
+    of it, (from the left, from the right); None for an empty piece or an
+    infinite limit.  What fills a breakpoint that no guard covers."""
+    lims = [None if body is None else one_sided_limit(body, bps[j], side, env)
+            for body, side in ((pieces[j], "left"), (pieces[j + 1], "right"))]
+    return tuple(None if numeric.is_inf(v) else v for v in lims)

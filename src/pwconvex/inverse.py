@@ -43,9 +43,6 @@ from .expr import (
 from .simplify import as_terms, exact_poly, poly_coeffs, simplify, structurally_equal
 
 GUARD_CLIP = 1e10
-# sampled values this many units in the last place apart count as equal:
-# far out, a slope that flattens to +-1 wobbles in its last digit
-TIE_ULPS = 4
 
 
 def _sign_on_interval(f: Expr, env: AssumptionEnv, lo, hi) -> int | None:
@@ -225,10 +222,10 @@ def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi, varname: str = 
     """+1 when e increases on (lo, hi), -1 when it decreases.  A
     polynomial is decided exactly by the signs of its derivative
     (``derivative_signs``); a constant counts as increasing.  Any other
-    body is sampled on Chebyshev nodes, and the finite differences must
-    never disagree in sign: zeros, and differences within TIE_ULPS units
-    in the last place, are tolerated (flat spots are resolved
-    symbolically upstream).  A sign conflict raises NotMonotone.
+    body is sampled on Chebyshev nodes, and the steps between samples
+    (``numeric.step``) must never disagree in sign: ties are tolerated
+    (flat spots are resolved symbolically upstream).  A sign conflict
+    raises NotMonotone.
     """
     exact = derivative_signs(e, 1, env, lo, hi)
     if exact is not None:
@@ -240,25 +237,15 @@ def check_strictly_monotone(e: Expr, env: AssumptionEnv, lo, hi, varname: str = 
     samples = numeric.sample(e, env, lo, hi, GUARD_CLIP)
     if samples is None:
         raise NotMonotone(f"cannot bound interval for monotonicity check of {to_text(e, varname)}")
-    pos = neg = 0
+    steps = set()
     prev = None
     for _, v in samples:
-        if v is None:
-            prev = None
-            continue
-        if prev is not None:
-            d = v - prev
-            if math.isinf(d) or abs(d) > TIE_ULPS * math.ulp(max(abs(v), abs(prev))):
-                if d > 0:
-                    pos += 1
-                else:
-                    neg += 1
+        if v is not None and prev is not None:
+            steps.add(numeric.step(prev, v))
         prev = v
-    if pos and neg:
+    if {1, -1} <= steps:
         raise NotMonotone(f"{to_text(e, varname)} is not monotone on the sampled interval")
-    if not pos and not neg:
-        return 1  # constant samples: treat as weakly increasing
-    return 1 if pos else -1
+    return -1 if -1 in steps else 1  # constant samples: treat as weakly increasing
 
 
 def invert_monotone(e: Expr, env: AssumptionEnv, lo=-math.inf, hi=math.inf) -> Expr:

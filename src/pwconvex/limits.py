@@ -55,6 +55,7 @@ from .expr import (
     Sub,
     Var,
     ZERO,
+    _has_node,
     contains_var,
     pow_sign,
     substitute,
@@ -181,18 +182,20 @@ def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | 
         if x0 is not None and is_zero(Sub(base.base, x0)):
             return _FactorLimit(_ZERO, sign=0, scale="opaque")
         return None
-    # composite polynomial-like base: take the limit of the whole subtree
+    # composite base: take the limit of the whole subtree; its rate is a
+    # power's unless it holds exp, ln or a numeric node ("opaque": unknown)
     sub = _limit_core(base, env, x0, side, direction)
     if sub is None:
         return None
+    scale = "opaque" if _has_node(base, (Exp, Ln, ImplicitInverse, NumericIntegral)) else "pow"
     if isinstance(sub, Expr):
         if is_zero(sub):
             sgn = _side_sign(base, env, x0, side, direction)
             if sgn is None:
                 return None
-            return _FactorLimit(_ZERO, sign=sgn)
+            return _FactorLimit(_ZERO, sign=sgn, scale=scale)
         return _FactorLimit(_FINITE, value=sub)
-    return _FactorLimit(_POS_INF if sub > 0 else _NEG_INF, sign=1 if sub > 0 else -1)
+    return _FactorLimit(_POS_INF if sub > 0 else _NEG_INF, sign=1 if sub > 0 else -1, scale=scale)
 
 
 def _inverse_at_end(g: ImplicitInverse, env: AssumptionEnv, x0: Expr, side: Side) -> _FactorLimit | None:

@@ -3,8 +3,9 @@
 An operator is a breakpoint grid (see grid.py) whose pieces are
 single-valued bodies, constant or strictly increasing, or the empty map,
 and whose breakpoint values are closed SetValues.  Parsing certifies
-each piece (``classify_op_piece``); construction reads each piece's
-kind from its body, merges redundant breakpoints, and checks graph
+each piece (``classify_op_piece``); construction stores the bodies only
+(a piece is constant where its body is free of the variable,
+``op_piece_kind``), merges redundant breakpoints, and checks graph
 monotonicity by chaining slice bounds from left to right.
 """
 
@@ -45,6 +46,7 @@ from .grid import (
     certify,
     checked_breakpoints,
     cover,
+    limits_beside,
     merge_seamless,
     parse_branches,
     piece_body,
@@ -52,7 +54,7 @@ from .grid import (
     sorted_unique,
 )
 from .inverse import check_strictly_monotone, invert_monotone
-from .limits import limit_at, one_sided_limit
+from .limits import limit_at
 from .pwf import PiecewiseFunction
 from .simplify import simplify
 
@@ -209,11 +211,17 @@ class MonotoneOperator(Grid):
 
 def classify_op_piece(body: Expr, env: AssumptionEnv, lo, hi, varname: str = "x") -> str:
     """Constant vs strictly increasing on (lo, hi); NotMonotone otherwise."""
-    if not contains_var(body):
-        return KIND_CONSTANT
-    if check_strictly_monotone(body, env, lo, hi, varname) < 0:
+    if contains_var(body) and check_strictly_monotone(body, env, lo, hi, varname) < 0:
         raise NotMonotone(f"piece {to_text(body, varname)} is decreasing")
-    return KIND_MONOTONE
+    return op_piece_kind(body)
+
+
+def op_piece_kind(body: Expr | None) -> str:
+    """The kind of an operator piece read from its body (None for the empty
+    map): constant when free of the variable, else strictly monotone."""
+    if body is None:
+        return KIND_EMPTY
+    return KIND_MONOTONE if contains_var(body) else KIND_CONSTANT
 
 
 def build_operator(
@@ -223,12 +231,10 @@ def build_operator(
     values: list[SetValue],
     env: AssumptionEnv = EMPTY_ENV,
 ) -> MonotoneOperator:
-    """Normalize, read each piece's kind (constant when free of the
-    variable, else strictly monotone), and monotonicity-check; the only
-    constructor used by parsing and by the operator calculus."""
+    """Normalize and monotonicity-check; the only constructor used by
+    parsing and by the operator calculus."""
     bps = checked_breakpoints(breakpoints, pieces, values, env)
-    normd = [Piece(body, KIND_EMPTY if body is None else KIND_MONOTONE if contains_var(body) else KIND_CONSTANT)
-             for body in map(piece_body, pieces)]
+    normd = [Piece(body) for body in map(piece_body, pieces)]
     T = MonotoneOperator(varname, *merge_seamless(MonotoneOperator, bps, normd, list(values), env), env)
     validate_operator(T)
     return T
@@ -283,7 +289,7 @@ def validate_operator(T: MonotoneOperator) -> None:
             p = T.pieces[s // 2]
             a, b = _piece_bounds(p, lo, hi, env)
             cell_text = f"({_fmt_end(lo)}, {_fmt_end(hi)})"
-            if p.kind == KIND_MONOTONE and None not in (a, b):
+            if contains_var(p.body) and None not in (a, b):
                 # a certified piece fails here only where its samples missed a fall
                 if numeric.order(env, a, b) in (Ordering.EQUAL, Ordering.GREATER):
                     raise NotMonotone(f"piece {to_text(p.body, T.varname)} is not strictly increasing on"
@@ -456,7 +462,7 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
             continue
         p = T.pieces[s // 2]
         lo, hi = T.interval(s // 2)
-        if p.kind == KIND_CONSTANT:
+        if not contains_var(p.body):
             add(p.body, interval(lo, hi, env))
             continue
         a = _as_endpoint(limit_at(p.body, lo, "right", env))
@@ -586,18 +592,7 @@ def _setval_at(sv: tuple, b: Expr, env: AssumptionEnv) -> SetValue:
 def _default_op_value(pieces, bps, j, env: AssumptionEnv) -> SetValue:
     """Closure fill at an omitted breakpoint: the interval between the
     finite one-sided limits of the adjacent bodies."""
-    b = bps[j]
-    left, right = pieces[j], pieces[j + 1]
-    L = one_sided_limit(left, b, "left", env) if left is not None else None
-    R = one_sided_limit(right, b, "right", env) if right is not None else None
-    if L is not None and isinstance(L, float) and math.isinf(L):
-        L = None
-    if R is not None and isinstance(R, float) and math.isinf(R):
-        R = None
-    if L is None and R is None:
-        return EMPTY_SET
-    if L is None:
-        return point(R)
-    if R is None:
-        return point(L)
+    L, R = limits_beside(pieces, bps, j, env)
+    if L is None or R is None:
+        return EMPTY_SET if L is None and R is None else point(L if R is None else R)
     return interval(L, R, env)

@@ -9,7 +9,8 @@ once per environment) and holds the one float coercion (``value``,
 ``at``, ``defined``), the one read of a body at a point (``body_at``),
 the one extended-real order (``order``, ``less``, ``equal``,
 ``difference_order``, ``sort_key``), the one clip and Chebyshev
-sampler (``clip``, ``sample``) and the one sign probe (``sign``).
+sampler (``clip``, ``sample``), the one tie rule for sampled values
+(``step``) and the one sign probe (``sign``).
 A float decision in ``AssumptionEnv.compare`` or in
 ``limits._limit_core`` is taken once per (environment, expression): the
 environment keeps it (``AssumptionEnv.memo``), as it keeps its binding.
@@ -20,7 +21,9 @@ The float decisions that remain, by caller:
   (``difference_order``); within the tolerance band it is undecidable.
 * ``pwf.classify_piece``: convexity from derivative samples (``sample``,
   window CLASSIFY_WINDOW); ``inverse.check_strictly_monotone``:
-  monotonicity from samples (``sample``, window GUARD_CLIP).  Both run
+  monotonicity from samples (``sample``, window GUARD_CLIP).  Both read
+  consecutive samples through ``step``, one tie rule: values within
+  TIE_ULPS ulps are neither a rise nor a fall.  Both run
   once, on input only (``grid.certify``: parsed pieces, the distributions
   of ``risk``, f + x^2/2 in ``penalty.verify_penalty``).  Both sample
   only the bodies that ``inverse.derivative_signs`` cannot decide
@@ -37,8 +40,9 @@ The float decisions that remain, by caller:
 * ``limits._probe``, ``_side_sign``, ``_sign_of_value``,
   ``one_sided_limit`` and ``_limit_core``: numeric limits, signs, and
   the float check of a substituted limit point (``at``, ``sign``).
-* ``grid.sorted_unique`` and ``pwf._assemble_parts``: the order of
-  points that exact comparison found distinct (``sort_key``).
+* ``grid.sorted_unique``: the order of points that exact comparison
+  found distinct (``sort_key``), among them the roots of absolute
+  values that ``pwf._assemble_parts`` adds to the cover.
 * ``pwf.validate``, ``pwf._default_value``, ``grid.merge_seamless``,
   ``monop.interval``, ``monop.validate_operator``, ``monop.sv_hull``,
   ``risk._cdf_operator``, ``risk._check_p`` and ``risk.quantile``:
@@ -83,6 +87,9 @@ from .simplify import simplify, structurally_equal
 
 REL_TOL = 1e-9
 NODES = 33
+# sampled values this many units in the last place apart count as equal:
+# far out, a slope that flattens to +-1 wobbles in its last digit
+TIE_ULPS = 4
 
 
 def binding(env: AssumptionEnv) -> Mapping[str, Fraction]:
@@ -269,6 +276,16 @@ def sample(e: Expr, env: AssumptionEnv, lo, hi, window: float) -> list[tuple[flo
     xs = [mid + half * math.cos(math.pi * (k + 0.5) / NODES) for k in range(NODES)][::-1]
     f = float_kernel(e, binding(env))
     return [(x, defined(f, x)) for x in xs]
+
+
+def step(prev: float, v: float) -> int:
+    """The trend from one sampled value to the next: 1 for a rise, -1 for
+    a fall, 0 for a tie, two values within TIE_ULPS units in the last
+    place."""
+    d = v - prev
+    if math.isinf(d) or abs(d) > TIE_ULPS * math.ulp(max(abs(v), abs(prev))):
+        return 1 if d > 0 else -1
+    return 0
 
 
 def sign(e: Expr, env: AssumptionEnv, xs=(None,)) -> int | None:

@@ -4,10 +4,14 @@ A function is a breakpoint grid (see grid.py) whose pieces are affine,
 strictly convex and differentiable, or identically +inf, and whose
 breakpoint values are extended reals.  Parsing certifies each piece
 convex (``classify_piece``): a polynomial by the exact signs of f''
-(poly.py), any other body by Chebyshev sampling.  Construction reads
-each piece's kind from its body and always runs normalization (redundant
-breakpoints are merged) and validation: lower semicontinuity, continuity
-relative to the domain, and convexity across breakpoints.
+(poly.py), any other body by Chebyshev sampling.  Construction stores
+the bodies only (``piece_kind`` reads a piece's kind from its body where
+it is shown) and always runs normalization (redundant breakpoints are
+merged) and validation: lower semicontinuity, continuity relative to the
+domain, and convexity across breakpoints.  Parsing lays the branches on
+one cover (``grid.cover``): the root of an absolute value inside its
+branch is a breakpoint like any other, and each cell's body holds the
+absolute value with the sign its argument takes there.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ from .grid import (
     Grid,
     Piece,
     Region,
+    cell,
     certify,
     checked_breakpoints,
     cover,
-    index_of,
+    limits_beside,
     merge_seamless,
     parse_branches,
     piece_body,
@@ -57,7 +62,7 @@ from .grid import (
 )
 from .inverse import derivative_signs
 from .limits import one_sided_limit
-from .simplify import affine_parts, simplify, structurally_equal
+from .simplify import affine_parts, simplify
 
 INF = math.inf
 
@@ -123,8 +128,8 @@ def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, varname: str = "x") -
     Affine is decided symbolically (derivative free of the variable).  A
     polynomial is certified strictly convex by the signs of its second
     derivative (``inverse.derivative_signs``); any other body by
-    sampling the derivative at Chebyshev nodes.  A decrease of the
-    derivative raises NonConvex.
+    sampling the derivative at Chebyshev nodes.  A sampled fall of the
+    derivative (``numeric.step``: beyond a tie) raises NonConvex.
     """
     exact = derivative_signs(body, 2, env, lo, hi)
     d = None if exact is not None else simplify(differentiate(body))
@@ -143,7 +148,7 @@ def classify_piece(body: Expr, env: AssumptionEnv, lo, hi, varname: str = "x") -
         if v is None:
             prev = None
             continue
-        if prev is not None and v < prev:
+        if prev is not None and v < prev and numeric.step(prev, v) < 0:
             raise NonConvex(
                 f"derivative of {to_text(body, varname)} decreases between sampled points",
                 witness=(prev_x, 0.5 * (prev_x + x), x),
@@ -176,10 +181,10 @@ def build_function(
     env: AssumptionEnv = EMPTY_ENV,
     weakly_convex: bool = False,
 ) -> PiecewiseFunction:
-    """Normalize, read each piece's kind (``piece_kind``), and validate;
-    the only constructor used by parsing and by every operation."""
+    """Normalize and validate; the only constructor used by parsing and
+    by every operation."""
     bps = checked_breakpoints(breakpoints, pieces, values, env)
-    normd = [Piece(body, piece_kind(body, weakly_convex)) for body in map(piece_body, pieces)]
+    normd = [Piece(body) for body in map(piece_body, pieces)]
     vals = [v if numeric.is_inf(v) else simplify(as_expr(v)) for v in values]
     f = PiecewiseFunction(varname, *merge_seamless(PiecewiseFunction, bps, normd, vals, env), env, weakly_convex)
     validate(f)
@@ -290,24 +295,32 @@ def domain(f: Grid) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-def _abs_nodes(body: Expr) -> list[Expr]:
+def _abs_roots(region: Region, body, env: AssumptionEnv) -> list[tuple[Abs, Expr, int]]:
+    """(node, root, sign of the slope) of each absolute value in a branch
+    body; its argument must be affine in the variable, with no absolute
+    value inside, and its slope of known sign.  A point branch, or an inf
+    one, has none."""
+    if body is _INF_BODY or region.is_point:
+        return []
     out = []
     for node in walk(body):
         if isinstance(node, Abs) and contains_var(node.arg):
-            for inner in walk(node.arg):
-                if inner is not node and isinstance(inner, Abs) and contains_var(inner.arg):
-                    raise InputError("nested absolute values are not supported")
-            out.append(node)
+            if any(isinstance(inner, Abs) and contains_var(inner.arg) for inner in walk(node.arg)):
+                raise InputError("nested absolute values are not supported")
+            ab = affine_parts(simplify(node.arg))
+            if ab is None:
+                raise InputError(f"absolute value argument must be affine in the variable: {to_text(node.arg)}")
+            a, b = ab
+            sgn_a = env.sign_of(a)
+            if not sgn_a:
+                raise UndecidableComparison(to_text(a), "0")
+            out.append((node, simplify(Neg(b) / a), sgn_a))
     return out
 
 
-def _abs_root(node: Abs, env: AssumptionEnv) -> tuple[Expr, Expr]:
-    """(root, slope) of the affine argument of an absolute value."""
-    ab = affine_parts(simplify(node.arg))
-    if ab is None:
-        raise InputError(f"absolute value argument must be affine in the variable: {to_text(node.arg)}")
-    a, b = ab
-    return simplify(Neg(b) / a), a
+def _strictly_inside(r: Expr, region: Region, env: AssumptionEnv) -> bool:
+    return all(isinstance(lo, float) or isinstance(hi, float) or env.require_comparable(lo, hi) == Ordering.LESS
+               for lo, hi in ((region.lo, r), (r, region.hi)))
 
 
 def _strip_abs(body: Expr, signs: dict[Abs, int]) -> Expr:
@@ -361,108 +374,58 @@ def _parse_body(ts: TokenStream, varname: str, bare: bool):
 
 
 def _assemble_parts(branches, env: AssumptionEnv):
-    # split branch intervals at the roots of absolute values
-    expanded: list[tuple[Region, object]] = []
-    point_cover: list[tuple[Expr, object]] = []
-    for region, body in branches:
-        if body is _INF_BODY or region.is_point or not isinstance(body, Expr):
-            expanded.append((region, body))
-            continue
-        nodes = _abs_nodes(body)
-        if not nodes:
-            expanded.append((region, body))
-            continue
-        info = [(node, *_abs_root(node, env)) for node in nodes]
-        cuts: list[Expr] = []
-        for _, r, _ in info:
-            strictly_inside = True
-            if not isinstance(region.lo, float):
-                if env.require_comparable(region.lo, r) != Ordering.LESS:
-                    strictly_inside = False
-            if strictly_inside and not isinstance(region.hi, float):
-                if env.require_comparable(r, region.hi) != Ordering.LESS:
-                    strictly_inside = False
-            if strictly_inside and not any(structurally_equal(r, c) for c in cuts):
-                cuts.append(r)
-        cuts.sort(key=numeric.sort_key(env))
-        segments: list[Region] = []
-        prev_lo, prev_closed = region.lo, region.lo_closed
-        for c in cuts:
-            segments.append(Region(prev_lo, c, prev_closed, False))
-            prev_lo, prev_closed = c, False
-        segments.append(Region(prev_lo, region.hi, prev_closed, region.hi_closed))
-        for seg in segments:
-            signs: dict[Abs, int] = {}
-            for node, r, a in info:
-                sgn_a = env.sign_of(a)
-                if sgn_a is None or sgn_a == 0:
-                    raise UndecidableComparison(to_text(a), "0")
-                # the segment lies entirely on one side of the root
-                if not isinstance(seg.hi, float) and env.require_comparable(seg.hi, r) in (
-                    Ordering.LESS,
-                    Ordering.EQUAL,
-                ):
-                    pos = -1
-                elif not isinstance(seg.lo, float) and env.require_comparable(r, seg.lo) in (
-                    Ordering.LESS,
-                    Ordering.EQUAL,
-                ):
-                    pos = 1
-                else:
-                    raise InputError("internal: segment straddles an absolute-value root")
-                signs[node] = pos * sgn_a
-            expanded.append((seg, simplify(_strip_abs(body, signs))))
-        for c in cuts:
-            node_signs: dict[Abs, int] = {}
-            for node, r, a in info:
-                sgn_a = env.sign_of(a) or 1
-                order = env.require_comparable(c, r)
-                s = -1 if order == Ordering.LESS else (1 if order == Ordering.GREATER else 1)
-                node_signs[node] = s * sgn_a  # at the root itself both signs agree (|0| = 0)
-            stripped = _strip_abs(body, node_signs)
-            point_cover.append((c, simplify(substitute(stripped, var=c))))
-
-    bps, cells, at = cover(expanded, env, [c for c, _ in point_cover])
-    root_values = {index_of(bps, c, env): v for c, v in point_cover}
-    pieces = [None if body is _INF_BODY else body for body in cells]
+    """Breakpoints, pieces and values of parsed branches.  The roots of
+    absolute values inside their branch are breakpoints of the cover, and
+    each cell rewrites its branch's absolute values by the sign their
+    arguments take on it."""
+    roots = [_abs_roots(region, body, env) for region, body in branches]
+    inner = [r for (region, _), rs in zip(branches, roots) for _, r, _ in rs if _strictly_inside(r, region, env)]
+    bps, cells, at = cover([(region, k) for k, (region, _) in enumerate(branches)], env, inner)
+    pieces = [_cell_body(branches[k][1], roots[k], cell(bps, i)[1], env) for i, k in enumerate(cells)]
     values: list = []
     for j, b in enumerate(bps):
-        body = at[j]
-        if body is not None:
-            values.append(INF if body is _INF_BODY else _closed_end_value(body, cells, j, b, env))
-        elif j in root_values:  # abs-root synthesized value
-            values.append(root_values[j])
-        else:
+        k = at[j]
+        if k is None:
             values.append(_default_value(pieces, bps, j, env))
+        elif branches[k][1] is _INF_BODY:
+            values.append(INF)
+        else:
+            owned = [(side, pieces[c]) for side, c in (("right", j + 1), ("left", j)) if cells[c] == k]
+            values.append(_closed_end_value(owned[0][1] if owned else branches[k][1], owned, b, env))
     return bps, pieces, values
 
 
-def _closed_end_value(body: Expr, cells, j: int, b: Expr, env: AssumptionEnv):
-    """The body at breakpoint j; where substitution has no value (ln(0) at
-    a closed end), the one-sided limit from inside the cell the body owns."""
+def _cell_body(body, roots, hi, env: AssumptionEnv):
+    """The branch body on a cell that ends at hi, each absolute value
+    rewritten with the sign its argument takes there (no root lies inside
+    a cell); None for an inf branch."""
+    if body is _INF_BODY:
+        return None
+    if not roots:
+        return body
+    signs = {node: s if isinstance(hi, float) or env.require_comparable(hi, r) == Ordering.GREATER else -s
+             for node, r, s in roots}
+    return simplify(_strip_abs(body, signs))
+
+
+def _closed_end_value(body: Expr, owned, b: Expr, env: AssumptionEnv):
+    """The body at the breakpoint b; where substitution has no value
+    (ln(0) at a closed end), the one-sided limit from inside the one cell
+    its branch owns beside b (``owned``: (side, piece) pairs)."""
     try:
         return simplify(substitute(body, var=b))
     except DomainError:
-        sides = [side for side, c in (("left", cells[j]), ("right", cells[j + 1])) if c is body]
-        if len(sides) != 1:
+        if len(owned) != 1:
             raise
-        return one_sided_limit(body, b, sides[0], env)
+        side, piece = owned[0]
+        return one_sided_limit(piece, b, side, env)
 
 
 def _default_value(pieces, bps, j, env: AssumptionEnv):
     """Continuity / lsc-closure default at an uncovered breakpoint."""
-    left, right = pieces[j], pieces[j + 1]
-    b = bps[j]
-    L = INF if left is None else one_sided_limit(left, b, "left", env)
-    R = INF if right is None else one_sided_limit(right, b, "right", env)
-    L_inf = isinstance(L, float) and math.isinf(L)
-    R_inf = isinstance(R, float) and math.isinf(R)
-    if L_inf and R_inf:
-        return INF
-    if L_inf:
-        return R
-    if R_inf:
-        return L
+    L, R = limits_beside(pieces, bps, j, env)
+    if L is None or R is None:
+        return INF if L is None and R is None else L if R is None else R
     if not numeric.equal(env, L, R):
-        raise DiscontinuousOnDomain(f"one-sided limits differ at omitted breakpoint {to_text(b)}")
+        raise DiscontinuousOnDomain(f"one-sided limits differ at omitted breakpoint {to_text(bps[j])}")
     return L

@@ -4,7 +4,9 @@ Text output lists branches in breakpoint order with a separate row for
 every breakpoint, e.g. ``y < -1 -> {y + 1}`` followed by ``y = -1 -> {0}``.
 JSON output follows a fixed schema; numbers are exact rationals ``p/q``
 when representable and 17-significant-digit decimals otherwise, while
-parametric endpoints are carried as expression strings.
+parametric endpoints are carried as expression strings.  A piece's
+JSON ``kind`` is read from its body (``pwf.piece_kind``,
+``monop.op_piece_kind``): grids store bodies only.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 
 from .expr import Const, format_number, to_text
 from .grid import Grid
-from .monop import MonotoneOperator, SetValue
-from .pwf import PiecewiseFunction
+from .monop import MonotoneOperator, SetValue, op_piece_kind
+from .pwf import PiecewiseFunction, piece_kind
 
 INF = math.inf
 
@@ -93,7 +95,7 @@ def setvalue_to_json(v: SetValue, var: str = "x") -> dict:
     return {"type": "interval", "lo": _endpoint_text(v.lo, var), "hi": _endpoint_text(v.hi, var)}
 
 
-def _grid_json(g: Grid, kind: str, empty_text: str, value_json) -> dict:
+def _grid_json(g: Grid, kind: str, empty_text: str, value_json, body_kind) -> dict:
     var = g.varname
     return {
         "kind": kind,
@@ -102,7 +104,7 @@ def _grid_json(g: Grid, kind: str, empty_text: str, value_json) -> dict:
         "pieces": [
             {
                 "interval": _interval_json(*g.interval(i), var),
-                "kind": p.kind,
+                "kind": body_kind(p.body),
                 "expr": empty_text if p.empty else to_text(p.body, var),
             }
             for i, p in enumerate(g.pieces)
@@ -114,8 +116,9 @@ def _grid_json(g: Grid, kind: str, empty_text: str, value_json) -> dict:
 
 
 def function_to_json(f: PiecewiseFunction) -> dict:
-    return _grid_json(f, "pwf", "inf", lambda v: {"type": "point", "lo": _endpoint_text(v, f.varname)})
+    return _grid_json(f, "pwf", "inf", lambda v: {"type": "point", "lo": _endpoint_text(v, f.varname)},
+                      lambda body: piece_kind(body, f.weakly_convex))
 
 
 def operator_to_json(T: MonotoneOperator) -> dict:
-    return _grid_json(T, "op", "empty", lambda v: setvalue_to_json(v, T.varname))
+    return _grid_json(T, "op", "empty", lambda v: setvalue_to_json(v, T.varname), op_piece_kind)

@@ -230,6 +230,20 @@ def _exact_pow_frac(c: int | Fraction, q: Fraction) -> int | Fraction | None:
     return rn if rd == 1 else Fraction(rn, rd)
 
 
+def _power(c: Number, q: int | Fraction) -> Number:
+    """c^q by ``_pow_number``; a float power that overflows is a
+    DomainError, like every other power without a value."""
+    try:
+        return _pow_number(c, q)
+    except OverflowError:
+        raise DomainError(f"{c}^{q} overflows in simplification") from None
+
+
+def _term(factors: Factors, c: Number) -> SumMap:
+    """The one term c * factors; a zero c (a float underflow) leaves none, as in ``_scale``."""
+    return {factors: c} if factors and c != 0 else _const_map(c)
+
+
 def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
     if q == 0:
         return _const_map(1)
@@ -242,14 +256,13 @@ def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
             if exact is None:
                 return _single(Pow(Const(c), q))
             return _const_map(exact)
-        return _const_map(_pow_number(c, q))
+        return _const_map(_power(c, q))
     if len(base) == 1:
         (factors, coeff), = base.items()
         if q.denominator == 1:
             # integer exponents distribute over any product
             factors2 = _canon_factors([(f, e * q) for f, e in factors])
-            cc = _canon_number(_pow_number(coeff, q))
-            return {factors2: cc} if factors2 else _const_map(cc)
+            return _term(factors2, _canon_number(_power(coeff, q)))
         # fractional exponent: distribute only when sound for real roots
         # and the coefficient has an exact rational root
         safe = all(e.denominator == 1 and e.numerator % 2 == 1 for _, e in factors)
@@ -258,12 +271,11 @@ def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
                 cc = _exact_pow_frac(coeff, q)
             else:
                 try:
-                    cc = _pow_number(coeff, q) if coeff > 0 else None
+                    cc = _power(coeff, q) if coeff > 0 else None
                 except DomainError:
                     cc = None
             if cc is not None:
-                factors2 = _canon_factors([(f, e * q) for f, e in factors])
-                return {factors2: cc} if factors2 else _const_map(cc)
+                return _term(_canon_factors([(f, e * q) for f, e in factors]), cc)
     if q.denominator == 1 and 1 < q <= _MAX_EXPAND_POWER:
         out = base
         for _ in range(int(q) - 1):
@@ -271,6 +283,8 @@ def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
         return out
     if q.denominator == 1 and -_MAX_EXPAND_POWER <= q < 0:
         expanded = _pow_map(base, -q)
+        if not expanded:  # every coefficient underflowed
+            raise DomainError("division by zero in simplification")
         if len(expanded) == 1:
             (factors, coeff), = expanded.items()
             factors2 = _canon_factors([(f, -e) for f, e in factors])
@@ -278,7 +292,7 @@ def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
                 cc = 1.0 / coeff if isinstance(coeff, float) else _canon_number(Fraction(1) / coeff)
             except ZeroDivisionError:
                 raise DomainError("division by zero in simplification") from None
-            return {factors2: cc} if factors2 else _const_map(cc)
+            return _term(factors2, cc)
         return _single(Pow(_rebuild(expanded), -1))
     return _single(Pow(_rebuild(base), q))
 

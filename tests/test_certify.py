@@ -1,11 +1,12 @@
 """Certification happens where input enters, and nowhere else.
 
 Parsing certifies each piece once (``grid.certify`` with
-``pwf.classify_piece`` or ``monop.classify_op_piece``); the builders read
-a piece's kind from its body.  The transforms build pieces that are
-convex or monotone by theorem, so running the boundary certifier on their
-outputs must raise nothing and agree with the kinds the builders read,
-and the transforms must run with every certifier disabled.
+``pwf.classify_piece`` or ``monop.classify_op_piece``); grids store bodies
+only, and the rendered JSON reads a piece's kind from its body.  The
+transforms build pieces that are convex or monotone by theorem, so running
+the boundary certifier on their outputs must raise nothing and agree with
+the kinds the JSON shows, and the transforms must run with every
+certifier disabled.
 """
 
 import sys
@@ -22,8 +23,10 @@ from pwconvex import (
     DistributionSpec,
     biconjugate,
     conjugate,
+    function_to_json,
     invert,
     maximal_extension,
+    operator_to_json,
     parse_operator,
     parse_pwf,
     prox,
@@ -64,9 +67,11 @@ def transform_outputs(f):
 
 
 def assert_certified(g):
-    certifier = classify_op_piece if isinstance(g, MonotoneOperator) else classify_piece
+    is_op = isinstance(g, MonotoneOperator)
+    certifier = classify_op_piece if is_op else classify_piece
     kinds = certify(g.breakpoints, g.pieces, g.env, certifier, g.varname)
-    assert kinds == [None if p.empty else p.kind for p in g.pieces], str(g)
+    shown = (operator_to_json if is_op else function_to_json)(g)["pieces"]
+    assert kinds == [None if p.empty else q["kind"] for p, q in zip(g.pieces, shown)], str(g)
 
 
 @pytest.mark.parametrize("name", CORPUS_TEXTS)

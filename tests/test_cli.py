@@ -461,3 +461,14 @@ def test_absolute_values_split_at_their_roots(capsys, argv):
         assert rows(out) == want
     else:
         assert not out and err.startswith(f"error[{want}]")
+
+
+# ROADMAP 2m and 2n: both conjugates need exact limits at +-inf of
+# exp-log bodies (item 14).  Until then they are refused, where softplus
+# conj exited 0 with a wrong domain; after item 14 they must be exact
+@pytest.mark.parametrize("text", ["ln(1 + exp(x))", "ln(exp(x) + exp(0 - x))"])
+def test_an_exp_log_conjugate_is_refused_not_wrong(capsys, text):
+    code, out, err = run(capsys, ["subdiff", text])
+    assert code == 0, err
+    code, out, err = run(capsys, ["conj", text])
+    assert code == 2 and not out

@@ -6,6 +6,10 @@ x0 = g(a) for a finite end a: from the right at lo, from the left at
 hi (a monotone inverse is continuous on its image).  A NumericIntegral
 is 0 at its own base.  ``limits`` must take both without a numeric
 probe or a sampled sign, so here both are patched to raise.
+
+A composite base that holds exp, ln or a numeric node grows at a rate
+the structural pass does not know: a zero-infinity race it joins is
+taken exactly or refused, never decided by a power's rate.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from oracles import bisect_root
 from pwconvex import limits, numeric
 from pwconvex.assumptions import AssumptionEnv
+from pwconvex.errors import UnsupportedOperation
 from pwconvex.expr import (
     BISECT_REL_TOL,
     Add,
@@ -176,3 +181,17 @@ class TestKernelShapes:
 
     def test_another_shape_has_its_own_factory(self):
         assert _kernel_template(parse_expr("2*x + 1"))[0] is not _kernel_template(parse_expr("2*exp(x)"))[0]
+
+
+# ROADMAP 2m: each of these read as a power-rate zero against an exp or
+# log infinity, which gave +inf, +inf and 0
+@pytest.mark.parametrize("text, want", [("exp(x)/(exp(x) + 1)", 1), ("exp(x)/(exp(2*x) + 1)", 0),
+                                        ("ln(x)/(ln(x) + 1)", 1)])
+def test_a_composite_base_of_unknown_rate_is_exact_or_refused(text, want):
+    try:
+        v = limits.limit_at_infinity(parse_expr(text), 1, AssumptionEnv.empty())
+    except UnsupportedOperation:
+        return
+    assert not numeric.is_inf(v)
+    got = float(evaluate(v)) if isinstance(v, Expr) else v
+    assert got == pytest.approx(want, abs=1e-9)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pwconvex import AssumptionEnv, numeric, parse_pwf, poly
+from pwconvex import AssumptionEnv, function_to_json, numeric, parse_pwf, poly
 from pwconvex.errors import NonConvex, NotMonotone
 from pwconvex.expr import ImplicitInverse, parse_expr
 from pwconvex.inverse import check_strictly_monotone, derivative_signs, invert_monotone
@@ -199,7 +199,7 @@ def test_a_parametric_coefficient_in_a_nonconstant_derivative_is_left_to_samplin
 def test_a_sign_change_on_the_line_leaves_a_parametric_cell_to_sampling():
     # f'' = 6x changes sign at 0, outside the cell (a, inf) with 1 < a
     f = parse_pwf("pw{ x < a -> inf ; x >= a -> x^3 }", AssumptionEnv.parse(["1 < a"]))
-    assert f.pieces[-1].kind == "strictly-convex"
+    assert function_to_json(f)["pieces"][-1]["kind"] == "strictly-convex"
 
 
 def test_a_polynomial_operator_is_certified_without_sampling(no_sampling):

@@ -12,6 +12,7 @@ from pwconvex import (
     domain,
     eval_op,
     eval_pwf,
+    function_to_json,
     parse_pwf,
     render_function,
     render_operator,
@@ -119,7 +120,7 @@ class TestValidation:
             weakly_convex=True,
         )
         assert eval_pwf(f, 0) == Fraction(-1, 2)
-        # parsing certifies each piece; the builder reads kinds only
+        # parsing certifies each piece; the builder certifies nothing
         with pytest.raises(NonConvex):
             parse_pwf("pw{ x < -1 -> inf ; -1 <= x & x < 0 -> -1/2 - x - x^2/2 ;"
                       " 0 <= x & x <= 1 -> -1/2 + x - x^2/2 ; x > 1 -> inf }", ENV)
@@ -132,6 +133,13 @@ class TestValidation:
         a, m, b = exc.value.witness
         f = lambda t: -math.exp(t)  # noqa: E731
         assert a < m < b and f(m) > (f(a) + f(b)) / 2
+
+    def test_a_slope_that_wobbles_in_its_last_ulps_is_convex(self):
+        # ROADMAP 2n: the slope of ln(2 cosh x) is -1 + O(1e-25) near
+        # x = -29, where its samples differ in the last ulp: ties, as in
+        # the monotonicity certificate, not falls
+        f = parse_pwf("ln(exp(x) + exp(0 - x))", ENV)
+        assert function_to_json(f)["pieces"][0]["kind"] == "strictly-convex"
 
 
 class TestParametric:
