@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -341,7 +342,13 @@ def main(argv=None) -> int:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return INCONSISTENT
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early; send the flush at exit to devnull so it
+            # cannot raise again, and keep the exit code of the result
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

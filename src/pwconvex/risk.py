@@ -8,7 +8,12 @@ filled in at jumps.  From there the toolkit takes over: the
 superexpectation E(x) = E[max(x, X)] is the antiderivative of that
 operator with its constant pinned by E(x) - x -> 0 at +inf, the
 superdistribution is dE, quantiles invert the CDF with min selection,
-and the superquantile (CVaR) is the secant slope -E*(p)/(1-p).
+and the superquantile (CVaR) is (E(q) - p*q)/(1 - p) at the quantile q,
+the Rockafellar-Uryasev formula (Rockafellar and Uryasev, J. Risk 2,
+2000; Rockafellar and Royset, Math. Program. 148, 2014).  It is the
+paper's secant slope -E*(p)/(1-p) by Fenchel-Young equality, since p
+lies in dE(q), so no conjugate is built for it; E* itself is
+``superexpectation_conjugate``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import (
 from .expr import (
     Div,
     Expr,
+    Mul,
     Neg,
     ONE,
     Sub,
@@ -211,14 +217,20 @@ def quantile(d: DistributionSpec, p) -> Expr:
 
 
 def superquantile(d: DistributionSpec, p) -> Expr:
-    """Tail average of the quantile, computed as the secant slope of
-    the conjugate of the superexpectation between p and 1."""
+    """Tail average of the quantile, (E(q) - p*q)/(1 - p) at q = quantile(d, p).
+
+    This is the Rockafellar-Uryasev formula (Rockafellar and Uryasev,
+    "Optimization of conditional value-at-risk", J. Risk 2, 2000;
+    Rockafellar and Royset, Math. Program. 148, 2014).  It equals the
+    secant slope -E*(p)/(1-p) of the paper: p lies in dE(q) exactly when
+    q is in the quantile set at p, so Fenchel-Young holds with equality,
+    E*(p) = p*q - E(q), and E* itself is never built."""
     pe = _check_p(p, d.env)
-    Estar = conjugate(superexpectation(d))
-    v = Estar.at(pe)
+    q = quantile(d, pe)
+    v = superexpectation(d).at(q)
     if isinstance(v, float):
-        raise InternalInconsistency("the conjugate of the superexpectation is infinite inside (0,1)")
-    return simplify(Div(Neg(v), Sub(ONE, pe)))
+        raise InternalInconsistency("the superexpectation is infinite at the quantile")
+    return simplify(Div(Sub(v, Mul(pe, q)), Sub(ONE, pe)))
 
 
 def cvar(d: DistributionSpec, p) -> Expr:

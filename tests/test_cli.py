@@ -472,3 +472,27 @@ def test_an_exp_log_conjugate_is_refused_not_wrong(capsys, text):
     assert code == 0, err
     code, out, err = run(capsys, ["conj", text])
     assert code == 2 and not out
+
+
+def test_a_reader_that_leaves_early_is_not_a_failure():
+    # `pwconvex ... | head -c 0`: the read end of stdout is closed before
+    # the result is printed, which must still exit 0 without a traceback
+    src = str(Path(pwconvex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "pwconvex.cli", "subdiff", "abs(x) + abs(x - 1)"]
+        out = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_the_superquantile_of_a_cubic_distribution_function(capsys):
+    # ROADMAP 2b's risk repro: the conjugate route rejected it with NotLsc
+    argv = ["risk", "--cdf", "pw{ x < 0 -> 0 ; 0 <= x & x < 1 -> x^3/2 + x/2 ; x >= 1 -> 1 }", "superq", "1/3"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert out.startswith("0.792601694464")

@@ -1,15 +1,19 @@
 """Tail-risk functionals built on top of the convex machinery."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwconvex import (
     AssumptionEnv,
     DistributionSpec,
     cvar,
     quantile,
+    risk,
     superexpectation,
     superexpectation_conjugate,
     superquantile,
@@ -133,6 +137,105 @@ class TestConjugateRoute:
                 lhs = num(superquantile(d, p))
                 rhs = -float(eval_pwf(C, p)) / float(1 - p)
                 assert abs(lhs - rhs) < 1e-9, (text, p)
+
+
+# each law with its superquantile in closed form, (1/(1-p)) * int_p^1 Q(t) dt
+SUPERQUANTILES = [
+    ("cdf", UNIFORM, lambda p: (1 + p) / 2),
+    ("cdf", EXPONENTIAL, lambda p: 1 - math.log(1 - p)),
+    ("cdf", COIN, lambda p: 1 / (2 * (1 - p)) if p < 0.5 else 1.0),
+    ("cdf", PARETO_2, lambda p: 2 / math.sqrt(1 - p)),
+    ("quantile", "p", lambda p: (1 + p) / 2),
+    ("quantile", "2", lambda p: 2.0),
+    ("quantile", "-ln(1 - p)", lambda p: 1 - math.log(1 - p)),
+]
+
+
+class TestFenchelYoungRoute:
+    """The superquantile is (E(q) - p*q)/(1 - p) at the quantile q; the
+    conjugate of the superexpectation is the independent cross-check."""
+
+    @pytest.mark.parametrize("source, text, closed", SUPERQUANTILES)
+    def test_no_conjugate_is_built(self, monkeypatch, source, text, closed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the superquantile built a conjugate")
+
+        monkeypatch.setattr(risk, "conjugate", refuse)
+        make = DistributionSpec.from_cdf if source == "cdf" else DistributionSpec.from_quantile
+        d = make(text, ENV)
+        for p in (Fraction(1, 10), Fraction(1, 2), Fraction(4, 5)):
+            want = closed(float(p))
+            assert abs(num(superquantile(d, p)) - want) <= 1e-12 * abs(want), (text, p)
+            assert num(cvar(d, p)) == num(superquantile(d, p))
+
+    def test_cubic_distribution_function(self):
+        # ROADMAP 2b's risk repro, F = x^3/2 + x/2 on [0, 1), pinned without
+        # the library: q solves q^3 + q = 2/3 (bisection at 50 digits), and
+        # the tail average is q + int_q^1 (1 - F) dx / (1 - p), where the
+        # integral is 5/8 - q + q^2/4 + q^4/8
+        with localcontext() as ctx:
+            ctx.prec = 50
+            lo, hi = Decimal(0), Decimal(1)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if mid**3 + mid < Decimal(2) / 3:
+                    lo = mid
+                else:
+                    hi = mid
+            q = lo
+            want = q + (Decimal(5) / 8 - q + q**2 / 4 + q**4 / 8) * Decimal(3) / 2
+        assert str(want).startswith("0.79260169446435956220")
+        d = DistributionSpec.from_cdf("pw{ x < 0 -> 0 ; 0 <= x & x < 1 -> x^3/2 + x/2 ; x >= 1 -> 1 }", ENV)
+        got = num(superquantile(d, Fraction(1, 3)))
+        assert abs(got - float(want)) <= 1e-12 * float(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tail_average_of_a_piecewise_uniform_law(self, data):
+        # a law with atoms at the breakpoints and uniform mass between them
+        n = data.draw(st.integers(1, 3), label="cells")
+        steps = data.draw(st.lists(st.fractions(Fraction(1, 4), 3, max_denominator=4), min_size=n, max_size=n))
+        start = data.draw(st.fractions(-2, 2, max_denominator=4), label="start")
+        bps = [start]
+        for h in steps:
+            bps.append(bps[-1] + h)
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=2 * n + 1, max_size=2 * n + 1))
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        atoms = [Fraction(w, total) for w in weights[: n + 1]]
+        spread = [Fraction(w, total) for w in weights[n + 1 :]]
+        rows, cum, quantile_parts = [f"x < {_dsl(bps[0])} -> 0"], Fraction(0), []
+        for i in range(n):
+            quantile_parts.append((cum, cum + atoms[i], bps[i], bps[i]))
+            cum += atoms[i]
+            quantile_parts.append((cum, cum + spread[i], bps[i], bps[i + 1]))
+            slope = spread[i] / (bps[i + 1] - bps[i])
+            body = f"{_dsl(cum)} + {_dsl(slope)}*(x - {_dsl(bps[i])})"
+            rows.append(f"{_dsl(bps[i])} <= x & x < {_dsl(bps[i + 1])} -> {body}")
+            cum += spread[i]
+        quantile_parts.append((cum, Fraction(1), bps[n], bps[n]))
+        rows.append(f"x >= {_dsl(bps[n])} -> 1")
+        # at a level the law reaches exactly, the quantile set is an interval
+        levels = sorted({a for a, _, _, _ in quantile_parts if 0 < a < 1})
+        any_level = st.fractions(Fraction(1, 64), Fraction(63, 64), max_denominator=64)
+        p = data.draw(st.sampled_from(levels) | any_level if levels else any_level, label="p")
+        # int_p^1 Q(t) dt: Q is linear from x0 to x1 on each level range (a, b)
+        tail = Fraction(0)
+        for a, b, x0, x1 in quantile_parts:
+            lo = max(a, p)
+            if lo < b:
+                tail += (b - lo) * (x0 + (x1 - x0) * (lo - a) / (b - a) + x1) / 2
+        d = DistributionSpec.from_cdf("pw{ " + " ; ".join(rows) + " }", ENV)
+        got = superquantile(d, p)
+        assert evaluate(got) == tail / (1 - p)
+        secant = -eval_pwf(superexpectation_conjugate(d), p) / (1 - p)
+        assert secant == tail / (1 - p)
+
+
+def _dsl(v: Fraction) -> str:
+    s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return f"({s})" if v < 0 else s
 
 
 class TestQuantileInput:
