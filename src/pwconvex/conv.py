@@ -52,6 +52,7 @@ from .expr import (
     parse_expr,
     to_text,
 )
+from .grid import kept
 from .inverse import _sign_on_interval
 from .limits import exact_one_sided_limit, limit_at
 from .monop import MonotoneOperator, eval_op, invert, subdifferential
@@ -408,7 +409,12 @@ def _check_no_interior_gap(Sinv: MonotoneOperator) -> None:
 def conjugate(f: PiecewiseFunction) -> PiecewiseFunction:
     """Fenchel conjugate, computed as the antiderivative of the inverse
     of the subdifferential, anchored at a graph point (y0, x0) of that
-    inverse to the Fenchel-Young value y0*x0 - f(x0)."""
+    inverse to the Fenchel-Young value y0*x0 - f(x0).  Built once per f
+    and kept on it (``grid.kept``), so the biconjugate reuses it."""
+    return kept(f, "conjugate", lambda: _conjugate(f))
+
+
+def _conjugate(f: PiecewiseFunction) -> PiecewiseFunction:
     S = subdifferential(f)
     Sinv = invert(S)
     _check_no_interior_gap(Sinv)

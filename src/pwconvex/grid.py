@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import numeric
 from .assumptions import AssumptionEnv, Ordering
@@ -74,6 +74,18 @@ class Piece:
         return self.body is None
 
 
+def kept(obj, name: str, make: Callable):
+    """The transform ``name`` of the frozen object obj: ``make()``,
+    computed on first use and kept in ``obj._kept``.  That field is
+    neither compared, hashed, printed nor copied by
+    ``dataclasses.replace``, so a kept value lives exactly as long as obj.
+    A ``make`` that raises keeps nothing."""
+    value = obj._kept.get(name)
+    if value is None:
+        value = obj._kept[name] = make()
+    return value
+
+
 def cell(breakpoints, i: int) -> tuple[Expr | float, Expr | float]:
     """Open interval (lo, hi) of cell i."""
     lo = breakpoints[i - 1] if i > 0 else -INF
@@ -91,6 +103,8 @@ class Grid:
     pieces: tuple[Piece, ...]
     values: tuple
     env: AssumptionEnv
+    # transforms of this grid, read and kept through ``kept``
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def value_empty(v) -> bool:

@@ -46,6 +46,7 @@ from .grid import (
     certify,
     checked_breakpoints,
     cover,
+    kept,
     limits_beside,
     merge_seamless,
     parse_branches,
@@ -324,7 +325,12 @@ def subdifferential(f: PiecewiseFunction) -> MonotoneOperator:
     """The slope multifunction of f: differentiated bodies on pieces,
     the closed interval between one-sided derivative limits at
     breakpoints, empty outside the domain, half-lines or the whole
-    line at domain boundary points."""
+    line at domain boundary points.  Built once per f and kept on it
+    (``grid.kept``)."""
+    return kept(f, "subdifferential", lambda: _subdifferential(f))
+
+
+def _subdifferential(f: PiecewiseFunction) -> MonotoneOperator:
     env = f.env
     pieces = [None if p.empty else simplify(differentiate(p.body)) for p in f.pieces]
     values: list[SetValue] = []

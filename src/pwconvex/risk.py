@@ -19,7 +19,7 @@ lies in dE(q), so no conjugate is built for it; E* itself is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import numeric
@@ -46,7 +46,7 @@ from .expr import (
     contains_var,
     to_text,
 )
-from .grid import certify, detect_varname, rebind_var
+from .grid import certify, detect_varname, kept, rebind_var
 from .inverse import solve_monotone
 from .limits import limit_at, limit_at_infinity, one_sided_limit
 from .monop import (
@@ -80,6 +80,8 @@ class DistributionSpec:
     cdf_op: MonotoneOperator
     quantile_expr: Expr | None
     env: AssumptionEnv
+    # transforms of this distribution, read and kept through ``grid.kept``
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_cdf(source: str, env: AssumptionEnv = EMPTY_ENV) -> "DistributionSpec":
@@ -149,7 +151,12 @@ def _quantile_operator(q: Expr, env: AssumptionEnv) -> MonotoneOperator:
 
 def superexpectation(d: DistributionSpec) -> PiecewiseFunction:
     """E(x) = E[max(x, X)]: antiderivative of the CDF operator, with the
-    constant fixed by E(x) - x -> 0 at +inf."""
+    constant fixed by E(x) - x -> 0 at +inf.  Built once per d and kept
+    on it (``grid.kept``), so each superquantile of d reuses it."""
+    return kept(d, "superexpectation", lambda: _superexpectation(d))
+
+
+def _superexpectation(d: DistributionSpec) -> PiecewiseFunction:
     E0 = integ(d.cdf_op)
     drift = simplify(Sub(E0.pieces[-1].body, X))
     try:

@@ -5,8 +5,10 @@ coefficient times a sorted tuple of (factor, rational exponent) pairs.
 Exact coefficients and exponents are int or Fraction, an integral one
 always int (``_canon_number``), so most of the arithmetic is on machine
 ints; a float coefficient is an approximation and folds in floats.
-Rational constants fold exactly; exp factors merge (exp(u)*exp(v) ->
-exp(u+v)); like terms combine.  Powers distribute over products only
+Rational constants fold exactly, and an irrational root of a positive
+rational keeps only its fractional power as a factor (2^(3/2) ->
+2*2^(1/2)); exp factors merge (exp(u)*exp(v) -> exp(u+v)); like terms
+combine.  Powers distribute over products only
 when that is sound for real arguments (integer exponents, or an odd
 inner exponent), so abs-like identities such as (x^2)^(1/2) = |x| are
 never silently broken.
@@ -107,20 +109,26 @@ def _canon_number(v: Number) -> Number:
     return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
-def _canon_factors(pairs: Iterable[tuple[Expr, int | Fraction]]) -> Factors:
-    """Merge duplicate factors, fold exp factors together, sort."""
+def _canon_factors(pairs: Iterable[tuple[Expr, int | Fraction]]) -> tuple[Factors, Number]:
+    """Merge duplicate factors, fold exp factors together, sort.  A root
+    c^r of a positive rational c raised to q is c^(r*q) (``_pow_map``):
+    its rational part leaves the factors as the second item, the exact
+    number the factors are to be multiplied by (1 when nothing folds)."""
     merged: dict[Expr, int | Fraction] = {}
     for f, q in pairs:
         merged[f] = merged[f] + q if f in merged else q
 
     exp_arg: SumMap | None = None
     out: list[tuple[Expr, int | Fraction]] = []
+    roots: list[tuple[Expr, int | Fraction]] = []
     for f, q in merged.items():
         if q == 0:
             continue
         if isinstance(f, Exp):
             contrib = _scale(_snf(f.arg), q)
             exp_arg = contrib if exp_arg is None else _add_maps(exp_arg, contrib)
+        elif q != 1 and type(f) is Pow and type(f.base) is Const and f.base.value > 0:
+            roots.append((f, q))
         else:
             out.append((f, _canon_number(q)))
     if exp_arg is not None:
@@ -129,8 +137,17 @@ def _canon_factors(pairs: Iterable[tuple[Expr, int | Fraction]]) -> Factors:
             pass  # exp(0) = 1
         else:
             out.append((Exp(arg), 1))
+    if roots:
+        k: Number = 1
+        for f, q in roots:
+            (folded, c), = _pow_map(_const_map(f.base.value), f.exponent * q).items()
+            out += ((g, 1) for g, _ in folded)
+            k *= c
+        # a folded root may meet another factor of the same root
+        factors, c = _canon_factors(out)
+        return factors, _canon_number(k * c)
     out.sort(key=lambda p: _factor_key(p[0]))
-    return tuple(out)
+    return tuple(out), 1
 
 
 def _add_term(m: SumMap, k: Factors, c: Number) -> None:
@@ -167,8 +184,8 @@ def _mul_maps(a: SumMap, b: SumMap) -> SumMap:
     out: SumMap = {}
     for fa, ca in a.items():
         for fb, cb in b.items():
-            factors = _canon_factors(fa + fb)
-            coeff = ca * cb
+            factors, k = _canon_factors(fa + fb)
+            coeff = ca * cb if k == 1 else ca * cb * k
             if coeff != 0:
                 _add_term(out, factors, coeff)
     return out
@@ -183,7 +200,7 @@ def _single(f: Expr) -> SumMap:
     exp is its own canonical key; exp folds its argument."""
     if type(f) is not Exp:
         return {((f, 1),): 1}
-    factors = _canon_factors([(f, 1)])
+    factors, _ = _canon_factors([(f, 1)])
     if not factors:
         return _const_map(1)
     return {factors: 1}
@@ -253,16 +270,20 @@ def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
     if c is not None:
         if not isinstance(c, float) and q.denominator != 1:
             exact = _exact_pow_frac(c, q)
-            if exact is None:
+            if exact is not None:
+                return _const_map(exact)
+            if c < 0:  # the real root of a negative base is expr.pow_sign's
                 return _single(Pow(Const(c), q))
-            return _const_map(exact)
+            # c^q = c^n * c^(q - n) with 0 < q - n < 1, so like terms combine
+            n = q.numerator // q.denominator
+            return _term(((Pow(Const(c), q - n), 1),), _canon_number(_power(c, n)))
         return _const_map(_power(c, q))
     if len(base) == 1:
         (factors, coeff), = base.items()
         if q.denominator == 1:
             # integer exponents distribute over any product
-            factors2 = _canon_factors([(f, e * q) for f, e in factors])
-            return _term(factors2, _canon_number(_power(coeff, q)))
+            factors2, k = _canon_factors([(f, e * q) for f, e in factors])
+            return _term(factors2, _canon_number(_power(coeff, q) * k))
         # fractional exponent: distribute only when sound for real roots
         # and the coefficient has an exact rational root
         safe = all(e.denominator == 1 and e.numerator % 2 == 1 for _, e in factors)
@@ -275,7 +296,8 @@ def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
                 except DomainError:
                     cc = None
             if cc is not None:
-                return _term(_canon_factors([(f, e * q) for f, e in factors]), cc)
+                factors2, k = _canon_factors([(f, e * q) for f, e in factors])
+                return _term(factors2, _canon_number(cc * k))
     if q.denominator == 1 and 1 < q <= _MAX_EXPAND_POWER:
         out = base
         for _ in range(int(q) - 1):
@@ -287,12 +309,12 @@ def _pow_map(base: SumMap, q: int | Fraction) -> SumMap:
             raise DomainError("division by zero in simplification")
         if len(expanded) == 1:
             (factors, coeff), = expanded.items()
-            factors2 = _canon_factors([(f, -e) for f, e in factors])
+            factors2, k = _canon_factors([(f, -e) for f, e in factors])
             try:
-                cc = 1.0 / coeff if isinstance(coeff, float) else _canon_number(Fraction(1) / coeff)
+                cc = 1.0 / coeff if isinstance(coeff, float) else Fraction(1) / coeff
             except ZeroDivisionError:
                 raise DomainError("division by zero in simplification") from None
-            return _term(factors2, cc)
+            return _term(factors2, _canon_number(cc * k))
         return _single(Pow(_rebuild(expanded), -1))
     return _single(Pow(_rebuild(base), q))
 
@@ -469,7 +491,8 @@ def _cancel_rational(m: SumMap) -> SumMap:
                     m.pop(factors, None)
                 for d in range(len(quot) - 1, -1, -1):
                     if quot[d]:
-                        _add_term(m, _canon_factors(key + (((X, d),) if d > 0 else ())), quot[d])
+                        factors, k = _canon_factors(key + (((X, d),) if d > 0 else ()))
+                        _add_term(m, factors, quot[d] * k)
                 progressed = True
         if not progressed:
             break

@@ -36,7 +36,7 @@ from pwconvex import (
     superexpectation,
     superquantile,
 )
-from pwconvex import inverse, monop, pwf
+from pwconvex import conv, inverse, monop, pwf, risk
 from pwconvex.conv import _shift_by
 from pwconvex.grid import certify
 from pwconvex.monop import MonotoneOperator, classify_op_piece
@@ -92,10 +92,19 @@ def _certified_after_parsing(*args, **kwargs):
     raise AssertionError("a transform certified a piece")
 
 
-def test_transforms_certify_nothing_after_parsing(corpus, monkeypatch):
+def test_transforms_certify_nothing_after_parsing(monkeypatch):
+    # fresh objects: the shared corpus keeps the transforms earlier tests
+    # built, and a kept transform would run nothing under the patch
+    functions = [parse_pwf(text, ENV) for text in CORPUS_TEXTS.values()]
     T = parse_operator(HARD, ENV)
     specs = [(DistributionSpec.from_cdf if kind == "cdf" else DistributionSpec.from_quantile)(text, ENV)
              for kind, text in DISTRIBUTIONS]
+    built = {}
+    for module, name in ((monop, "_subdifferential"), (conv, "_conjugate"), (risk, "_superexpectation")):
+        def counted(obj, build=getattr(module, name), name=name):
+            built.setdefault(name, set()).add(id(obj))
+            return build(obj)
+        monkeypatch.setattr(module, name, counted)
     # every pwconvex namespace that binds a certifier
     certifiers = (pwf.classify_piece, monop.classify_op_piece, inverse.check_strictly_monotone)
     modules = [m for name, m in sys.modules.items() if name.startswith("pwconvex")]
@@ -103,7 +112,7 @@ def test_transforms_certify_nothing_after_parsing(corpus, monkeypatch):
         for original in certifiers:
             if getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, _certified_after_parsing)
-    for f in corpus.values():
+    for f in functions:
         transform_outputs(f)
     recover_penalty(T)
     maximal_extension(T)
@@ -111,3 +120,7 @@ def test_transforms_certify_nothing_after_parsing(corpus, monkeypatch):
         superexpectation(d)
         superquantile(d, Fraction(1, 2))
         quantile(d, Fraction(1, 4))
+    # each transform was built under the patch, not read from a kept one
+    fs = {id(f) for f in functions}
+    assert fs <= built["_subdifferential"] and fs <= built["_conjugate"]
+    assert {id(d) for d in specs} <= built["_superexpectation"]

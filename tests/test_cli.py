@@ -496,3 +496,22 @@ def test_the_superquantile_of_a_cubic_distribution_function(capsys):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert out.startswith("0.792601694464")
+
+
+# an integral power of a root of a positive rational reduces, so
+# 2^(1/2)*2^(1/2) orders against 2 and cancels against 2*x
+CONSTANT_ROOTS = {
+    ("subdiff", "pw{ x < 2^(1/2)*2^(1/2) -> 0 ; x >= 2 -> x - 2 }"): [
+        "x < 2 -> {0}", "x = 2 -> [0, 1]", "x > 2 -> {1}"],
+    ("subdiff", "pw{ x < 0 -> inf ; x >= 0 -> x*2^(1/2)*2^(1/2) - 2*x }"): [
+        "x < 0 -> empty", "x = 0 -> [-inf, 0]", "x > 0 -> {0}"],
+    # 16*(1 - (19/20)^(3/2)), the superquantile of a power law
+    ("risk", "--quantile", "6/5*p^(1/2)", "superq", "19/20"): ["16 - 76*(19/20)^(1/2)/5"],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CONSTANT_ROOTS))
+def test_integral_powers_of_constant_roots_reduce(capsys, argv):
+    code, out, err = run(capsys, list(argv))
+    assert code == 0, err
+    assert rows(out) == CONSTANT_ROOTS[argv]

@@ -92,9 +92,10 @@ def pairwise(a, b):
     out = {}
     for fa, ca in a.items():
         for fb, cb in b.items():
-            coeff = ca * cb
+            factors, k = _canon_factors(fa + fb)
+            coeff = ca * cb * k
             if coeff != 0:
-                _add_term(out, _canon_factors(fa + fb), coeff)
+                _add_term(out, factors, coeff)
     return out
 
 
@@ -163,7 +164,8 @@ class TestCanonicalizer:
         assume(not isinstance(f, Const))  # a factor is never a constant
         if isinstance(f, Exp):
             canonical_map(f.arg)
-        factors = _canon_factors([(f, 1)])
+        factors, k = _canon_factors([(f, 1)])
+        assert k == 1
         assert same_map(_single(f), {factors: 1} if factors else {(): 1})
 
     @settings(max_examples=200, deadline=None)
@@ -182,6 +184,14 @@ class TestCanonicalizer:
     @example(Pow(Div(X, Div(Const(1.505510921422818e-274), X)), -2))
     # a float power that overflows
     @example(Pow(Const(1.689614852895069e-273), -2))
+    # integral powers of roots of positive rationals, alone and in products
+    @example(parse_expr("(2^(1/2))^2"))
+    @example(parse_expr("(3/4)^(1/2)*(3/4)^(1/2)"))
+    @example(parse_expr("x*2^(1/2)*2^(1/2) - 2*x"))
+    @example(parse_expr("2^(1/4)*2^(1/4)*2^(1/2)*x"))
+    @example(parse_expr("(x*2^(1/2))^(-3) + (2^(1/2))^(1/3)"))
+    # a negative base keeps its power (expr.pow_sign)
+    @example(parse_expr("(0 - 2)^(1/3)*(0 - 2)^(1/3)"))
     def test_simplify_is_idempotent_and_keeps_a_canonical_tree(self, e):
         canonical_map(e)
         s = simplify(e)
