@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedOperation,
 )
 from .expr import (
-    Abs,
     Add,
     Div,
     Exp,
@@ -55,7 +54,7 @@ from .expr import (
 from .grid import kept
 from .inverse import _sign_on_interval
 from .limits import exact_one_sided_limit, limit_at
-from .monop import MonotoneOperator, eval_op, invert, subdifferential
+from .monop import MonotoneOperator, invert, subdifferential
 from .pwf import PiecewiseFunction, build_function, domain
 from .simplify import affine_parts, is_zero, poly_coeffs, simplify
 
@@ -71,10 +70,10 @@ def antiderivative(e: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
     """An elementary antiderivative of e on (lo, hi), or None.
 
     Covers polynomials, rational powers / exp / ln of affine arguments,
-    variable-free scalings of any of those, and abs of an affine map
-    whose sign is constant on the piece (true for every monotone body).
-    Log branches are left as Ln(u); the caller repairs negative-u
-    branches afterwards.
+    and variable-free scalings of any of those.  Parsing resolves every
+    abs of the variable (``grid.cover_bodies``), so none is read here; a
+    body built by hand with one gets None, and quadrature.  Log branches
+    are left as Ln(u); the caller repairs negative-u branches afterwards.
     """
     e = simplify(e)
     if not contains_var(e):
@@ -142,15 +141,6 @@ def antiderivative(e: Expr, env: AssumptionEnv, lo, hi) -> Expr | None:
             return None
         u = e.arg
         return Div(Sub(Mul(u, Ln(u)), u), ab[0])
-    if isinstance(e, Abs):
-        # monotone bodies keep the argument's sign fixed on the piece
-        s = _sign_on_interval(e.arg, env, lo, hi)
-        if s is None or s == 0:
-            return None
-        r = antiderivative(e.arg, env, lo, hi)
-        if r is None:
-            return None
-        return r if s > 0 else Neg(r)
     return None
 
 
@@ -382,20 +372,6 @@ def _representative(v) -> Expr | None:
     return None
 
 
-def _pin_candidates(Sinv: MonotoneOperator) -> list[Expr]:
-    out: list[Expr] = []
-    bps = list(Sinv.breakpoints)
-    if bps:
-        out.append(bps[len(bps) // 2])
-    d = domain(Sinv)
-    out.append(_interior_point(d.lo, d.hi))
-    out.extend(b for b in bps if b not in out)
-    for b in bps:
-        out.append(simplify(Sub(b, as_expr(1))))
-        out.append(simplify(Add(b, as_expr(1))))
-    return out
-
-
 def _check_no_interior_gap(Sinv: MonotoneOperator) -> None:
     live = Sinv.live_slices()
     if not live:
@@ -418,22 +394,20 @@ def _conjugate(f: PiecewiseFunction) -> PiecewiseFunction:
     S = subdifferential(f)
     Sinv = invert(S)
     _check_no_interior_gap(Sinv)
-    for y0 in _pin_candidates(Sinv):
-        try:
-            xs = eval_op(Sinv, y0)
-        except Exception:
-            continue
-        x0 = _representative(xs)
-        if x0 is None:
-            continue
-        try:
-            fx = f.at(simplify(x0))
-        except Exception:
-            continue
-        if isinstance(fx, float):
-            continue
-        return integ(Sinv, y0, simplify(Sub(Mul(y0, x0), fx)))
-    raise ConstantPinFailure("no finite graph point found to pin the conjugate")
+    # the middle breakpoint of S^-1 with its stored value, else a point
+    # inside its domain: a graph point (y0, x0) either way
+    mid = len(Sinv.breakpoints) // 2
+    if Sinv.breakpoints and Sinv.values[mid].tag != "empty":
+        y0, xs = Sinv.breakpoints[mid], Sinv.values[mid]
+    else:
+        d = domain(Sinv)
+        y0 = _interior_point(d.lo, d.hi)
+        xs = Sinv.at(y0)
+    x0 = _representative(xs)
+    fx = INF if x0 is None else f.at(simplify(x0))
+    if isinstance(fx, float):
+        raise ConstantPinFailure("no finite graph point found to pin the conjugate")
+    return integ(Sinv, y0, simplify(Sub(Mul(y0, x0), fx)))
 
 
 def biconjugate(f: PiecewiseFunction) -> PiecewiseFunction:

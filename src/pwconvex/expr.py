@@ -1067,7 +1067,7 @@ class _Solver:
         self.forward = float_kernel(node.forward, params)
         try:
             self.slope = float_kernel(differentiate(node.forward), params)
-        except UnsupportedOperation:  # abs or a nested inverse: every step bisects
+        except UnsupportedOperation:  # a hand-built abs or a nested inverse: every step bisects
             self.slope = _no_slope
         # the bounds are exact in the parameters: evaluate them with the rest
         self.lo, self.hi = (b if isinstance(b, float) else float(evaluate(as_expr(b), None, params))

@@ -25,6 +25,14 @@ exact reader (``Grid.locate``, ``Grid.at``), the float reader for loops
 over many float points (``Grid.float_view``), the guard DSL from branch
 parsing to cell cover, and the one-sided limits beside an uncovered
 breakpoint (``limits_beside``).
+
+Absolute values of the variable end here, for every kind of input
+(functions, distribution functions, operators, quantile functions):
+``cover_bodies`` lays parsed bodies on the cover with each root of an
+abs argument as a breakpoint, and each cell's body holds the abs with
+the sign its argument takes there.  So every transform reads bodies
+without an abs of the variable, and a body that is flat on part of its
+cell never reaches a certifier as one piece.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from . import numeric
 from .assumptions import AssumptionEnv, Ordering
 from .errors import GapInGuards, InputError, OverlappingGuards, ParseError, ToolkitError, UndecidableComparison
 from .expr import (
+    Abs,
     Expr,
     Neg,
     TokenStream,
@@ -45,9 +54,11 @@ from .expr import (
     as_expr,
     contains_var,
     float_kernel,
+    map_children,
     substitute,
     to_text,
     tokenize,
+    walk,
     _parse_expr,
 )
 from .limits import one_sided_limit
@@ -465,6 +476,69 @@ def cover(branches, env: AssumptionEnv, extra_points=()) -> tuple[list[Expr], li
         if len(cov) > 1:
             raise OverlappingGuards(f"breakpoint {to_text(b)} is covered by {len(cov)} guards")
     return bps, [cov[0] for cov in cell_cover], [cov[0] if cov else None for cov in bp_cover]
+
+
+def cover_bodies(branches, env: AssumptionEnv) -> tuple[list[Expr], list[int], list, list]:
+    """Lay (region, body) branches on a grid by ``cover``, each absolute
+    value of the variable resolved; a body of None stands for a branch
+    without one (+inf, empty, a set).  The one place where an absolute
+    value of the variable ends: its argument must be affine, with no
+    absolute value inside, and the root of an absolute value that lies
+    strictly inside its branch is a breakpoint of the cover, so each
+    cell's body holds the absolute value with the sign its argument takes
+    there.  A point branch keeps its body, read at one point.
+
+    Returns the breakpoints, the branch index on each cell, the branch
+    index at each breakpoint (None where no guard covers it) and the body
+    on each cell."""
+    roots = [[] if body is None or region.is_point else _abs_roots(body, env) for region, body in branches]
+    inner = [r for (region, _), rs in zip(branches, roots) for _, r, _ in rs if _strictly_inside(r, region, env)]
+    bps, cells, at = cover([(region, k) for k, (region, _) in enumerate(branches)], env, inner)
+    bodies = [_cell_body(branches[k][1], roots[k], cell(bps, i)[1], env) for i, k in enumerate(cells)]
+    return bps, cells, at, bodies
+
+
+def _abs_roots(body: Expr, env: AssumptionEnv) -> list[tuple[Abs, Expr, int]]:
+    """(node, root, sign of the slope) of each absolute value of the
+    variable in a body; its argument must be affine in the variable, with
+    no absolute value inside, and its slope of known sign."""
+    out = []
+    for node in walk(body):
+        if isinstance(node, Abs) and contains_var(node.arg):
+            if any(isinstance(inner, Abs) and contains_var(inner.arg) for inner in walk(node.arg)):
+                raise InputError("nested absolute values are not supported")
+            ab = affine_parts(simplify(node.arg))
+            if ab is None:
+                raise InputError(f"absolute value argument must be affine in the variable: {to_text(node.arg)}")
+            a, b = ab
+            sgn_a = env.sign_of(a)
+            if not sgn_a:
+                raise UndecidableComparison(to_text(a), "0")
+            out.append((node, simplify(Neg(b) / a), sgn_a))
+    return out
+
+
+def _strictly_inside(r: Expr, region: Region, env: AssumptionEnv) -> bool:
+    return all(isinstance(lo, float) or isinstance(hi, float) or env.require_comparable(lo, hi) == Ordering.LESS
+               for lo, hi in ((region.lo, r), (r, region.hi)))
+
+
+def _cell_body(body: Expr | None, roots, hi, env: AssumptionEnv) -> Expr | None:
+    """The branch body on a cell that ends at hi, each absolute value
+    rewritten with the sign its argument takes there (no root lies inside
+    a cell)."""
+    if body is None or not roots:
+        return body
+    signs = {node: s if isinstance(hi, float) or env.require_comparable(hi, r) == Ordering.GREATER else -s
+             for node, r, s in roots}
+
+    def strip(e: Expr) -> Expr:
+        if isinstance(e, Abs) and e in signs:
+            inner = strip(e.arg)
+            return inner if signs[e] > 0 else Neg(inner)
+        return map_children(e, strip)
+
+    return simplify(strip(body))
 
 
 def limits_beside(pieces, bps, j: int, env: AssumptionEnv) -> tuple:

@@ -1,14 +1,15 @@
 """Symbolic inversion of strictly monotone expressions on an interval.
 
 The peeling pass handles every composition of affine maps, integer and
-rational powers (including shifted powers like c*(x - r)^n + d), exp,
-ln, and abs around a single occurrence of the variable.  Polynomials
-are read by ``simplify.poly_coeffs``.  A power of a power is peeled one
+rational powers (including shifted powers like c*(x - r)^n + d), exp
+and ln around a single occurrence of the variable.  Polynomials are
+read by ``simplify.poly_coeffs``.  A power of a power is peeled one
 layer at a time, each layer with the root branch of its own base, so
-(x^2)^(1/2) inverts as |x| does.  Everything else falls back to an
-implicit inverse, solved numerically.  Callers pass strictly increasing
-expressions only: input pieces certified by ``check_strictly_monotone``
-and the pieces the operator calculus builds.
+(x^2)^(1/2) inverts as |x| does.  An abs of the variable never arrives:
+parsing splits it at its root (``grid.cover_bodies``).  Everything else
+falls back to an implicit inverse, solved numerically.  Callers pass
+strictly increasing expressions only: input pieces certified by
+``check_strictly_monotone`` and the pieces the operator calculus builds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import numeric, poly
 from .assumptions import AssumptionEnv
 from .errors import DomainError, NotMonotone
 from .expr import (
-    Abs,
     Add,
     Const,
     Div,
@@ -139,12 +139,6 @@ def _peel_inner(shell: Expr, t: Expr, env: AssumptionEnv, lo, hi) -> Expr | None
         return _peel(shell.arg, Ln(t), env, lo, hi)
     if isinstance(shell, Ln):
         return _peel(shell.arg, Exp(t), env, lo, hi)
-    if isinstance(shell, Abs):
-        s = _sign_on_interval(shell.arg, env, lo, hi)
-        if s is None:
-            return None
-        inner_t = t if s > 0 else Mul(Const(Fraction(-1)), t)
-        return _peel(shell.arg, inner_t, env, lo, hi)
     return _peel(shell, t, env, lo, hi)
 
 

@@ -41,14 +41,15 @@ from . import numeric
 from .assumptions import AssumptionEnv
 from .errors import DomainError, UnboundParameter, UnsupportedOperation
 from .expr import (
-    Abs,
     Add,
     Const,
+    Div,
     Exp,
     Expr,
     ImplicitInverse,
     Ln,
     Mul,
+    Neg,
     Number,
     NumericIntegral,
     Pow,
@@ -157,15 +158,6 @@ def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | 
         if arg == POS_INF:
             return _FactorLimit(_POS_INF, sign=1, scale="log")
         return None
-    if isinstance(base, Abs):
-        inner = _factor_limit(base.arg, env, x0, side, direction)
-        if inner is None:
-            return None
-        if inner.kind == _FINITE:
-            return _FactorLimit(_FINITE, value=simplify(Abs(inner.value)))
-        if inner.kind == _ZERO:
-            return _FactorLimit(_ZERO, sign=1, scale=inner.scale)
-        return _FactorLimit(_POS_INF, sign=1, scale=inner.scale)
     if isinstance(base, ImplicitInverse):
         if direction is None:
             return _inverse_at_end(base, env, x0, side)
@@ -183,7 +175,11 @@ def _factor_limit(base: Expr, env: AssumptionEnv, x0: Expr | None, side: Side | 
             return _FactorLimit(_ZERO, sign=0, scale="opaque")
         return None
     # composite base: take the limit of the whole subtree; its rate is a
-    # power's unless it holds exp, ln or a numeric node ("opaque": unknown)
+    # power's unless it holds exp, ln or a numeric node ("opaque": unknown).
+    # Any other node (an abs built by hand; parsing resolves every abs of
+    # the variable) is left to the probe.
+    if not isinstance(base, (Add, Sub, Mul, Div, Neg)):
+        return None
     sub = _limit_core(base, env, x0, side, direction)
     if sub is None:
         return None

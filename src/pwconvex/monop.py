@@ -2,9 +2,11 @@
 
 An operator is a breakpoint grid (see grid.py) whose pieces are
 single-valued bodies, constant or strictly increasing, or the empty map,
-and whose breakpoint values are closed SetValues.  Parsing certifies
-each piece (``classify_op_piece``); construction stores the bodies only
-(a piece is constant where its body is free of the variable,
+and whose breakpoint values are closed SetValues.  Parsing resolves the
+absolute values of cell bodies as a function's (``grid.cover_bodies``),
+so x + |x| is a constant piece and a strictly increasing one, and
+certifies each piece (``classify_op_piece``); construction stores the
+bodies only (a piece is constant where its body is free of the variable,
 ``op_piece_kind``), merges redundant breakpoints, and checks graph
 monotonicity by chaining slice bounds from left to right.
 """
@@ -45,7 +47,7 @@ from .grid import (
     Piece,
     certify,
     checked_breakpoints,
-    cover,
+    cover_bodies,
     kept,
     limits_beside,
     merge_seamless,
@@ -562,17 +564,17 @@ def _parse_setval(ts: TokenStream, varname: str, bare: bool) -> tuple:
 def parse_operator(text: str, env: AssumptionEnv = EMPTY_ENV) -> MonotoneOperator:
     """Parse the operator DSL sd{ guard -> value ; ... }.  A bare
     expression, or a single {body}, means one piece covering the whole
-    line.  Pieces are certified here, once (``classify_op_piece``)."""
+    line.  The absolute values of {body} cell values are resolved as a
+    function's are (``grid.cover_bodies``).  Pieces are certified here,
+    once (``classify_op_piece``)."""
     branches, varname = parse_branches(text, env, "sd", _parse_setval)
-    bps, cells, at = cover(branches, env)
-    pieces: list[Expr | None] = []
-    for sv in cells:
-        if sv[0] not in ("empty", "body"):
-            raise InputError("interval, set, and 'all' values may only appear at single points")
-        pieces.append(sv[1] if sv[0] == "body" else None)
+    bps, cells, at, pieces = cover_bodies([(region, sv[1] if sv[0] == "body" else None)
+                                           for region, sv in branches], env)
+    if any(branches[k][1][0] not in ("empty", "body") for k in cells):
+        raise InputError("interval, set, and 'all' values may only appear at single points")
     values = [
-        _default_op_value(pieces, bps, j, env) if sv is None else _setval_at(sv, b, env)
-        for j, (b, sv) in enumerate(zip(bps, at))
+        _default_op_value(pieces, bps, j, env) if k is None else _setval_at(branches[k][1], b, env)
+        for j, (b, k) in enumerate(zip(bps, at))
     ]
     certify(bps, pieces, env, classify_op_piece, varname)
     return build_operator(varname, bps, pieces, values, env)

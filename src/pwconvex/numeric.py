@@ -36,13 +36,13 @@ The float decisions that remain, by caller:
   bit the floats ``at`` gives there.
 * ``inverse._sign_on_interval``: the sign at a cell midpoint (``clip``
   with GUARD_CLIP, ``sign``), which picks root branches in
-  ``inverse._peel`` and abs and log branches in ``conv.antiderivative``.
+  ``inverse._peel`` and log branches in ``conv._fix_log_branch``.
 * ``limits._probe``, ``_side_sign``, ``_sign_of_value``,
   ``one_sided_limit`` and ``_limit_core``: numeric limits, signs, and
   the float check of a substituted limit point (``at``, ``sign``).
 * ``grid.sorted_unique``: the order of points that exact comparison
   found distinct (``sort_key``), among them the roots of absolute
-  values that ``pwf._assemble_parts`` adds to the cover.
+  values that ``grid.cover_bodies`` adds to the cover.
 * ``pwf.validate``, ``pwf._default_value``, ``grid.merge_seamless``,
   ``monop.interval``, ``monop.validate_operator``, ``monop.sv_hull``,
   ``risk._cdf_operator``, ``risk._check_p`` and ``risk.quantile``:

@@ -9,9 +9,9 @@ the bodies only (``piece_kind`` reads a piece's kind from its body where
 it is shown) and always runs normalization (redundant breakpoints are
 merged) and validation: lower semicontinuity, continuity relative to the
 domain, and convexity across breakpoints.  Parsing lays the branches on
-one cover (``grid.cover``): the root of an absolute value inside its
-branch is a breakpoint like any other, and each cell's body holds the
-absolute value with the sign its argument takes there.
+one cover (``grid.cover_bodies``), which resolves their absolute values:
+the root of an absolute value inside its branch is a breakpoint like any
+other.
 """
 
 from __future__ import annotations
@@ -30,30 +30,24 @@ from .errors import (
     UndecidableComparison,
 )
 from .expr import (
-    Abs,
     Add,
     Expr,
-    Neg,
     Sub,
     TokenStream,
     as_expr,
     contains_var,
     differentiate,
     evaluate,
-    map_children,
     substitute,
     to_text,
-    walk,
     _parse_expr,
 )
 from .grid import (
     Grid,
     Piece,
-    Region,
-    cell,
     certify,
     checked_breakpoints,
-    cover,
+    cover_bodies,
     limits_beside,
     merge_seamless,
     parse_branches,
@@ -62,7 +56,7 @@ from .grid import (
 )
 from .inverse import derivative_signs
 from .limits import one_sided_limit
-from .simplify import affine_parts, simplify
+from .simplify import simplify
 
 INF = math.inf
 
@@ -295,49 +289,6 @@ def domain(f: Grid) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-def _abs_roots(region: Region, body, env: AssumptionEnv) -> list[tuple[Abs, Expr, int]]:
-    """(node, root, sign of the slope) of each absolute value in a branch
-    body; its argument must be affine in the variable, with no absolute
-    value inside, and its slope of known sign.  A point branch, or an inf
-    one, has none."""
-    if body is _INF_BODY or region.is_point:
-        return []
-    out = []
-    for node in walk(body):
-        if isinstance(node, Abs) and contains_var(node.arg):
-            if any(isinstance(inner, Abs) and contains_var(inner.arg) for inner in walk(node.arg)):
-                raise InputError("nested absolute values are not supported")
-            ab = affine_parts(simplify(node.arg))
-            if ab is None:
-                raise InputError(f"absolute value argument must be affine in the variable: {to_text(node.arg)}")
-            a, b = ab
-            sgn_a = env.sign_of(a)
-            if not sgn_a:
-                raise UndecidableComparison(to_text(a), "0")
-            out.append((node, simplify(Neg(b) / a), sgn_a))
-    return out
-
-
-def _strictly_inside(r: Expr, region: Region, env: AssumptionEnv) -> bool:
-    return all(isinstance(lo, float) or isinstance(hi, float) or env.require_comparable(lo, hi) == Ordering.LESS
-               for lo, hi in ((region.lo, r), (r, region.hi)))
-
-
-def _strip_abs(body: Expr, signs: dict[Abs, int]) -> Expr:
-    """Rewrite each absolute value with the sign its argument takes."""
-
-    def go(e: Expr) -> Expr:
-        if isinstance(e, Abs) and e in signs:
-            inner = go(e.arg)
-            return inner if signs[e] > 0 else Neg(inner)
-        return map_children(e, go)
-
-    return go(body)
-
-
-_INF_BODY = object()
-
-
 def parse_pwf(text: str, env: AssumptionEnv = EMPTY_ENV) -> PiecewiseFunction:
     """Parse the piecewise DSL (or a bare expression meaning one piece
     covering the whole line) and build the validated function.  A
@@ -365,47 +316,29 @@ def parse_piecewise_map(
 
 
 def _parse_body(ts: TokenStream, varname: str, bare: bool):
-    """A branch body: an expression, or inf inside pw{...}."""
+    """A branch body: an expression, or None for inf inside pw{...}."""
     t = ts.peek()
     if not bare and t.kind == "IDENT" and t.text == "inf":
         ts.next()
-        return _INF_BODY
+        return None
     return rebind_var(_parse_expr(ts), varname)
 
 
 def _assemble_parts(branches, env: AssumptionEnv):
-    """Breakpoints, pieces and values of parsed branches.  The roots of
-    absolute values inside their branch are breakpoints of the cover, and
-    each cell rewrites its branch's absolute values by the sign their
-    arguments take on it."""
-    roots = [_abs_roots(region, body, env) for region, body in branches]
-    inner = [r for (region, _), rs in zip(branches, roots) for _, r, _ in rs if _strictly_inside(r, region, env)]
-    bps, cells, at = cover([(region, k) for k, (region, _) in enumerate(branches)], env, inner)
-    pieces = [_cell_body(branches[k][1], roots[k], cell(bps, i)[1], env) for i, k in enumerate(cells)]
+    """Breakpoints, pieces and values of parsed branches, laid out by
+    ``grid.cover_bodies``, which resolves their absolute values."""
+    bps, cells, at, pieces = cover_bodies(branches, env)
     values: list = []
     for j, b in enumerate(bps):
         k = at[j]
         if k is None:
             values.append(_default_value(pieces, bps, j, env))
-        elif branches[k][1] is _INF_BODY:
+        elif branches[k][1] is None:
             values.append(INF)
         else:
             owned = [(side, pieces[c]) for side, c in (("right", j + 1), ("left", j)) if cells[c] == k]
             values.append(_closed_end_value(owned[0][1] if owned else branches[k][1], owned, b, env))
     return bps, pieces, values
-
-
-def _cell_body(body, roots, hi, env: AssumptionEnv):
-    """The branch body on a cell that ends at hi, each absolute value
-    rewritten with the sign its argument takes there (no root lies inside
-    a cell); None for an inf branch."""
-    if body is _INF_BODY:
-        return None
-    if not roots:
-        return body
-    signs = {node: s if isinstance(hi, float) or env.require_comparable(hi, r) == Ordering.GREATER else -s
-             for node, r, s in roots}
-    return simplify(_strip_abs(body, signs))
 
 
 def _closed_end_value(body: Expr, owned, b: Expr, env: AssumptionEnv):

@@ -4,7 +4,9 @@ A distribution enters either as a cumulative distribution function
 (piecewise DSL, jumps allowed where a guard covers the point) or as a
 quantile expression on (0, 1).  Internally both become the same thing:
 the monotone operator whose graph is the CDF with vertical segments
-filled in at jumps.  From there the toolkit takes over: the
+filled in at jumps.  A quantile function q is read as the maximal
+operator of q, with the half-lines (-inf, q(0+)] at 0 and [q(1-), inf)
+at 1, and inverted.  From there the toolkit takes over: the
 superexpectation E(x) = E[max(x, X)] is the antiderivative of that
 operator with its constant pinned by E(x) - x -> 0 at +inf, the
 superdistribution is dE, quantiles invert the CDF with min selection,
@@ -44,9 +46,10 @@ from .expr import (
     ZERO,
     as_expr,
     contains_var,
+    substitute,
     to_text,
 )
-from .grid import certify, detect_varname, kept, rebind_var
+from .grid import Region, certify, cover_bodies, detect_varname, kept, rebind_var
 from .inverse import solve_monotone
 from .limits import limit_at, limit_at_infinity, one_sided_limit
 from .monop import (
@@ -55,7 +58,7 @@ from .monop import (
     classify_op_piece,
     interval,
     invert,
-    maximal_extension,
+    point,
     subdifferential,
 )
 from .pwf import PiecewiseFunction, parse_piecewise_map
@@ -92,10 +95,8 @@ class DistributionSpec:
     def from_quantile(source: str, env: AssumptionEnv = EMPTY_ENV) -> "DistributionSpec":
         from .expr import parse_expr
 
-        q = rebind_var(parse_expr(source), detect_varname(source))
-        # _quantile_operator certifies that q is nondecreasing on (0, 1)
-        op = _quantile_operator(simplify(q), env)
-        return DistributionSpec(invert(maximal_extension(op)), simplify(q), env)
+        q = simplify(rebind_var(parse_expr(source), detect_varname(source)))
+        return DistributionSpec(invert(_quantile_operator(q, env)), q, env)
 
 
 def _cdf_operator(varname, bps, bodies, values, env: AssumptionEnv) -> MonotoneOperator:
@@ -130,18 +131,19 @@ def _cdf_operator(varname, bps, bodies, values, env: AssumptionEnv) -> MonotoneO
 
 
 def _quantile_operator(q: Expr, env: AssumptionEnv) -> MonotoneOperator:
-    """q on (0,1) as an operator, closures at the edge breakpoints."""
-    lo_v = one_sided_limit(q, ZERO, "right", env) if contains_var(q) else q
-    hi_v = one_sided_limit(q, ONE, "left", env) if contains_var(q) else q
-    bps, pieces = [ZERO, ONE], [None, q, None]
+    """The maximal monotone operator of the quantile function q: q on
+    (0, 1), split at the roots of its absolute values
+    (``grid.cover_bodies``) and certified nondecreasing there, with the
+    half-lines (-inf, q(0+)] at 0 and [q(1-), inf) at 1.  Its inverse is
+    the jump-filled CDF operator."""
+    branches = [(Region(-INF, ZERO, False, False), None), (Region(ZERO, ONE, False, False), q),
+                (Region(ONE, INF, False, False), None)]
+    bps, _, _, pieces = cover_bodies(branches, env)
     certify(bps, pieces, env, classify_op_piece, "p")
-    return build_operator(
-        "p",
-        bps,
-        pieces,
-        [interval(lo_v, lo_v, env), interval(hi_v, hi_v, env)],
-        env,
-    )
+    values = ([interval(-INF, one_sided_limit(pieces[1], ZERO, "right", env), env)]
+              + [point(simplify(substitute(q, var=b))) for b in bps[1:-1]]
+              + [interval(one_sided_limit(pieces[-2], ONE, "left", env), INF, env)])
+    return build_operator("p", bps, pieces, values, env)
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +196,21 @@ def _check_p(p, env: AssumptionEnv) -> Expr:
 
 def quantile(d: DistributionSpec, p) -> Expr:
     """min{x : F(x) >= p}; symbolic inverse on strictly increasing
-    pieces, left edge on flats."""
+    pieces.  A flat at a level >= p is never reached: the breakpoint in
+    front of it holds [F(b-), F(b)], F(b) the flat's level, and is
+    returned first."""
     pe = _check_p(p, d.env)
     if d.quantile_expr is not None:
         return numeric.body_at(d.quantile_expr, pe, d.env)
     T = d.cdf_op
     env = d.env
     for i, piece in enumerate(T.pieces):
-        lo, hi = T.interval(i)
-        if not piece.empty:
-            body = piece.body
-            if not contains_var(body):
-                if not numeric.less(env, body, pe):
-                    if isinstance(lo, float):
-                        raise InternalInconsistency(
-                            "the distribution function reaches p on an unbounded flat"
-                        )
-                    return lo
-            else:
-                sup = limit_at(body, hi, "left", env)
-                if not numeric.less(env, sup, pe):
-                    return solve_monotone(body, pe, env, lo, hi)
+        if not piece.empty and contains_var(piece.body):
+            lo, hi = T.interval(i)
+            if not numeric.less(env, limit_at(piece.body, hi, "left", env), pe):
+                return solve_monotone(piece.body, pe, env, lo, hi)
         if i < len(T.breakpoints):
-            v = T.values[i]
-            bounds = v.bounds()
+            bounds = T.values[i].bounds()
             if bounds is not None and not numeric.less(env, bounds[1], pe):
                 return T.breakpoints[i]
     raise InternalInconsistency("no point reaches the level p; the tail checks are broken")

@@ -429,7 +429,10 @@ def test_a_forward_map_with_a_finite_asymptote_is_not_an_internal_failure(capsys
 
 
 # absolute values split their branch at each root inside it; a root at a
-# region end is no cut.  argv -> (exit code, rendered rows or error class)
+# region end is no cut.  Functions, operators and quantile functions
+# follow one grammar: the argument of an abs is affine, and an abs holds
+# no abs.  argv -> (exit code, rendered rows or error class)
+FLAT_THEN_RISING = "sd{ x <= 0 -> {x} ; x > 0 -> {x + abs(x - 1)} }"
 ABS_SPLITS = {
     ("subdiff", "abs(x) + abs(x - 1)"): (0, [
         "x < 0 -> {-2}", "x = 0 -> [-2, 0]", "0 < x < 1 -> {0}", "x = 1 -> [0, 2]", "x > 1 -> {2}"]),
@@ -449,6 +452,22 @@ ABS_SPLITS = {
     ("prox", "abs(x) + abs(x - 1)", "--at", "1/2"): (0, ["{1/2}"]),
     ("eval", "pw{ x <= 0 -> abs(x + 1) ; x > 0 -> 1 + abs(x - 1) - abs(x - 1) + x }", "--at", "-1"): (0, ["0"]),
     ("eval", "abs(x) + abs(x - 1)", "--at", "1"): (0, ["1"]),
+    # an operator body is flat where the slope of its abs cancels its own
+    ("invert", "x + abs(x)"): (0, ["y < 0 -> empty", "y = 0 -> [-inf, 0]", "y > 0 -> {y/2}"]),
+    ("invert", FLAT_THEN_RISING): (0, [
+        "y < 0 -> {y}", "y = 0 -> {0}", "0 < y < 1 -> empty", "y = 1 -> [0, 1]", "y > 1 -> {1/2 + y/2}"]),
+    ("resolvent", "x + abs(x)"): (0, ["y < 0 -> {y}", "y = 0 -> {0}", "y > 0 -> {y/3}"]),
+    # the conjugate of F = integral of the operator, less y^2/2
+    ("penalty", FLAT_THEN_RISING): (0, [
+        "x < 0 -> 0", "x = 0 -> 0", "0 < x < 1 -> -(x^2/2)", "x = 1 -> -1/2", "x > 1 -> -3/4 + x/2 - x^2/4"]),
+    ("invert", "x^3 + x + abs(x^3)"): (2, "InputError"),
+    ("invert", "2*x + abs(abs(x) - 1)"): (2, "InputError"),
+    # an atom of 1/2 at 1/2 and a uniform law of density 1/2 on (1/2, 3/2)
+    ("risk", "--quantile", "p + abs(p - 1/2)", "superexp"): (0, [
+        "x < 1/2 -> 3/4", "x = 1/2 -> 3/4", "1/2 < x < 3/2 -> 9/16 + x/4 + x^2/4", "x = 3/2 -> 3/2", "x > 3/2 -> x"]),
+    ("risk", "--quantile", "p + abs(p - 1/2)", "quantile", "1/4"): (0, ["1/2"]),
+    ("risk", "--quantile", "p + abs(p - 1/2)", "superq", "1/4"): (0, ["5/6"]),
+    ("risk", "--quantile", "p + abs(p^3 - 1/8)", "superq", "1/4"): (2, "InputError"),
 }
 
 
@@ -488,6 +507,24 @@ def test_a_reader_that_leaves_early_is_not_a_failure():
         os.close(write_end)
     assert out.returncode == 0, out.stderr
     assert "Traceback" not in out.stderr
+
+
+# a flat of the distribution function is reached through the breakpoint
+# in front of it, which holds the flat's level
+FLAT_LAWS = {
+    ("pw{ x < 0 -> 0 ; 0 <= x & x < 1 -> x/2 ; 1 <= x & x < 2 -> 1/2 ; 2 <= x & x < 3 -> x/2 - 1/2 ;"
+     " x >= 3 -> 1 }", "quantile"): "1",
+    ("pw{ x < 0 -> 0 ; 0 <= x & x < 1 -> x/2 ; 1 <= x & x < 2 -> 1/2 ; 2 <= x & x < 3 -> x/2 - 1/2 ;"
+     " x >= 3 -> 1 }", "superq"): "5/2",
+    ("pw{ x < 0 -> 0 ; 0 <= x & x < 1 -> 1/2 ; x >= 1 -> 1 }", "quantile"): "0",
+}
+
+
+@pytest.mark.parametrize("cdf, query", sorted(FLAT_LAWS))
+def test_the_quantile_at_the_level_of_a_flat_is_its_left_end(capsys, cdf, query):
+    code, out, err = run(capsys, ["risk", "--cdf", cdf, query, "1/2"])
+    assert code == 0, err
+    assert rows(out) == [FLAT_LAWS[cdf, query]]
 
 
 def test_the_superquantile_of_a_cubic_distribution_function(capsys):

@@ -12,7 +12,10 @@ identities below hold exactly at rational points:
   T = subdifferential(f), and T^-1^-1 = T.
 
 The functions are built as the antiderivative of a nondecreasing
-piecewise-affine slope, so every one is convex and continuous.
+piecewise-affine slope, so every one is convex and continuous.  Graph
+inversion is also checked on parsed operators c*x + d + sum a_i*|x - r_i|
+with a_i > 0 and c >= sum a_i, whose absolute values parsing splits at
+their roots: where c = sum a_i the operator is flat left of every root.
 """
 
 from fractions import Fraction
@@ -27,11 +30,12 @@ from pwconvex import (
     eval_op,
     eval_pwf,
     invert,
+    parse_operator,
     parse_pwf,
     prox,
     subdifferential,
 )
-from pwconvex.expr import evaluate
+from pwconvex.expr import Abs, contains_var, evaluate, walk
 
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
 NONNEGATIVE = st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3]))
@@ -118,4 +122,56 @@ def test_inverse_holds_the_flipped_graph(case):
         for u in {exact(evaluate(e)) for e in v.bounds()}:
             _, lo, hi = ends(eval_op(Tinv, u))
             assert lo <= x <= hi, (u, x)
+        assert ends(eval_op(TT, x)) == ends(v)
+
+
+POSITIVE = st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def abs_operators(draw):
+    """(bare operator text, slope at a point, value at a point, sample
+    points) of c*x + d + sum a_i*|x - r_i| with 1 to 3 terms, a_i > 0 and
+    c = sum a_i + a draw that is 0 about as often as not."""
+    roots = draw(st.lists(RATIONALS, min_size=1, max_size=3))
+    a = [draw(POSITIVE) for _ in roots]
+    c = sum(a) + draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(2)]))
+    d = draw(RATIONALS)
+    text = f"{q(c)}*x + {q(d)}" + "".join(f" + {q(ai)}*abs(x - {q(r)})" for ai, r in zip(a, roots))
+
+    def slope(x):
+        return c + sum(ai * ((x > r) - (x < r)) for ai, r in zip(a, roots))
+
+    def value(x):
+        return c * x + d + sum(ai * abs(x - r) for ai, r in zip(a, roots))
+
+    points = draw(st.lists(RATIONALS, min_size=1, max_size=3)) + roots
+    return text, slope, value, points
+
+
+def inside(lo, hi) -> Fraction:
+    """A rational point inside the cell (lo, hi) of exact or infinite ends."""
+    lo, hi = (e if isinstance(e, float) else exact(evaluate(e)) for e in (lo, hi))
+    if isinstance(lo, float):
+        return Fraction(0) if isinstance(hi, float) else hi - 1
+    return lo + 1 if isinstance(hi, float) else (lo + hi) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(abs_operators())
+def test_parsed_absolute_values_split_into_exact_monotone_pieces(case):
+    text, slope, value, points = case
+    T = parse_operator(text, AssumptionEnv.empty())
+    for i, p in enumerate(T.pieces):
+        assert not any(isinstance(n, Abs) and contains_var(n.arg) for n in walk(p.body)), text
+        m = inside(*T.interval(i))
+        assert contains_var(p.body) == (slope(m) != 0), (text, m)
+    Tinv = invert(T)
+    TT = invert(Tinv)
+    for x in points:
+        v = eval_op(T, x)
+        assert ends(v) == ("point", value(x), value(x))
+        for u in {exact(evaluate(e)) for e in v.bounds()}:
+            _, lo, hi = ends(eval_op(Tinv, u))
+            assert lo <= x <= hi, (text, u, x)
         assert ends(eval_op(TT, x)) == ends(v)
