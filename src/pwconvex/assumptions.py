@@ -278,7 +278,8 @@ class AssumptionEnv:
             inner = self.sign_of(s.arg)
             return None if inner is None else -inner
         if isinstance(s, Abs):
-            return 1  # simplify folds |const| already; arg nonconstant
+            inner = self.sign_of(s.arg)
+            return None if inner is None else abs(inner)
         if isinstance(s, Mul):
             l, r = self.sign_of(s.left), self.sign_of(s.right)
             if l is None or r is None:

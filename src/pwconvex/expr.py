@@ -1316,8 +1316,9 @@ def _eval_quadrature(integrand: Expr, a: float, b: float, params) -> float:
 def differentiate(e: Expr) -> Expr:
     """Structural derivative with respect to the variable.
 
-    abs has no derivative here; piecewise machinery removes it before
-    differentiation ever happens.
+    An abs of the variable has no derivative here; parsing removes it
+    before differentiation ever happens (``grid.cover_bodies``).  An abs
+    free of the variable is a constant.
     """
     if isinstance(e, (Const, Param)):
         return ZERO
@@ -1326,6 +1327,8 @@ def differentiate(e: Expr) -> Expr:
     if isinstance(e, Neg):
         return Neg(differentiate(e.arg))
     if isinstance(e, Abs):
+        if not contains_var(e.arg):
+            return ZERO
         raise UnsupportedOperation("abs is not differentiable; eliminate it first")
     if isinstance(e, Add):
         return Add(differentiate(e.left), differentiate(e.right))

@@ -478,7 +478,7 @@ def cover(branches, env: AssumptionEnv, extra_points=()) -> tuple[list[Expr], li
     return bps, [cov[0] for cov in cell_cover], [cov[0] if cov else None for cov in bp_cover]
 
 
-def cover_bodies(branches, env: AssumptionEnv) -> tuple[list[Expr], list[int], list, list]:
+def cover_bodies(branches, env: AssumptionEnv, varname: str) -> tuple[list[Expr], list[int], list, list]:
     """Lay (region, body) branches on a grid by ``cover``, each absolute
     value of the variable resolved; a body of None stands for a branch
     without one (+inf, empty, a set).  The one place where an absolute
@@ -491,14 +491,15 @@ def cover_bodies(branches, env: AssumptionEnv) -> tuple[list[Expr], list[int], l
     Returns the breakpoints, the branch index on each cell, the branch
     index at each breakpoint (None where no guard covers it) and the body
     on each cell."""
-    roots = [[] if body is None or region.is_point else _abs_roots(body, env) for region, body in branches]
+    roots = [[] if body is None or region.is_point else _abs_roots(body, env, varname)
+             for region, body in branches]
     inner = [r for (region, _), rs in zip(branches, roots) for _, r, _ in rs if _strictly_inside(r, region, env)]
     bps, cells, at = cover([(region, k) for k, (region, _) in enumerate(branches)], env, inner)
     bodies = [_cell_body(branches[k][1], roots[k], cell(bps, i)[1], env) for i, k in enumerate(cells)]
     return bps, cells, at, bodies
 
 
-def _abs_roots(body: Expr, env: AssumptionEnv) -> list[tuple[Abs, Expr, int]]:
+def _abs_roots(body: Expr, env: AssumptionEnv, varname: str) -> list[tuple[Abs, Expr, int]]:
     """(node, root, sign of the slope) of each absolute value of the
     variable in a body; its argument must be affine in the variable, with
     no absolute value inside, and its slope of known sign."""
@@ -509,7 +510,8 @@ def _abs_roots(body: Expr, env: AssumptionEnv) -> list[tuple[Abs, Expr, int]]:
                 raise InputError("nested absolute values are not supported")
             ab = affine_parts(simplify(node.arg))
             if ab is None:
-                raise InputError(f"absolute value argument must be affine in the variable: {to_text(node.arg)}")
+                raise InputError("absolute value argument must be affine in the variable: "
+                                 + to_text(node.arg, varname))
             a, b = ab
             sgn_a = env.sign_of(a)
             if not sgn_a:

@@ -569,7 +569,7 @@ def parse_operator(text: str, env: AssumptionEnv = EMPTY_ENV) -> MonotoneOperato
     once (``classify_op_piece``)."""
     branches, varname = parse_branches(text, env, "sd", _parse_setval)
     bps, cells, at, pieces = cover_bodies([(region, sv[1] if sv[0] == "body" else None)
-                                           for region, sv in branches], env)
+                                           for region, sv in branches], env, varname)
     if any(branches[k][1][0] not in ("empty", "body") for k in cells):
         raise InputError("interval, set, and 'all' values may only appear at single points")
     values = [

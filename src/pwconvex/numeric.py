@@ -11,6 +11,9 @@ the one extended-real order (``order``, ``less``, ``equal``,
 ``difference_order``, ``sort_key``), the one clip and Chebyshev
 sampler (``clip``, ``sample``), the one tie rule for sampled values
 (``step``) and the one sign probe (``sign``).
+``order`` is the one order on values (``equal`` and ``less`` read it):
+a float constant on either side is read at the binding within REL_TOL,
+so a numeric node read at a cell end meets the limit it equals there.
 A float decision in ``AssumptionEnv.compare`` or in
 ``limits._limit_core`` is taken once per (environment, expression): the
 environment keeps it (``AssumptionEnv.memo``), as it keeps its binding.
@@ -46,8 +49,8 @@ The float decisions that remain, by caller:
 * ``pwf.validate``, ``pwf._default_value``, ``grid.merge_seamless``,
   ``monop.interval``, ``monop.validate_operator``, ``monop.sv_hull``,
   ``risk._cdf_operator``, ``risk._check_p`` and ``risk.quantile``:
-  values, limits and endpoints that ``env.compare`` cannot order
-  (``order``, ``less``, ``equal``).
+  values, limits and endpoints with a float constant, and those that
+  ``env.compare`` cannot order (``order``, ``less``, ``equal``).
 * ``body_at``: a body with an implicit inverse or quadrature node read
   at a point.  Its callers: ``grid.Grid.at``, the grid reader
   (``monop.add``, ``conv.conjugate``, ``risk.superquantile``),
@@ -188,17 +191,26 @@ def _at_binding(env: AssumptionEnv, v) -> float | None:
 
 
 def order(env: AssumptionEnv, a, b) -> Ordering:
-    """Order of a and b (Exprs or +-inf floats): infinities first, then
-    ``env.compare``, then floats at the binding, where values within
+    """Order of a and b (Exprs or +-inf floats): infinities first; two
+    exact constants (int or Fraction) exactly; a float constant on either
+    side in floats at the binding; structurally equal values EQUAL; then
+    ``env.compare``, then floats at the binding.  In floats, values within
     REL_TOL are EQUAL and values without a float are UNDECIDABLE."""
     if is_inf(a) or is_inf(b):
         if a == b:
             return Ordering.EQUAL
         return Ordering.LESS if a == -math.inf or b == math.inf else Ordering.GREATER
-    decided = env.compare(as_expr(a), as_expr(b))
-    if decided != Ordering.UNDECIDABLE:
-        return decided
-    return _float_order(_at_binding(env, a), _at_binding(env, b))
+    ea, eb = as_expr(a), as_expr(b)
+    va, vb = (e.value if isinstance(e, Const) else None for e in (ea, eb))
+    if not isinstance(va, float) and not isinstance(vb, float):
+        if va is not None and vb is not None:
+            return Ordering.EQUAL if va == vb else Ordering.LESS if va < vb else Ordering.GREATER
+        if structurally_equal(ea, eb):
+            return Ordering.EQUAL
+        decided = env.compare(ea, eb)
+        if decided != Ordering.UNDECIDABLE:
+            return decided
+    return _float_order(_at_binding(env, ea), _at_binding(env, eb))
 
 
 def less(env: AssumptionEnv, a, b) -> bool:
@@ -207,18 +219,8 @@ def less(env: AssumptionEnv, a, b) -> bool:
 
 
 def equal(env: AssumptionEnv, a, b) -> bool:
-    """a = b in the extended reals: exactly for two exact constants (int
-    or Fraction, an integral value being either), then structurally,
-    then in floats at the binding; never ``env.compare``."""
-    if is_inf(a) or is_inf(b):
-        return a == b
-    ea, eb = as_expr(a), as_expr(b)
-    if isinstance(ea, Const) and isinstance(eb, Const):
-        if not isinstance(ea.value, float) and not isinstance(eb.value, float):
-            return ea.value == eb.value
-    if structurally_equal(ea, eb):
-        return True
-    return _float_order(_at_binding(env, ea), _at_binding(env, eb)) == Ordering.EQUAL
+    """a = b in the extended reals, by ``order``."""
+    return order(env, a, b) == Ordering.EQUAL
 
 
 def difference_order(diff: Expr) -> Ordering:

@@ -208,28 +208,19 @@ def validate(f: PiecewiseFunction) -> None:
         R = _limit_into(f, i + 1, b, "right")
         L_inf = numeric.is_inf(L)
         R_inf = numeric.is_inf(R)
-        v_inf = numeric.is_inf(v)
         where = to_text(b)
-        if not L_inf and not R_inf:
-            if not numeric.equal(env, L, R):
-                raise DiscontinuousOnDomain(f"one-sided limits differ at {where}")
-            if numeric.less(env, L, v):
-                raise NotLsc(f"value at {where} exceeds the one-sided limit")
-            if numeric.less(env, v, L):
-                raise DiscontinuousOnDomain(f"value at {where} lies below the one-sided limit")
-        elif not L_inf or not R_inf:
-            fin = R if L_inf else L
-            if numeric.less(env, fin, v):
-                raise NotLsc(f"value at {where} exceeds the adjacent limit")
-            if numeric.less(env, v, fin):
-                raise DiscontinuousOnDomain(f"value at {where} lies below the adjacent limit")
-        else:
-            if not v_inf:
-                left_piece, right_piece = f.pieces[i], f.pieces[i + 1]
-                if not (left_piece.empty and right_piece.empty):
-                    raise DiscontinuousOnDomain(
-                        f"finite value at {where} but the function blows up beside it"
-                    )
+        if L_inf and R_inf:
+            if not numeric.is_inf(v) and not (f.pieces[i].empty and f.pieces[i + 1].empty):
+                raise DiscontinuousOnDomain(f"finite value at {where} but the function blows up beside it")
+            continue
+        side = "adjacent" if L_inf or R_inf else "one-sided"
+        if side == "one-sided" and numeric.order(env, L, R) != Ordering.EQUAL:
+            raise DiscontinuousOnDomain(f"one-sided limits differ at {where}")
+        against = numeric.order(env, R if L_inf else L, v)
+        if against == Ordering.LESS:
+            raise NotLsc(f"value at {where} exceeds the {side} limit")
+        if against == Ordering.GREATER:
+            raise DiscontinuousOnDomain(f"value at {where} lies below the {side} limit")
 
     # convexity across breakpoints: left slope limit <= right slope limit
     for i, b in enumerate(f.breakpoints):
@@ -312,7 +303,7 @@ def parse_piecewise_map(
     monotone maps rather than convex functions.
     """
     branches, varname = parse_branches(text, env, "pw", _parse_body)
-    return (varname, *_assemble_parts(branches, env))
+    return (varname, *_assemble_parts(branches, env, varname))
 
 
 def _parse_body(ts: TokenStream, varname: str, bare: bool):
@@ -324,10 +315,10 @@ def _parse_body(ts: TokenStream, varname: str, bare: bool):
     return rebind_var(_parse_expr(ts), varname)
 
 
-def _assemble_parts(branches, env: AssumptionEnv):
+def _assemble_parts(branches, env: AssumptionEnv, varname: str):
     """Breakpoints, pieces and values of parsed branches, laid out by
     ``grid.cover_bodies``, which resolves their absolute values."""
-    bps, cells, at, pieces = cover_bodies(branches, env)
+    bps, cells, at, pieces = cover_bodies(branches, env, varname)
     values: list = []
     for j, b in enumerate(bps):
         k = at[j]

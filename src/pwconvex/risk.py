@@ -138,7 +138,7 @@ def _quantile_operator(q: Expr, env: AssumptionEnv) -> MonotoneOperator:
     the jump-filled CDF operator."""
     branches = [(Region(-INF, ZERO, False, False), None), (Region(ZERO, ONE, False, False), q),
                 (Region(ONE, INF, False, False), None)]
-    bps, _, _, pieces = cover_bodies(branches, env)
+    bps, _, _, pieces = cover_bodies(branches, env, "p")
     certify(bps, pieces, env, classify_op_piece, "p")
     values = ([interval(-INF, one_sided_limit(pieces[1], ZERO, "right", env), env)]
               + [point(simplify(substitute(q, var=b))) for b in bps[1:-1]]

@@ -4,7 +4,8 @@ implicit-inverse solver.
 The first two read the input function only through ``eval_pwf`` at
 float points and share no code with the symbolic paths they check: no
 ``conjugate``, ``prox``, ``subdifferential`` or ``invert``.  One
-golden-section search serves both, as
+golden-section search serves both, on the whole line or between the
+walls of a function that is +inf outside an interval, as
 
     f*(y) = -min_x (f(x) - y*x)    and    prox_f(x) = argmin_u f(u) + (u - x)^2/2.
 
@@ -27,31 +28,32 @@ MAX_STEPS = 200
 TOL = 1e-12
 
 
-def minimize(phi, start: float) -> tuple[float, float]:
-    """(argmin, min) of a convex phi, finite on the whole line, that
-    attains its minimum.
+def minimize(phi, start: float, lo: float = -math.inf, hi: float = math.inf) -> tuple[float, float]:
+    """(argmin, min) of a convex phi on [lo, hi], finite there (at a
+    finite end too), that attains its minimum; start lies in [lo, hi].
 
     A bracket a < c < b with phi(c) no larger than at either end grows by
-    doubling steps, then golden-section search shrinks it.  The point
-    returned is the best one read, so the minimum is an upper bound on
-    the true one up to rounding in phi.
+    doubling steps, or until it meets an end where phi still falls, then
+    golden-section search shrinks it.  The point returned is the best
+    one read, so the minimum is an upper bound on the true one up to
+    rounding in phi.
     """
     step = 1.0
-    a, c, b = start - step, start, start + step
+    a, c, b = max(start - step, lo), start, min(start + step, hi)
     fa, fc, fb = phi(a), phi(start), phi(b)
     for _ in range(MAX_STEPS):
-        if fa >= fc <= fb:
+        if fa >= fc <= fb or (fa < fc and a == lo) or (fb < fc and b == hi):
             break
         step *= 2.0
         if fa < fc:
-            a, c, b, fc, fb = a - step, a, c, fa, fc
+            a, c, b, fc, fb = max(a - step, lo), a, c, fa, fc
             fa = phi(a)
         else:
-            a, c, b, fa, fc = c, b, b + step, fc, fb
+            a, c, b, fa, fc = c, b, min(b + step, hi), fc, fb
             fb = phi(b)
     else:
         raise AssertionError(f"no minimizer bracketed from {start}")
-    best = (c, fc)
+    best = min((c, fc), (a, fa), (b, fb), key=lambda t: t[1])
     u1, u2 = b - INVPHI * (b - a), a + INVPHI * (b - a)
     p1, p2 = phi(u1), phi(u2)
     for _ in range(MAX_STEPS):
@@ -73,9 +75,10 @@ def _at(f, x: float) -> float:
     return float(eval_pwf(f, x))
 
 
-def brute_conjugate(f, y: float) -> float:
-    """f*(y) as -min_x (f(x) - y*x), for f finite on the whole line."""
-    return -minimize(lambda x: _at(f, x) - y * x, 0.0)[1]
+def brute_conjugate(f, y: float, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """f*(y) as -min_x (f(x) - y*x), for f finite on [lo, hi] and +inf
+    outside it."""
+    return -minimize(lambda x: _at(f, x) - y * x, min(max(0.0, lo), hi), lo, hi)[1]
 
 
 def brute_prox(f, x: float) -> float:

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pwconvex
-from pwconvex import AssumptionEnv, cli, render_function
+from pwconvex import AssumptionEnv, DistributionSpec, cli, eval_pwf, render_function, superexpectation_conjugate
 from pwconvex.errors import InternalInconsistency
 from pwconvex.pwf import build_function, parse_piecewise_map
 
@@ -369,6 +370,14 @@ def test_a_convexity_message_names_its_own_variable(capsys, text):
     assert re.search(r"\by\b", err) and not re.search(r"\bx\b", err)
 
 
+@pytest.mark.parametrize("argv, var", [(["subdiff", "abs(y^2 - 1)"], "y"),
+                                       (["risk", "--quantile", "p + abs(p^3 - 1/8)", "quantile", "1/4"], "p")])
+def test_an_abs_message_names_its_own_variable(capsys, argv, var):
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error[InputError]")
+    assert re.search(rf"\b{var}\b", err) and not re.search(r"\bx\b", err)
+
+
 @pytest.mark.parametrize("argv", [["subdiff"], ["conj"], ["prox", "--at", "1"]])
 def test_a_function_that_is_inf_everywhere_is_bad_input(capsys, argv):
     code, out, err = run(capsys, [argv[0], "pw{ x < 0 -> inf ; x >= 0 -> inf }", *argv[1:]])
@@ -527,12 +536,72 @@ def test_the_quantile_at_the_level_of_a_flat_is_its_left_end(capsys, cdf, query)
     assert rows(out) == [FLAT_LAWS[cdf, query]]
 
 
+CUBIC_CDF = "pw{ x < 0 -> 0 ; 0 <= x & x < 1 -> x^3/2 + x/2 ; x >= 1 -> 1 }"
+
+
 def test_the_superquantile_of_a_cubic_distribution_function(capsys):
     # ROADMAP 2b's risk repro: the conjugate route rejected it with NotLsc
-    argv = ["risk", "--cdf", "pw{ x < 0 -> 0 ; 0 <= x & x < 1 -> x^3/2 + x/2 ; x >= 1 -> 1 }", "superq", "1/3"]
+    argv = ["risk", "--cdf", CUBIC_CDF, "superq", "1/3"]
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert out.startswith("0.792601694464")
+
+
+def test_the_conjugate_route_of_a_cubic_distribution_function():
+    # the same law through the secant -E*(p)/(1 - p) of the conjugate of E:
+    # E*'s value at the far end of its implicit-inverse piece is a float,
+    # which meets the limit there within the band of numeric.order
+    d = DistributionSpec.from_cdf(CUBIC_CDF, AssumptionEnv.empty())
+    p = Fraction(1, 3)
+    assert -eval_pwf(superexpectation_conjugate(d), p) / (1 - p) == 0.79260169446435946
+
+
+# values at cell ends read as floats (a NumericIntegral at the far end of
+# its cell) are equal to their limits within the REL_TOL band of
+# numeric.order; a value off by more is still refused
+P2_P3 = "p^2 + p^3"
+X4_WALLS = ("pw{ x < 0 -> inf ; 0 <= x & x < 1 -> x^4 - x + 1/2 ; 1 <= x & x <= 2 -> x^4 + 2*x^2 - 5*x + 5/2 ;"
+            " x > 2 -> inf }")
+
+
+def test_a_float_value_at_a_cell_end_meets_its_limit(capsys):
+    # the law of p^2 + p^3 on [0, 2]: E(2) = 2 is the float 17/12 of the
+    # integral at its far end plus the limit of the last piece
+    code, out, err = run(capsys, ["risk", "--quantile", P2_P3, "superexp"])
+    assert code == 0, err
+    assert "x = 2 -> 2" in rows(out)
+    # (1/(1 - p)) * int_p^1 (t^2 + t^3) dt at p = 1/4
+    code, out, err = run(capsys, ["risk", "--quantile", P2_P3, "superq", "1/4"])
+    assert code == 0, err
+    assert abs(float(out) - 197 / 256) <= 1e-15
+    code, out, err = run(capsys, ["conj", X4_WALLS])
+    assert code == 0, err
+    assert "y = 35 -> 53.5" in rows(out)
+
+
+@pytest.mark.parametrize("text", [SMOOTH_ABS, "pw{ x <= -6 -> -4*x + 1 + (x^2 + 1)^(1/2) ; x > -6 -> inf }"])
+def test_a_value_off_by_more_than_the_band_is_still_refused(capsys, text):
+    # f*(+-1) of (1 + x^2)^(1/2) reads -4.2e-4 for 0, and f*(-5) of ROADMAP
+    # 2k's wall -1 - 7e-5 for -1: values read by quadrature where the
+    # inverse runs off to infinity, far outside the band
+    code, out, err = run(capsys, ["conj", text])
+    assert code == 2 and not out
+    assert err.startswith("error[NotLsc]")
+
+
+# an abs of a parameter is a constant of the variable: the prox of
+# 2*x^2 at 1 is 1/(1 + 4)
+ABS_PARAMETER = {
+    ("subdiff", "abs(a)*x^2", "--assume", "0 < a"): ["x -> {2*x*abs(a)}"],
+    ("prox", "abs(a)*x^2", "--assume", "0 < a", "--at", "1", "--param", "a=2"): ["{1/5}"],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ABS_PARAMETER))
+def test_an_abs_of_a_parameter_is_a_constant(capsys, argv):
+    code, out, err = run(capsys, list(argv))
+    assert code == 0, err
+    assert rows(out) == ABS_PARAMETER[argv]
 
 
 # an integral power of a root of a positive rational reduces, so

@@ -124,6 +124,12 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             ev("x^(1/2)", x=-1)
 
+    @pytest.mark.parametrize("facts, sign", [(["0 < a"], 1), (["a < -1"], 1), (["0 <= a", "a <= 0"], 0),
+                                             (["-1 < a"], None)])
+    def test_the_sign_of_an_abs_is_read_from_its_argument(self, facts, sign):
+        # |a| is 0 where a is, so where the facts allow a = 0 its sign is unknown
+        assert AssumptionEnv.parse(facts).sign_of(parse_expr("abs(a)")) == sign
+
     @pytest.mark.parametrize("q, sign", [("1/3", -1), ("2/3", 1), ("-5/3", -1), ("1/2", None), ("3", -1)])
     def test_real_root_rule(self, q, sign):
         # x^(p/q) for x < 0: no real value for even q, else the sign (-1)^p

@@ -45,6 +45,11 @@ ORDER_TABLE = [
     (EMPTY_ENV, e("ln(2)"), e("7/10"), Ordering.LESS),
     (L_POS, e("ln(l - 2)"), e("0"), Ordering.UNDECIDABLE),
     (EMPTY_ENV, e("a"), e("1"), Ordering.UNDECIDABLE),  # a is in no fact
+    # a float constant on either side: floats at the binding within REL_TOL,
+    # as a value read in floats meets the exact limit it equals
+    (EMPTY_ENV, as_expr(1.4166666666653025), e("17/12"), Ordering.EQUAL),
+    (EMPTY_ENV, as_expr(1.4166), e("17/12"), Ordering.LESS),
+    (L_POS, as_expr(0.5), e("l"), Ordering.LESS),
 ]
 
 
