@@ -281,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, parents=(common,)):
-        p = sub.add_parser(name, parents=list(parents), help=help_text)
+    def add(name, handler, help_text):
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=handler)
         return p
 

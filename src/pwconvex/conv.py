@@ -28,7 +28,6 @@ from .errors import (
     EmptyOperator,
     InputError,
     InternalInconsistency,
-    UnsupportedOperation,
 )
 from .expr import (
     Add,
@@ -204,29 +203,15 @@ def _end_value(A: Expr, b: Expr, side: str, env: AssumptionEnv):
     if is_numeric_node(A):
         v = exact_one_sided_limit(A, b, side, env)
         return numeric.body_at(A, b, env) if v is None else v
-    return _body_limit(A, b, side, env)
+    return limit_at(A, b, side, env)
 
 
 def _edge_value(v):
-    """Normalize a one-sided limit into a storable hull-edge value.
-
-    Closed convex functions may jump to +inf at the edge but never to
-    -inf; a finite probed float is legitimate and kept exactly.
-    """
-    if isinstance(v, float):
-        if math.isinf(v):
-            if v < 0:
-                raise InternalInconsistency("antiderivative diverges to -inf at the domain edge")
-            return v
-        return as_expr(Fraction(v))
+    """A one-sided limit as a hull-edge value: a closed convex function
+    may jump to +inf at the edge but never to -inf."""
+    if isinstance(v, float) and v < 0:
+        raise InternalInconsistency("antiderivative diverges to -inf at the domain edge")
     return v
-
-
-def _body_limit(body: Expr, b, side: str, env: AssumptionEnv):
-    try:
-        return limit_at(body, b, side, env)
-    except UnsupportedOperation:
-        return as_expr(numeric.value(body, numeric.binding(env), b))
 
 
 def _slice_edge(T: MonotoneOperator, s: int, side: str):
@@ -237,7 +222,7 @@ def _slice_edge(T: MonotoneOperator, s: int, side: str):
         lo, hi = T.values[s // 2].bounds()
         return hi if side == "left" else lo
     clo, chi = T.interval(s // 2)
-    return _body_limit(T.pieces[s // 2].body, chi if side == "left" else clo, side, env)
+    return limit_at(T.pieces[s // 2].body, chi if side == "left" else clo, side, env)
 
 
 def _gap_slope(T: MonotoneOperator, c: int, live: list[int]) -> Expr:

@@ -542,7 +542,7 @@ def _parse_exponent(ts: TokenStream) -> Fraction:
     return -val if neg else val
 
 
-def _parse_base(ts: TokenStream, allow_inf: bool) -> Expr:
+def _parse_base(ts: TokenStream) -> Expr:
     t = ts.peek()
     if t.kind == "NUMBER":
         return Const(_parse_number(ts))
@@ -556,7 +556,7 @@ def _parse_base(ts: TokenStream, allow_inf: bool) -> Expr:
         if name in ("abs", "exp", "ln", "sqrt"):
             ts.next()
             ts.expect_op("(")
-            arg = _parse_expr(ts, allow_inf=False)
+            arg = _parse_expr(ts)
             ts.expect_op(")")
             if name == "abs":
                 return Abs(arg)
@@ -571,23 +571,23 @@ def _parse_base(ts: TokenStream, allow_inf: bool) -> Expr:
         return Param(name)
     if ts.at_op("("):
         ts.next()
-        inner = _parse_expr(ts, allow_inf)
+        inner = _parse_expr(ts)
         ts.expect_op(")")
         return inner
     if ts.at_op("-"):
         ts.next()
-        inner = _parse_factor(ts, allow_inf)
+        inner = _parse_factor(ts)
         if isinstance(inner, Const):
             return Const(-inner.value)
         return Neg(inner)
     raise ts.error(("number", "'x'", "identifier", "'('", "'-'"))
 
 
-def _parse_factor(ts: TokenStream, allow_inf: bool) -> Expr:
+def _parse_factor(ts: TokenStream) -> Expr:
     ts.nesting += 1
     if ts.nesting > MAX_PARSE_DEPTH:
         raise ParseError(f"input nests deeper than {MAX_PARSE_DEPTH} levels", ts.peek().offset)
-    base = _parse_base(ts, allow_inf)
+    base = _parse_base(ts)
     if ts.at_op("^"):
         ts.next()
         base = Pow(base, _parse_exponent(ts))
@@ -595,20 +595,20 @@ def _parse_factor(ts: TokenStream, allow_inf: bool) -> Expr:
     return base
 
 
-def _parse_term(ts: TokenStream, allow_inf: bool) -> Expr:
-    e = _parse_factor(ts, allow_inf)
+def _parse_term(ts: TokenStream) -> Expr:
+    e = _parse_factor(ts)
     while ts.at_op("*", "/"):
         op = ts.next().text
-        rhs = _parse_factor(ts, allow_inf)
+        rhs = _parse_factor(ts)
         e = Mul(e, rhs) if op == "*" else Div(e, rhs)
     return e
 
 
-def _parse_expr(ts: TokenStream, allow_inf: bool = False) -> Expr:
-    e = _parse_term(ts, allow_inf)
+def _parse_expr(ts: TokenStream) -> Expr:
+    e = _parse_term(ts)
     while ts.at_op("+", "-"):
         op = ts.next().text
-        rhs = _parse_term(ts, allow_inf)
+        rhs = _parse_term(ts)
         e = Add(e, rhs) if op == "+" else Sub(e, rhs)
     if ts.nesting == 0 and tree_depth(e) > MAX_PARSE_DEPTH:
         raise ParseError(f"input nests deeper than {MAX_PARSE_DEPTH} levels", ts.peek().offset)

@@ -27,8 +27,9 @@ sampling the body near the point) is the last resort, for what the
 structural pass cannot decide: an implicit inverse at a point inside
 its image or off its ends, a NumericIntegral away from its base, a
 zero-infinity race that involves either, and a coefficient whose sign
-the facts leave open (ROADMAP 2i).  It returns floats and is good
-enough for guardrails but is never used to fabricate an "exact" value.
+the facts leave open (ROADMAP 2i).  Its finite verdict is a float
+constant (``_probed``): this module alone gives a numeric limit its
+type, so a bare float from a limit function is +-inf.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def _probe(e: Expr, env: AssumptionEnv, x0: float | None, side: Side | None, dir
     if spread <= 1e-5 * (1.0 + abs(tail[-1])):
         return tail[-1]
     raise UnsupportedOperation(f"limit of {to_text(e)} does not settle numerically")
+
+
+def _probed(e: Expr, env: AssumptionEnv, x0: float | None, side: Side | None, direction: int | None) -> Expr | float:
+    """``_probe`` as a limit: +-inf, or its finite value as a float constant."""
+    v = _probe(e, env, x0, side, direction)
+    return v if math.isinf(v) else Const(v)
 
 
 def _sign_of_value(env: AssumptionEnv, v: Expr) -> int | None:
@@ -399,7 +406,8 @@ def one_sided_limit(e: Expr, x0: Expr, side: Side, env: AssumptionEnv) -> Expr |
     """lim of e(x) as x -> x0 from the given side.
 
     Returns an exact variable-free expression when the structural pass
-    decides it, +-inf for poles, or a probed float as a last resort.
+    decides it, +-inf for poles, or, as a last resort, the probe's
+    finite value as a float constant.
     """
     out = _limit_core(e, env, x0, side, None)
     if out is not None:
@@ -407,7 +415,7 @@ def one_sided_limit(e: Expr, x0: Expr, side: Side, env: AssumptionEnv) -> Expr |
     x0f = numeric.at(x0, numeric.binding(env))
     if x0f is None:
         raise UnsupportedOperation(f"cannot place limit point {to_text(x0)} numerically")
-    return _probe(e, env, x0f, side, None)
+    return _probed(e, env, x0f, side, None)
 
 
 def limit_at_infinity(e: Expr, direction: int, env: AssumptionEnv) -> Expr | float:
@@ -415,7 +423,7 @@ def limit_at_infinity(e: Expr, direction: int, env: AssumptionEnv) -> Expr | flo
     out = _limit_core(e, env, None, None, 1 if direction > 0 else -1)
     if out is not None:
         return out
-    return _probe(e, env, None, None, 1 if direction > 0 else -1)
+    return _probed(e, env, None, None, 1 if direction > 0 else -1)
 
 
 def limit_at(e: Expr, point: Expr | float, side: Side, env: AssumptionEnv) -> Expr | float:

@@ -409,13 +409,6 @@ def _toggle(varname: str) -> str:
     return "y" if varname == "x" else "x"
 
 
-def _as_endpoint(v):
-    """Normalize a limit result to an Expr or a +-inf float."""
-    if isinstance(v, float):
-        return v if math.isinf(v) else as_expr(v)
-    return v
-
-
 def invert(T: MonotoneOperator) -> MonotoneOperator:
     """Graph flip, built in one pass over the live slices of T from left
     to right, the order in which their images rise.  A constant piece
@@ -473,8 +466,8 @@ def invert(T: MonotoneOperator) -> MonotoneOperator:
         if not contains_var(p.body):
             add(p.body, interval(lo, hi, env))
             continue
-        a = _as_endpoint(limit_at(p.body, lo, "right", env))
-        b = _as_endpoint(limit_at(p.body, hi, "left", env))
+        a = limit_at(p.body, lo, "right", env)
+        b = limit_at(p.body, hi, "left", env)
         span(a, b, invert_monotone(p.body, env, lo, hi), EMPTY_SET)
     return build_operator(_toggle(T.varname), bps, pieces, values, env)
 

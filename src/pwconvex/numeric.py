@@ -42,7 +42,8 @@ The float decisions that remain, by caller:
   ``inverse._peel`` and log branches in ``conv._fix_log_branch``.
 * ``limits._probe``, ``_side_sign``, ``_sign_of_value``,
   ``one_sided_limit`` and ``_limit_core``: numeric limits, signs, and
-  the float check of a substituted limit point (``at``, ``sign``).
+  the float check of a substituted limit point (``at``, ``sign``).  A
+  probed finite limit is a float constant (``limits._probed``).
 * ``grid.sorted_unique``: the order of points that exact comparison
   found distinct (``sort_key``), among them the roots of absolute
   values that ``grid.cover_bodies`` adds to the cover.
@@ -57,7 +58,6 @@ The float decisions that remain, by caller:
   ``grid.merge_seamless``, ``conv._end_value``, ``conv._anchor_shift``
   (the anchor of ``conv.integ``) and ``inverse.solve_monotone``
   (``risk.quantile``).
-* ``conv._body_limit``: limits the limits module cannot take (``value``).
 * ``penalty.verify_penalty`` and its graph sampler
   ``oracle.sample_graph``: graph samples and distances (``value``,
   ``clip``, ``defined``).  Both read a grid at many float points

@@ -41,6 +41,9 @@ from .pwf import PiecewiseFunction, classify_piece
 INF = math.inf
 
 HALF_SQUARE = Div(Mul(X, X), as_expr(2))
+# graph points verify_penalty samples, and the distance it tolerates
+VERIFY_SAMPLES = 500
+VERIFY_TOL = 1e-9
 
 
 def recover_penalty(T: MonotoneOperator) -> PiecewiseFunction:
@@ -86,13 +89,7 @@ def _distance(bounds: tuple[float, float] | None, u: float) -> float:
     return 0.0
 
 
-def verify_penalty(
-    T: MonotoneOperator,
-    f: PiecewiseFunction,
-    n: int = 500,
-    tol: float = 1e-9,
-    seed: int = DEFAULT_SEED,
-) -> PenaltyReport:
+def verify_penalty(T: MonotoneOperator, f: PiecewiseFunction, seed: int = DEFAULT_SEED) -> PenaltyReport:
     """Check that sampled graph points of T land in the graph of the
     proximal map of f.  Failures are reported, not raised."""
     try:
@@ -104,7 +101,7 @@ def verify_penalty(
     binding = numeric.binding(T.env)
     view = P.float_view(binding)
     exact = functools.cache(lambda x: _float_bounds(eval_op(P, x, params=binding or None), binding))
-    pts = sample_graph(T, n, random.Random(seed))
+    pts = sample_graph(T, VERIFY_SAMPLES, random.Random(seed))
     worst = 0.0
     witness = None
     for x, u in pts:
@@ -112,5 +109,5 @@ def verify_penalty(
         d = _distance(exact(x) if p is None else (p, p), u)
         if d > worst:
             worst, witness = d, (x, u)
-    passed = worst <= tol
+    passed = worst <= VERIFY_TOL
     return PenaltyReport(passed, worst, len(pts), None if passed else witness)

@@ -45,6 +45,7 @@ from .expr import (
 from .grid import (
     Grid,
     Piece,
+    Region,
     certify,
     checked_breakpoints,
     cover_bodies,
@@ -66,24 +67,6 @@ KIND_INFINITE = "infinite"
 KIND_SMOOTH = "smooth"  # weakly convex containers only (penalty recovery)
 
 CLASSIFY_WINDOW = 30.0
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: Expr | float  # -inf when unbounded below
-    hi: Expr | float
-    lo_closed: bool
-    hi_closed: bool
-    empty: bool = False
-
-    def __str__(self) -> str:
-        if self.empty:
-            return "empty"
-        lo = "-inf" if isinstance(self.lo, float) else to_text(self.lo)
-        hi = "inf" if isinstance(self.hi, float) else to_text(self.hi)
-        lb = "[" if self.lo_closed else "("
-        rb = "]" if self.hi_closed else ")"
-        return f"{lb}{lo}, {hi}{rb}"
 
 
 @dataclass(frozen=True)
@@ -263,16 +246,16 @@ def eval_pwf(f: PiecewiseFunction, x, params: dict | None = None):
     return evaluate(body, x=evaluate(xe))
 
 
-def domain(f: Grid) -> Interval:
-    """The interval on which f is finite (with an empty flag); for an
-    operator, the hull of its domain."""
+def domain(f: Grid) -> Region | None:
+    """The interval on which f is finite, or None where it is nowhere
+    finite; for an operator, the hull of its domain."""
     live = f.live_slices()
     if not live:
-        return Interval(-INF, INF, False, False, empty=True)
+        return None
     s0, s1 = live[0], live[-1]
     lo = f.breakpoints[(s0 - 1) // 2] if s0 > 0 else -INF
     hi = f.breakpoints[s1 // 2] if s1 < 2 * len(f.breakpoints) else INF
-    return Interval(lo, hi, s0 % 2 == 1, s1 % 2 == 1)
+    return Region(lo, hi, s0 % 2 == 1, s1 % 2 == 1)
 
 
 # ---------------------------------------------------------------------------

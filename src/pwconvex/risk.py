@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import numeric
 from .assumptions import AssumptionEnv, EMPTY_ENV
@@ -166,11 +165,9 @@ def _superexpectation(d: DistributionSpec) -> PiecewiseFunction:
     except UnsupportedOperation as exc:
         raise UnsupportedTail(f"cannot pin the superexpectation constant: {exc}") from exc
     if isinstance(m, float):
-        if math.isinf(m):
-            if m < 0:
-                raise NoFirstMoment("the upper tail of the distribution has no finite mean")
-            raise InternalInconsistency("E(x) - x grows at +inf for a distribution function")
-        m = as_expr(Fraction(m))
+        if m < 0:
+            raise NoFirstMoment("the upper tail of the distribution has no finite mean")
+        raise InternalInconsistency("E(x) - x grows at +inf for a distribution function")
     return _shift_by(E0, simplify(Neg(m)))
 
 

@@ -621,3 +621,31 @@ def test_integral_powers_of_constant_roots_reduce(capsys, argv):
     code, out, err = run(capsys, list(argv))
     assert code == 0, err
     assert rows(out) == CONSTANT_ROOTS[argv]
+
+
+# a limit the structural pass cannot take is the probe's float constant:
+# a decimal, never a rational read off the float's bits, and a finite
+# value, never an infinite one
+RECIPROCAL_TAIL = "pw{ x < 1 -> 0 ; x >= 1 -> 1 - 1/x + 1/(x + 1) }"
+EXPONENTIAL_SECANT = "pw{ x < 0 -> 0 ; 0 <= x & x < 1 -> ((exp(x) - 1)/x - 1)/(exp(1) - 2) ; x >= 1 -> 1 }"
+
+
+def test_a_probed_limit_is_a_decimal_not_a_fraction(capsys):
+    # E(x) = E[X] = 1 + ln 2 below the support [1, inf)
+    code, out, err = run(capsys, ["risk", "--cdf", RECIPROCAL_TAIL, "superexp"])
+    assert code == 0, err
+    row = rows(out)[0]
+    assert row.startswith("x < 1 -> ")
+    value = row.removeprefix("x < 1 -> ")
+    assert "/" not in value
+    assert abs(float(value) - (1 + math.log(2))) <= 1e-12
+
+
+def test_a_probed_finite_limit_is_not_read_as_infinite(capsys):
+    # F(0+) = 0 is probed; the reference is bisection on F(x) = 1/2
+    code, out, err = run(capsys, ["risk", "--cdf", EXPONENTIAL_SECANT, "quantile", "1/2"])
+    assert code == 0, err
+    assert abs(float(out) - 0.5852441107738149) <= 1e-12
+    # the derivative limit at 0 does not settle: refused, not an internal failure
+    code, out, err = run(capsys, ["risk", "--cdf", EXPONENTIAL_SECANT, "superexp"])
+    assert code == 2 and not out

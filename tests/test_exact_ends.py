@@ -195,3 +195,14 @@ def test_a_composite_base_of_unknown_rate_is_exact_or_refused(text, want):
     assert not numeric.is_inf(v)
     got = float(evaluate(v)) if isinstance(v, Expr) else v
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_a_probed_limit_is_a_float_constant():
+    # ((exp(x) - 1)/x - 1)/(e - 2) at 0+: a zero-infinity race the
+    # structural pass refuses, so the probe takes it
+    body = parse_expr("((exp(x) - 1)/x - 1)/(exp(1) - 2)")
+    env = AssumptionEnv.parse([])
+    assert limits.exact_one_sided_limit(body, as_expr(0), "right", env) is None
+    got = limits.one_sided_limit(body, as_expr(0), "right", env)
+    assert isinstance(got, Const) and isinstance(got.value, float)
+    assert abs(got.value) <= 1e-9
